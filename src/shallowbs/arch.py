@@ -229,15 +229,17 @@ def realize(
     return u
 
 
+def _check_depth(arch: CircuitArchitecture, depth: int) -> None:
+    if not 0 <= depth <= arch.depth:
+        raise ValueError(f"depth {depth} outside [0, {arch.depth}] for this architecture")
+
+
 def _spread(
     arch: CircuitArchitecture, mode: int, depth: int, reverse: bool
 ) -> frozenset[int]:
     if not 0 <= mode < arch.mode_count:
         raise IndexError(f"mode {mode} out of range for {arch.mode_count} modes")
-    if not 0 <= depth <= arch.depth:
-        raise ValueError(
-            f"depth {depth} outside [0, {arch.depth}] for this architecture"
-        )
+    _check_depth(arch, depth)
     reached = np.zeros(arch.mode_count, dtype=bool)
     reached[mode] = True
     window = arch.layers[:depth]
@@ -257,6 +259,16 @@ def forward_lightcone(arch: CircuitArchitecture, input_mode: int, depth: int) ->
 def backward_lightcone(arch: CircuitArchitecture, output_mode: int, depth: int) -> frozenset[int]:
     """Input modes that can reach ``output_mode`` through the first ``depth`` layers."""
     return _spread(arch, output_mode, depth, reverse=True)
+
+
+def _backward_masks(arch: CircuitArchitecture, depth: int) -> list[int]:
+    """Every mode's backward lightcone as a bitmask, in one pass over the layers."""
+    _check_depth(arch, depth)
+    masks = [1 << mode for mode in range(arch.mode_count)]
+    for layer in arch.layers[:depth]:
+        for slot in layer.slots:
+            masks[slot.a] = masks[slot.b] = masks[slot.a] | masks[slot.b]
+    return masks
 
 
 def path_count(arch: CircuitArchitecture, input_mode: int, output_mode: int) -> int:

@@ -265,6 +265,48 @@ def _validate_ensemble(cfg: dict, diags: list[str], require_arch: bool) -> None:
         cfg["sides"] = sides
 
 
+def _validate_count_inputs(cfg: dict, diags: list[str]) -> None:
+    """Scheme, photon numbers, input pattern and nlhs depth of permitted-count."""
+    m, rounds, depth = cfg.get("modes"), cfg.get("rounds"), cfg.get("depth")
+    if cfg.get("ensemble") == "nlhs" and None not in (m, rounds, depth) and m >= 1 and rounds >= 1:
+        top = (m.bit_length() - 1) * rounds
+        if not 0 <= depth <= top:
+            diags.append(f"--depth must lie in [0, {top}] for this nlhs circuit, got {depth}")
+    scheme = cfg.get("scheme")
+    if scheme not in ("fbs", "gbs"):
+        diags.append(f"--scheme must be fbs or gbs, got {scheme!r}")
+        return
+    if scheme == "gbs" and cfg.get("effective"):
+        diags.append("effective clipping applies to the fbs scheme only")
+    key = "photons" if scheme == "fbs" else "pairs"
+    if not _need(cfg, key, diags):
+        return
+    _check_positive(cfg, key, diags)
+    if scheme == "fbs":
+        size, what = cfg["photons"], "--photons"
+    else:
+        _check_positive(cfg, "k_inputs", diags)
+        if cfg.get("squeeze") is not None and cfg["squeeze"] <= 0:
+            diags.append(f"--squeeze must be positive, got {cfg['squeeze']}")
+        size, what = (cfg["k_inputs"], "--k-inputs") if cfg.get("k_inputs") else (m, "--modes")
+        if size is None:
+            return
+        if cfg["pairs"] > size:
+            diags.append(f"--pairs {cfg['pairs']} exceeds the {size} squeezed inputs")
+    pattern = cfg.get("input")
+    if not pattern:
+        if m is not None and size > m:
+            diags.append(f"{what} {size} exceeds the {m} modes")
+        return
+    if len(pattern) != size:
+        diags.append(f"--input holds {len(pattern)} modes but {what} is {size}")
+    if m is not None and (
+        any(not 0 <= x < m for x in pattern)
+        or any(a >= b for a, b in zip(pattern, pattern[1:]))
+    ):
+        diags.append(f"--input {pattern} must be strictly increasing modes in [0, {m - 1}]")
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Diagnostics for a resolved configuration; empty means runnable."""
     diags: list[str] = []
@@ -287,17 +329,7 @@ def validate_config(cfg: dict) -> list[str]:
         _validate_ensemble(cfg, diags, require_arch=True)
     elif experiment == "permitted-count":
         _validate_ensemble(cfg, diags, require_arch=True)
-        scheme = cfg.get("scheme")
-        if scheme not in ("fbs", "gbs"):
-            diags.append(f"--scheme must be fbs or gbs, got {scheme!r}")
-        elif scheme == "fbs":
-            if _need(cfg, "photons", diags):
-                _check_positive(cfg, "photons", diags)
-        else:
-            if _need(cfg, "pairs", diags):
-                _check_positive(cfg, "pairs", diags)
-            if cfg.get("effective"):
-                diags.append("effective clipping applies to the fbs scheme only")
+        _validate_count_inputs(cfg, diags)
         if cfg.get("effective"):
             if cfg.get("ensemble") == "nlhs":
                 diags.append("effective clipping requires the local-parallel ensemble")

@@ -6,11 +6,13 @@ collision-free input ``t`` is ``|perm(U[s, t])|^2 / s!`` where ``s!`` is the
 product of the factorials of the mode multiplicities.
 
 A shallow circuit forbids most outcomes: a photon entering mode t_j can only
-exit inside the forward lightcone of t_j, so an outcome is *permitted* exactly
-when the photons can be matched one-to-one to input lightcones that contain
-them.  Counting permitted outcomes against the full outcome count gives the
-support ratio that collapses below the hard/easy depth thresholds computed at
-the bottom of this module.
+exit inside the forward lightcone of t_j.  By Hall's theorem an outcome is
+therefore *permitted* exactly when it is a multiset {c_1, ..., c_n} with each
+c_j in the lightcone of t_j, so the permitted set is the Minkowski sum of the
+input lightcones and is built directly, one cone at a time, without
+enumerating the forbidden outcomes.  Counting permitted outcomes against the
+full outcome count gives the support ratio that collapses below the hard/easy
+depth thresholds computed at the bottom of this module.
 """
 
 from __future__ import annotations
@@ -116,62 +118,29 @@ def enumerate_outcomes(m: int, photons: int) -> Iterator[Pattern]:
     return combinations_with_replacement(range(m), photons)
 
 
-def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> int:
-    """Maximum matching size of a bipartite graph given left adjacency lists."""
-    n_left = len(adjacency)
-    inf = float("inf")
-    match_left: list[int] = [-1] * n_left
-    match_right: list[int] = [-1] * n_right
-    dist = [0.0] * n_left
-
-    def bfs() -> bool:
-        queue = []
-        for v in range(n_left):
-            if match_left[v] == -1:
-                dist[v] = 0.0
-                queue.append(v)
-            else:
-                dist[v] = inf
-        found = False
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w in adjacency[v]:
-                u = match_right[w]
-                if u == -1:
-                    found = True
-                elif dist[u] == inf:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        return found
-
-    def dfs(v: int) -> bool:
-        for w in adjacency[v]:
-            u = match_right[w]
-            if u == -1 or (dist[u] == dist[v] + 1 and dfs(u)):
-                match_left[v] = w
-                match_right[w] = v
-                return True
-        dist[v] = inf
-        return False
-
-    matched = 0
-    while bfs():
-        for v in range(n_left):
-            if match_left[v] == -1 and dfs(v):
-                matched += 1
-    return matched
+def _minkowski_sum(choices: Iterable[Sequence[Pattern]]) -> set[Pattern]:
+    """Every sorted pattern formed by taking one tuple from each choice list."""
+    sums: set[Pattern] = {()}
+    for choice in choices:
+        sums = {tuple(sorted(p + c)) for p in sums for c in choice}
+    return sums
 
 
-def _photon_cone_matching(cones: Sequence[frozenset[int]], outcome: Pattern) -> bool:
-    """Can the outcome photons be assigned one-to-one to containing lightcones?"""
-    adjacency = [
-        [k for k, mode in enumerate(outcome) if mode in cone] for cone in cones
-    ]
-    if any(not adj for adj in adjacency):
-        return False
-    return _hopcroft_karp(adjacency, len(outcome)) == len(outcome)
+def _check_build(steps: Iterable[tuple[int, int]], guard: int) -> None:
+    """Refuse a Minkowski-sum build that could visit more than ``guard`` sums.
+
+    Each step gives a choice-list length and a cap on the distinct sums after
+    it; the visits bound both the time and the memory of the build.
+    """
+    work, held = 0, 1
+    for size, cap in steps:
+        work += held * size
+        held = min(held * size, cap)
+        if work > guard:
+            raise GuardError(
+                f"enumeration guard: building the permitted set visits over "
+                f"{work} partial outcomes, above the {guard} limit"
+            )
 
 
 def is_permitted_fbs(
@@ -189,7 +158,18 @@ def is_permitted_fbs(
             f"photon number mismatch: {len(t)} photons in, pattern of {len(s)} out"
         )
     cones = [forward_lightcone(arch, mode, depth) for mode in t]
-    return _photon_cone_matching(cones, s)
+    owner: list[int] = [-1] * len(cones)  # output photon held by each input cone
+
+    def augment(j: int, seen: set[int]) -> bool:
+        for i, cone in enumerate(cones):
+            if i not in seen and s[j] in cone:
+                seen.add(i)
+                if owner[i] < 0 or augment(owner[i], seen):
+                    owner[i] = j
+                    return True
+        return False
+
+    return all(augment(j, set()) for j in range(len(s)))
 
 
 @dataclass(frozen=True)
@@ -210,18 +190,12 @@ class PermittedCountReport:
         return asdict(self)
 
 
-def _count_with_cones(
-    m: int, cones: Sequence[frozenset[int]], upper_bound: float, guard: int
+def _count_sums(
+    m: int, photons: int, choices: Iterable[Sequence[Pattern]], upper_bound: float
 ) -> PermittedCountReport:
-    photons = len(cones)
+    """Size of the Minkowski sum of ``choices`` next to the outcome total."""
     total = outcome_count(m, photons)
-    if total > guard:
-        raise GuardError(
-            f"enumeration guard: {total} outcomes exceed the {guard} limit"
-        )
-    exact = sum(
-        1 for outcome in enumerate_outcomes(m, photons) if _photon_cone_matching(cones, outcome)
-    )
+    exact = len(_minkowski_sum(choices))
     return PermittedCountReport(
         exact_count=exact,
         upper_bound=upper_bound,
@@ -231,20 +205,36 @@ def _count_with_cones(
     )
 
 
+def _count_cones(
+    m: int, cones: Sequence[frozenset[int]], upper_bound: float, guard: int
+) -> PermittedCountReport:
+    # after k cones the sums are k-photon outcomes over the modes reached
+    reached = [len(frozenset().union(*cones[:k])) for k in range(1, len(cones) + 1)]
+    _check_build(
+        ((len(c), math.comb(r + k - 1, k)) for k, (c, r) in enumerate(zip(cones, reached), 1)),
+        guard,
+    )
+    return _count_sums(m, len(cones), ([(x,) for x in c] for c in cones), upper_bound)
+
+
 def count_permitted_fbs(
     arch: CircuitArchitecture,
     input_modes: Iterable[int],
     depth: int,
     guard: int = ENUMERATION_GUARD,
 ) -> PermittedCountReport:
-    """Count permitted outcomes exactly and report the lightcone product bound."""
+    """Count permitted outcomes exactly and report the lightcone product bound.
+
+    The permitted set is built as the Minkowski sum of the input lightcones,
+    one cone at a time; the guard bounds the partial sums that build visits.
+    """
     t = _as_pattern(input_modes, arch.mode_count, "input")
     _require_collision_free(t, "input")
     if not t:
         raise ValueError("input pattern must contain at least one photon")
     cones = [forward_lightcone(arch, mode, depth) for mode in t]
     bound = float(math.prod(len(c) for c in cones))
-    return _count_with_cones(arch.mode_count, cones, bound, guard)
+    return _count_cones(arch.mode_count, cones, bound, guard)
 
 
 def count_permitted_fbs_effective(
@@ -259,10 +249,12 @@ def count_permitted_fbs_effective(
 
     Each forward cone is intersected with the box of radius
     ``effective_lightcone_radius`` around its input mode, dimension by
-    dimension.  ``upper_bound`` is the closed-form effective-cone size raised
-    to the photon number; unlike the plain count, near-boundary configurations
-    can exceed it because the clipped box is wider than the size the formula
-    assumes, so only ``exact_count`` is authoritative here.
+    dimension, and the permitted set is the Minkowski sum of the clipped
+    cones, guarded as in ``count_permitted_fbs``.  ``upper_bound`` is the
+    closed-form effective-cone size raised to the photon number; unlike the
+    plain count, near-boundary configurations can exceed it because the
+    clipped box is wider than the size the formula assumes, so only
+    ``exact_count`` is authoritative here.
     """
     if arch.family != "local-parallel" or arch.side_lengths is None:
         raise ValueError("effective counting requires a local-parallel lattice")
@@ -282,7 +274,7 @@ def count_permitted_fbs_effective(
         )
         cones.append(cone & frozenset(int(i) for i in inside))
     per_cone = (2.0 * photons**lam * depth / (beta * d)) ** (d / 2.0)
-    return _count_with_cones(arch.mode_count, cones, per_cone**photons, guard)
+    return _count_cones(arch.mode_count, cones, per_cone**photons, guard)
 
 
 def fbs_permitted_ratio_bound(

@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, asdict
+from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ._parallel import pmap
-from .arch import CircuitArchitecture, backward_lightcone, forward_lightcone
+from .arch import CircuitArchitecture, _backward_masks
 from .fock import (
     DepthThresholds,
     ENUMERATION_GUARD,
@@ -32,13 +32,13 @@ from .fock import (
     Pattern,
     _as_pattern,
     _check_threshold_params,
+    _check_build,
+    _count_sums,
     _require_collision_free,
-    enumerate_outcomes,
-    outcome_count,
     pattern_factorial,
 )
 from .linalg import RngStream
-from .matfn import GuardError, hafnian
+from .matfn import HAFNIAN_MAX_DIM, GuardError, hafnian
 
 __all__ = [
     "GbsConfig",
@@ -56,8 +56,6 @@ __all__ = [
     "gbs_permitted_ratio_bound",
     "photon_pair_marginal",
 ]
-
-_EXHAUSTIVE_MATCHING_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -282,54 +280,6 @@ def gbs_unnormalized_probability(
     return float(abs(hafnian(b_s)) ** 2 / pattern_factorial(s))
 
 
-def _photon_pairing_possible(adjacency: list[int], n_photons: int) -> bool:
-    """Perfect matching on a general graph given bitmask adjacency rows."""
-    if n_photons % 2 != 0:
-        return False
-    if n_photons == 0:
-        return True
-    if n_photons <= _EXHAUSTIVE_MATCHING_MAX:
-        full = (1 << n_photons) - 1
-
-        def search(mask: int) -> bool:
-            if mask == 0:
-                return True
-            low = mask & -mask
-            i = low.bit_length() - 1
-            rest = mask ^ low
-            candidates = adjacency[i] & rest
-            while candidates:
-                bit = candidates & -candidates
-                candidates ^= bit
-                if search(rest ^ bit):
-                    return True
-            return False
-
-        return search(full)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n_photons))
-    for i in range(n_photons):
-        row = adjacency[i]
-        for j in range(i + 1, n_photons):
-            if row >> j & 1:
-                graph.add_edge(i, j)
-    matching = nx.max_weight_matching(graph, maxcardinality=True)
-    return 2 * len(matching) == n_photons
-
-
-def _pairing_adjacency(
-    cones: dict[int, frozenset[int]], outcome: Pattern, inputs: frozenset[int]
-) -> list[int]:
-    n = len(outcome)
-    adjacency = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cones[outcome[i]] & cones[outcome[j]] & inputs:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
-    return adjacency
-
-
 def is_permitted_gbs(
     arch: CircuitArchitecture,
     cfg: GbsConfig,
@@ -340,7 +290,10 @@ def is_permitted_gbs(
     """Whether an even outcome can carry Gaussian-sampling probability.
 
     Photons must split into pairs such that each pair shares a squeezed source
-    lying in both photons' backward lightcones.
+    lying in both photons' backward lightcones.  The search pairs the lowest
+    remaining photon with each distinct later mode in turn, memoized on the
+    remaining sorted outcome.  Its states can grow exponentially in number, so
+    outcomes beyond the hafnian guard raise ``GuardError``.
     """
     t = _as_pattern(input_modes, arch.mode_count, "input")
     _require_collision_free(t, "input")
@@ -349,10 +302,24 @@ def is_permitted_gbs(
     s = _as_pattern(output_modes, arch.mode_count, "output")
     if len(s) % 2 != 0:
         raise ValueError(f"outcome must hold an even photon number, got {len(s)}")
-    inputs = frozenset(t)
-    cones = {mode: backward_lightcone(arch, mode, depth) for mode in set(s)}
-    adjacency = _pairing_adjacency(cones, s, inputs)
-    return _photon_pairing_possible(adjacency, len(s))
+    if len(s) > HAFNIAN_MAX_DIM:
+        raise GuardError(f"pairing guard: {len(s)} photons exceed {HAFNIAN_MAX_DIM}")
+    inputs = sum(1 << mode for mode in t)
+    sources = [mask & inputs for mask in _backward_masks(arch, depth)]
+
+    @cache
+    def pairable(rest: Pattern) -> bool:
+        if not rest:
+            return True
+        a, tail = rest[0], rest[1:]
+        return any(
+            (i == 0 or b != tail[i - 1])
+            and sources[a] & sources[b]
+            and pairable(tail[:i] + tail[i + 1 :])
+            for i, b in enumerate(tail)
+        )
+
+    return pairable(s)
 
 
 def count_permitted_gbs(
@@ -363,6 +330,12 @@ def count_permitted_gbs(
     guard: int = ENUMERATION_GUARD,
 ) -> PermittedCountReport:
     """Count permitted even outcomes and report the pairing-count bound.
+
+    A permitted outcome is a sum of ``pairs`` allowed mode pairs (a, b), those
+    whose backward lightcones share a squeezed input, so the permitted set is
+    the Minkowski sum of ``pairs`` copies of the allowed-pair list E.  The
+    guard bounds the partial sums that build visits and is checked while E is
+    listed, so a refused count stops early.
 
     The bound counts anchor-mode multisets, binom(M + pairs - 1, pairs), times
     a uniform per-pair partner factor (the round-trip lightcone size bound
@@ -386,39 +359,28 @@ def count_permitted_gbs(
     if depth is None:
         depth = arch.depth
     n = cfg.pairs
-    photons = 2 * n
-    total = outcome_count(m, photons)
-    if total > guard:
-        raise GuardError(f"enumeration guard: {total} outcomes exceed the {guard} limit")
-
-    inputs = frozenset(t)
-    back = {mode: backward_lightcone(arch, mode, depth) for mode in range(m)}
-    forward = {mode: forward_lightcone(arch, mode, depth) for mode in range(m)}
-    exact = 0
-    for outcome in enumerate_outcomes(m, photons):
-        adjacency = _pairing_adjacency(back, outcome, inputs)
-        if _photon_pairing_possible(adjacency, photons):
-            exact += 1
+    back = _backward_masks(arch, depth)
+    inputs = sum(1 << mode for mode in t)
+    sources = [mask & inputs for mask in back]
+    fed = sum(1 for mask in sources if mask)
+    allowed: list[Pattern] = []
+    for a in range(m):
+        allowed += [(a, b) for b in range(a, m) if sources[a] & sources[b]]
+        e = len(allowed)
+        # k pairs sum to at most binom(e + k - 1, k) outcomes, and to at most
+        # the outcomes of 2k photons over the modes some input reaches
+        caps = (min(math.comb(e + k - 1, k), math.comb(fed + 2 * k - 1, 2 * k)) for k in range(1, n + 1))
+        _check_build(((e, cap) for cap in caps), guard)
 
     if arch.family == "local-parallel" and arch.dimension is not None:
         d = arch.dimension
         per_pair = (4.0 * depth / d) ** d
     else:
-        # largest round-trip cone |L_D(L_D^t(j))| over anchor modes j
-        per_pair = 0.0
-        for j in range(m):
-            reach: set[int] = set()
-            for i in back[j]:
-                reach |= forward[i]
-            per_pair = max(per_pair, float(len(reach)))
+        # largest round-trip cone |L_D(L_D^t(j))| over anchor modes j: the
+        # modes whose backward lightcone meets that of j
+        per_pair = float(max(sum(1 for x in back if x & y) for y in back))
     bound = math.comb(m + n - 1, n) * per_pair**n / 2**n
-    return PermittedCountReport(
-        exact_count=exact,
-        upper_bound=float(bound),
-        total_outcomes=total,
-        exact_ratio=exact / total,
-        bound_ratio=min(1.0, bound / total),
-    )
+    return _count_sums(m, 2 * n, [allowed] * n, float(bound))
 
 
 def gbs_depth_thresholds(

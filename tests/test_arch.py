@@ -17,6 +17,7 @@ from shallowbs.arch import (
     path_count,
     realize,
     truncate_unitary,
+    _backward_masks,
 )
 from shallowbs.linalg import RngStream, frobenius_norm_sq
 
@@ -167,6 +168,17 @@ def test_lightcone_duality():
         for i in range(6):
             for j in range(6):
                 assert (j in fwd[i]) == (i in back[j])
+
+
+def test_backward_masks_match_lightcones():
+    for arch in (build_local_parallel(2, [3, 4], 3), build_nlhs(3, 2)):
+        m = arch.mode_count
+        for depth in range(arch.depth + 1):
+            masks = _backward_masks(arch, depth)
+            for j in range(m):
+                assert {i for i in range(m) if masks[j] >> i & 1} == backward_lightcone(arch, j, depth)
+    with pytest.raises(ValueError):
+        _backward_masks(arch, arch.depth + 1)
 
 
 def test_lightcone_bounds_checks():

@@ -188,3 +188,49 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     assert set(report) == {"fbs", "gbs"}
+
+
+_CHAIN = ["--ensemble", "local-parallel", "--modes", "8", "--depth", "1"]
+_NLHS = ["--ensemble", "nlhs", "--modes", "8", "--rounds", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_CHAIN + ["--photons", "2", "--input", "0,8"], "strictly increasing"),
+        (_CHAIN + ["--photons", "2", "--input", "5,1"], "strictly increasing"),
+        (_CHAIN + ["--photons", "2", "--input", "3,3"], "strictly increasing"),
+        (_CHAIN + ["--photons", "3", "--input", "0,7"], "--photons is 3"),
+        (_CHAIN + ["--photons", "9"], "--photons 9 exceeds the 8 modes"),
+        (_CHAIN + ["--scheme", "gbs", "--pairs", "3", "--k-inputs", "2"], "--pairs 3 exceeds"),
+        (_CHAIN + ["--scheme", "gbs", "--pairs", "1", "--k-inputs", "9"], "--k-inputs 9 exceeds"),
+        (_CHAIN + ["--scheme", "gbs", "--pairs", "1", "--k-inputs", "2", "--input", "0,1,2"],
+         "--k-inputs is 2"),
+        (_CHAIN + ["--scheme", "gbs", "--pairs", "1", "--squeeze", "0"], "--squeeze must be positive"),
+        (_NLHS + ["--photons", "2", "--depth", "4"], "--depth must lie in [0, 3]"),
+    ],
+)
+def test_permitted_count_bad_input_exit_code(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.json"
+    code = main(["permitted-count", "--seed", "1", "--out", str(out)] + argv)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-config"
+    assert any(message in d for d in err["diagnostics"]), err["diagnostics"]
+    assert not out.exists()
+
+
+def test_nlhs_depth_checked_only_where_read(tmp_path):
+    # arch-info ignores --depth on nlhs, so an out-of-range value still runs
+    out = tmp_path / "arch.json"
+    assert main(["arch-info", "--seed", "1", "--out", str(out)] + _NLHS + ["--depth", "5"]) == 0
+
+
+def test_import_does_not_load_networkx():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, shallowbs; print('networkx' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

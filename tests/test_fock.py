@@ -1,10 +1,20 @@
+import json
 import math
+import time
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from shallowbs.arch import build_local_parallel, build_nlhs, forward_lightcone, realize
+from shallowbs.arch import (
+    build_local_parallel,
+    build_nlhs,
+    effective_lightcone_radius,
+    forward_lightcone,
+    mode_coordinates,
+    realize,
+)
+from shallowbs.cli import main
 from shallowbs.fock import (
     GuardError,
     count_permitted_fbs,
@@ -16,7 +26,6 @@ from shallowbs.fock import (
     is_permitted_fbs,
     outcome_count,
     pattern_factorial,
-    _photon_cone_matching,
 )
 from shallowbs.linalg import RngStream, haar_unitary
 
@@ -72,6 +81,12 @@ def matching_exists_brute_force(cones, outcome):
     return False
 
 
+def count_brute_force(m, cones):
+    return sum(
+        matching_exists_brute_force(cones, s) for s in enumerate_outcomes(m, len(cones))
+    )
+
+
 def test_cone_matching_against_brute_force():
     gen = np.random.default_rng(31)
     arch = build_local_parallel(1, [8], 3)
@@ -81,9 +96,50 @@ def test_cone_matching_against_brute_force():
         t = sorted(gen.choice(8, size=n, replace=False).tolist())
         cones = [forward_lightcone(arch, mode, depth) for mode in t]
         outcome = tuple(sorted(gen.integers(0, 8, size=n).tolist()))
-        assert _photon_cone_matching(cones, outcome) == matching_exists_brute_force(
+        assert is_permitted_fbs(arch, t, outcome, depth) == matching_exists_brute_force(
             cones, outcome
         )
+
+
+def test_count_permitted_fbs_against_brute_force():
+    gen = np.random.default_rng(47)
+    archs = (
+        build_local_parallel(1, [9], 3),
+        build_local_parallel(2, [3, 3], 3),
+        build_nlhs(3, 1),
+    )
+    for arch in archs:
+        m = arch.mode_count
+        for _ in range(6):
+            depth = int(gen.integers(0, arch.depth + 1))
+            n = int(gen.integers(1, 4))
+            t = sorted(gen.choice(m, size=n, replace=False).tolist())
+            cones = [forward_lightcone(arch, mode, depth) for mode in t]
+            report = count_permitted_fbs(arch, t, depth)
+            assert report.exact_count == count_brute_force(m, cones)
+
+
+def test_effective_count_against_brute_force():
+    gen = np.random.default_rng(53)
+    for sides in ([12], [4, 3]):
+        arch = build_local_parallel(len(sides), sides, 6)
+        coords = mode_coordinates(sides)
+        for _ in range(6):
+            depth = int(gen.integers(1, 7))
+            n = int(gen.integers(1, 4))
+            lam, beta = float(gen.choice([0.1, 0.5])), float(gen.choice([0.5, 0.9]))
+            t = sorted(gen.choice(arch.mode_count, size=n, replace=False).tolist())
+            radius = effective_lightcone_radius(n, depth, lam, beta, len(sides))
+            cones = [
+                {
+                    c
+                    for c in forward_lightcone(arch, mode, depth)
+                    if np.abs(coords[c] - coords[mode]).max() <= radius
+                }
+                for mode in t
+            ]
+            report = count_permitted_fbs_effective(arch, t, depth, lam, beta)
+            assert report.exact_count == count_brute_force(arch.mode_count, cones)
 
 
 def test_is_permitted_fbs_frozen_chain():
@@ -134,6 +190,60 @@ def test_count_permitted_fbs_guard():
     arch = build_nlhs(7, 1)
     with pytest.raises(GuardError):
         count_permitted_fbs(arch, tuple(range(8)), arch.depth, guard=10**6)
+
+
+def test_count_permitted_fbs_guard_bounds_permitted_set():
+    # 7.3e13 outcomes in total, but the depth-2 cones are disjoint, so the
+    # permitted set is their product and the guard admits it
+    arch = build_local_parallel(1, [200], 2)
+    report = count_permitted_fbs(arch, range(0, 141, 20), 2)
+    assert report.total_outcomes == outcome_count(200, 8) > 7 * 10**13
+    assert report.exact_count == 3 * 4**7 == 49152
+
+
+def test_count_permitted_fbs_guard_bounds_build_visits():
+    # full connectivity: the build visits 16 + 16*16 + 136*16 + 816*16 partial
+    # sums for the 3876 outcomes, and the guard counts those visits
+    arch = build_nlhs(4, 1)
+    report = count_permitted_fbs(arch, range(4), arch.depth, guard=15504)
+    assert report.exact_count == report.total_outcomes == 3876
+    with pytest.raises(GuardError, match="15504 partial outcomes"):
+        count_permitted_fbs(arch, range(4), arch.depth, guard=15503)
+
+
+def test_dense_fbs_count_refused_before_building():
+    # 6.2e7 outcomes, all permitted: the default guard refuses without building
+    arch = build_nlhs(5, 1)
+    start = time.perf_counter()
+    with pytest.raises(GuardError):
+        count_permitted_fbs(arch, range(8), arch.depth)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_is_permitted_fbs_many_photons():
+    # depth-2 cones are disjoint 4-mode blocks holding two inputs each, so an
+    # outcome is permitted exactly when every block holds two photons
+    gen = np.random.default_rng(37)
+    arch = build_nlhs(6, 1)
+    t = range(0, 60, 2)
+    start = time.perf_counter()
+    for _ in range(10):
+        outcome = sorted(4 * b + int(x) for b in range(15) for x in gen.integers(0, 4, size=2))
+        assert is_permitted_fbs(arch, t, outcome, 2)
+        outcome[0] = 60 + int(gen.integers(0, 4))
+        assert not is_permitted_fbs(arch, t, sorted(outcome), 2)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_cli_counts_deep_forbidden_chain(tmp_path):
+    out = tmp_path / "count.json"
+    code = main(
+        ["permitted-count", "--seed", "1", "--modes", "200", "--ensemble",
+         "local-parallel", "--depth", "2", "--photons", "8", "--scheme", "fbs",
+         "--input", ",".join(str(i) for i in range(0, 141, 20)), "--out", str(out)]
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["exact_count"] == 49152
 
 
 def test_effective_count_without_clipping_matches_plain():

@@ -1,10 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-import shallowbs.gaussian as gaussian
-from shallowbs.arch import build_local_parallel, build_nlhs, realize
+from shallowbs.arch import (
+    backward_lightcone,
+    build_local_parallel,
+    build_nlhs,
+    forward_lightcone,
+    realize,
+)
 from shallowbs.fock import GuardError, enumerate_outcomes
 from shallowbs.gaussian import (
     GbsConfig,
@@ -21,7 +27,6 @@ from shallowbs.gaussian import (
     renyi2_entropy,
     smsv_covariance,
     symplectic_from_unitary,
-    _photon_pairing_possible,
 )
 from shallowbs.linalg import RngStream, haar_unitary
 
@@ -188,27 +193,87 @@ def test_gbs_probability_balanced_beamsplitter_antibunches():
     )
 
 
-def random_adjacency(gen, n):
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gen.random() < 0.4:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
+def pairing_exists_brute_force(sources, outcome):
+    """Try every way of pairing the photons; a pair needs a common source."""
+    if not outcome:
+        return True
+    first, rest = outcome[0], outcome[1:]
+    return any(
+        sources[first] & sources[rest[j]]
+        and pairing_exists_brute_force(sources, rest[:j] + rest[j + 1 :])
+        for j in range(len(rest))
+    )
 
 
-def test_pairing_routes_agree(monkeypatch):
-    # force the matching fallback and compare with the exhaustive search
+def source_sets(arch, inputs, depth):
+    """Per output mode, the squeezed inputs inside its backward lightcone."""
+    return [
+        backward_lightcone(arch, mode, depth) & set(inputs) for mode in range(arch.mode_count)
+    ]
+
+
+GBS_ARCHS = (
+    build_local_parallel(1, [8], 2),
+    build_local_parallel(2, [2, 4], 2),
+    build_nlhs(3, 1),
+)
+
+
+def test_is_permitted_gbs_against_brute_force():
     gen = np.random.default_rng(61)
-    for n in (6, 8, 10):
-        for _ in range(30):
-            adjacency = random_adjacency(gen, n)
-            direct = _photon_pairing_possible(adjacency, n)
-            monkeypatch.setattr(gaussian, "_EXHAUSTIVE_MATCHING_MAX", 0)
-            fallback = _photon_pairing_possible(adjacency, n)
-            monkeypatch.undo()
-            assert direct == fallback
+    seen = set()
+    for arch in GBS_ARCHS:
+        m = arch.mode_count
+        for _ in range(60):
+            depth = int(gen.integers(0, arch.depth + 1))
+            pairs = int(gen.integers(1, 6))
+            k = int(gen.integers(pairs, m + 1))
+            t = tuple(sorted(gen.choice(m, size=k, replace=False).tolist()))
+            sources = source_sets(arch, t, depth)
+            outcome = tuple(sorted(gen.integers(0, m, size=2 * pairs).tolist()))
+            expect = pairing_exists_brute_force(sources, outcome)
+            cfg = GbsConfig(m, k, 0.4, pairs)
+            assert is_permitted_gbs(arch, cfg, t, outcome, depth) == expect
+            seen.add(expect)
+    assert seen == {True, False}
+
+
+def test_is_permitted_gbs_many_photons():
+    # 14 and 16 photons: sums of random allowed pairs are permitted, and
+    # swapping in a mode that no input reaches makes them forbidden
+    gen = np.random.default_rng(67)
+    arch = build_local_parallel(1, [16], 2)
+    t = tuple(range(8))
+    sources = source_sets(arch, t, 2)
+    allowed = [(a, b) for a in range(16) for b in range(a, 16) if sources[a] & sources[b]]
+    dead = [mode for mode in range(16) if not sources[mode]]
+    assert dead
+    for pairs in (7, 8):
+        cfg = GbsConfig(16, 8, 0.4, pairs)
+        for _ in range(20):
+            picks = gen.integers(0, len(allowed), size=pairs)
+            outcome = sorted(mode for i in picks for mode in allowed[i])
+            assert is_permitted_gbs(arch, cfg, t, outcome, 2)
+            outcome[int(gen.integers(0, 2 * pairs))] = int(gen.choice(dead))
+            assert not is_permitted_gbs(arch, cfg, t, sorted(outcome), 2)
+
+
+def test_count_permitted_gbs_against_brute_force():
+    gen = np.random.default_rng(71)
+    for arch in GBS_ARCHS:
+        m = arch.mode_count
+        for _ in range(4):
+            depth = int(gen.integers(0, arch.depth + 1))
+            pairs = int(gen.integers(1, 4))
+            k = int(gen.integers(pairs, m + 1))
+            t = tuple(sorted(gen.choice(m, size=k, replace=False).tolist()))
+            sources = source_sets(arch, t, depth)
+            expect = sum(
+                pairing_exists_brute_force(sources, s)
+                for s in enumerate_outcomes(m, 2 * pairs)
+            )
+            report = count_permitted_gbs(arch, GbsConfig(m, k, 0.4, pairs), t, depth)
+            assert report.exact_count == expect
 
 
 def test_is_permitted_gbs_frozen_chain():
@@ -274,6 +339,40 @@ def test_count_permitted_gbs_guard():
     cfg = GbsConfig(128, 128, 0.4, 4)
     with pytest.raises(GuardError):
         count_permitted_gbs(arch, cfg, tuple(range(128)), None, guard=10**6)
+
+
+def test_count_permitted_gbs_guard_bounds_build_visits():
+    # full connectivity: the 36 allowed pairs give 36 + 36*36 visits
+    arch = build_nlhs(3, 1)
+    cfg = GbsConfig(8, 8, 0.4, 2)
+    report = count_permitted_gbs(arch, cfg, guard=1332)
+    assert report.exact_count == report.total_outcomes == 330
+    with pytest.raises(GuardError, match="1332 partial outcomes"):
+        count_permitted_gbs(arch, cfg, guard=1331)
+
+
+def test_large_gbs_count_refused_quickly():
+    # 1024 modes: the guard stops while the allowed pairs are still listed
+    arch = build_nlhs(10, 1)
+    start = time.perf_counter()
+    with pytest.raises(GuardError):
+        count_permitted_gbs(arch, GbsConfig(1024, 1024, 0.4, 4))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_is_permitted_gbs_at_photon_guard():
+    # two disjoint 32-mode cones interleaved in mode order, with an odd number
+    # of photons in each: no pairing exists and the search has to show it
+    arch = build_local_parallel(2, [12, 12], 6)
+    t = (62, 68)
+    cones = [sorted(forward_lightcone(arch, mode, 6)) for mode in t]
+    cfg = GbsConfig(144, 2, 0.4, 1)
+    start = time.perf_counter()
+    assert not is_permitted_gbs(arch, cfg, t, sorted(cones[0][:11] + cones[1][:13]), 6)
+    assert is_permitted_gbs(arch, cfg, t, sorted(cones[0][:12] + cones[1][:12]), 6)
+    assert time.perf_counter() - start < 5.0
+    with pytest.raises(GuardError, match="26 photons"):
+        is_permitted_gbs(arch, cfg, t, sorted(cones[0][:13] + cones[1][:13]), 6)
 
 
 def test_gbs_depth_thresholds_unit_constants():
