@@ -4,8 +4,10 @@ Every subcommand resolves its configuration from an optional JSON config file
 plus command-line flags (flags win), validates it, runs the experiment, and
 writes exactly one result file plus a ``<out>.manifest.json`` sidecar holding
 the resolved configuration, package version and wall time.  Result files are
-byte-identical across reruns with the same configuration, including across
-``--threads`` settings; the manifest is the only place wall time appears.
+byte-identical across reruns with the same configuration; the manifest is
+the only place wall time appears.  Every experiment runs as one sequential
+loop; ``--threads`` is accepted and recorded for compatibility but has no
+effect.
 
 Exit codes: 0 success, 2 invalid configuration, 3 resource guard exceeded.
 """
@@ -17,7 +19,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from typing import Any, Callable, Optional
@@ -55,14 +56,12 @@ from .stats import (
 
 __all__ = ["main", "run", "validate_config", "EXPERIMENTS"]
 
-THREADS_ENV = "SHALLOWBS_THREADS"
-
 # flag name -> (type tag, help); type tags: int, float, str, intlist, flag
 _FLAGS: dict[str, tuple[str, str]] = {
     "seed": ("int", "master random seed (required, recorded in the manifest)"),
     "out": ("str", "result file path; a .manifest.json sidecar is written next to it"),
     "format": ("str", "output format: csv or json"),
-    "threads": ("int", f"worker threads (default from ${THREADS_ENV} or 1)"),
+    "threads": ("int", "accepted for compatibility and recorded; has no effect"),
     "ensemble": ("str", "circuit ensemble: local-parallel, nlhs or haar"),
     "modes": ("int", "number of optical modes"),
     "dim": ("int", "lattice dimension for the local-parallel ensemble"),
@@ -89,48 +88,40 @@ _FLAGS: dict[str, tuple[str, str]] = {
 _COMMON = ("seed", "out", "format", "threads")
 _ENSEMBLE = ("ensemble", "modes", "dim", "sides", "depth", "rounds")
 
-# experiment -> (flags beyond common, defaults, nested-report?)
+# experiment -> flags beyond common, defaults
 EXPERIMENTS: dict[str, dict[str, Any]] = {
     "arch-info": {
         "flags": _ENSEMBLE,
         "defaults": {"format": "json"},
-        "nested": True,
     },
     "permitted-count": {
         "flags": _ENSEMBLE
         + ("scheme", "photons", "pairs", "k-inputs", "squeeze", "input", "effective", "lambda", "beta"),
         "defaults": {"format": "json", "scheme": "fbs", "effective": False},
-        "nested": True,
     },
     "thresholds": {
         "flags": ("photons", "pairs", "gamma", "c-const", "dim", "lambda", "beta"),
         "defaults": {"format": "json", "dim": 1},
-        "nested": True,
     },
     "density-fbs": {
         "flags": _ENSEMBLE + ("photons", "samples", "buckets"),
         "defaults": {"format": "csv", "samples": 10000, "buckets": 20},
-        "nested": False,
     },
     "density-gbs": {
         "flags": _ENSEMBLE + ("photons", "samples", "buckets"),
         "defaults": {"format": "csv", "samples": 10000, "buckets": 20},
-        "nested": False,
     },
     "page-curve": {
         "flags": _ENSEMBLE + ("squeeze", "samples"),
         "defaults": {"format": "csv", "squeeze": 0.4, "samples": 10000},
-        "nested": False,
     },
     "frame-potential": {
         "flags": _ENSEMBLE + ("k-moment", "samples"),
         "defaults": {"format": "csv", "k-moment": 2, "samples": 50000},
-        "nested": False,
     },
     "hiding": {
         "flags": ("kind", "modes", "photons", "samples"),
         "defaults": {"format": "csv", "samples": 10000},
-        "nested": False,
     },
 }
 
@@ -248,8 +239,12 @@ def _validate_ensemble(cfg: dict, diags: list[str], require_arch: bool) -> None:
         if not _need(cfg, "depth", diags):
             return
         _check_positive(cfg, "depth", diags)
-        dim = cfg.get("dim") or 1
-        sides = cfg.get("sides")
+        if cfg.get("dim") is None:
+            cfg["dim"] = 1
+        _check_positive(cfg, "dim", diags)
+        dim, sides = cfg["dim"], cfg.get("sides")
+        if dim < 1:
+            return
         if sides is None:
             if dim != 1:
                 diags.append("--sides is required for lattices with dim > 1")
@@ -261,7 +256,6 @@ def _validate_ensemble(cfg: dict, diags: list[str], require_arch: bool) -> None:
             diags.append(f"side lengths {sides} do not fill {m} modes")
         elif any(s < 2 for s in sides):
             diags.append(f"every side length must be at least 2, got {sides}")
-        cfg["dim"] = dim
         cfg["sides"] = sides
 
 
@@ -319,11 +313,9 @@ def validate_config(cfg: dict) -> list[str]:
     _need(cfg, "out", diags)
     if cfg.get("format") not in ("csv", "json"):
         diags.append(f"--format must be csv or json, got {cfg.get('format')!r}")
-    if EXPERIMENTS[experiment]["nested"] and cfg.get("format") == "csv" and experiment == "arch-info":
-        diags.append("arch-info emits a nested report; use --format json")
-    threads = cfg.get("threads")
-    if threads is not None and threads < 1:
-        diags.append(f"--threads must be positive, got {threads}")
+    if experiment in ("arch-info", "permitted-count") and cfg.get("format") == "csv":
+        diags.append(f"{experiment} emits a nested report; use --format json")
+    _check_positive(cfg, "threads", diags)
 
     if experiment == "arch-info":
         _validate_ensemble(cfg, diags, require_arch=True)
@@ -472,14 +464,13 @@ def _provenance(cfg: dict, keys: tuple[str, ...]) -> dict:
 
 def _run_density(cfg: dict, master: RngStream) -> dict:
     tag, sampler = _build_sampler(cfg)
-    threads = cfg["threads"] or 1
     if cfg["experiment"] == "density-fbs":
         values = fbs_probability_samples(
-            sampler, cfg["modes"], cfg["photons"], cfg["samples"], master, threads
+            sampler, cfg["modes"], cfg["photons"], cfg["samples"], master
         )
     else:
         values = gbs_probability_samples(
-            sampler, cfg["modes"], cfg["photons"], cfg["samples"], master, threads
+            sampler, cfg["modes"], cfg["photons"], cfg["samples"], master
         )
     curve = density_function(values, cfg["buckets"])
     rows = []
@@ -499,14 +490,7 @@ def _run_density(cfg: dict, master: RngStream) -> dict:
 
 def _run_page_curve(cfg: dict, master: RngStream) -> dict:
     tag, sampler = _build_sampler(cfg)
-    rows_raw = page_curve(
-        sampler,
-        cfg["modes"],
-        cfg["squeeze"],
-        cfg["samples"],
-        master,
-        threads=cfg["threads"] or 1,
-    )
+    rows_raw = page_curve(sampler, cfg["modes"], cfg["squeeze"], cfg["samples"], master)
     rows = [
         {
             "k": k,
@@ -526,9 +510,7 @@ def _run_page_curve(cfg: dict, master: RngStream) -> dict:
 
 def _run_frame_potential(cfg: dict, master: RngStream) -> dict:
     tag, sampler = _build_sampler(cfg)
-    est = frame_potential(
-        sampler, cfg["k_moment"], cfg["samples"], master, threads=cfg["threads"] or 1
-    )
+    est = frame_potential(sampler, cfg["k_moment"], cfg["samples"], master)
     row = est.to_dict()
     row.update(ensemble=tag, modes=cfg["modes"], seed=cfg["seed"])
     columns = list(est.to_dict().keys()) + ["ensemble", "modes", "seed"]
@@ -536,10 +518,7 @@ def _run_frame_potential(cfg: dict, master: RngStream) -> dict:
 
 
 def _run_hiding(cfg: dict, master: RngStream) -> dict:
-    values = hiding_samples(
-        cfg["kind"], cfg["modes"], cfg["photons"], cfg["samples"], master,
-        threads=cfg["threads"] or 1,
-    )
+    values = hiding_samples(cfg["kind"], cfg["modes"], cfg["photons"], cfg["samples"], master)
     rows = [
         {
             "value": float(v),
@@ -587,8 +566,6 @@ def run(cfg: dict) -> int:
         json.dump({"error": "invalid-config", "diagnostics": diags}, sys.stderr, indent=2)
         sys.stderr.write("\n")
         return 2
-    if cfg.get("threads") is None:
-        cfg["threads"] = int(os.environ.get(THREADS_ENV, "1"))
     master = RngStream(cfg["seed"], 0)
     started = time.monotonic()
     try:

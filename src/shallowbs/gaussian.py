@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._parallel import pmap
 from .arch import CircuitArchitecture, _backward_masks
 from .fock import (
     DepthThresholds,
@@ -190,7 +189,6 @@ def page_curve(
     samples: int,
     rng: RngStream,
     subsystem_sizes: Optional[Sequence[int]] = None,
-    threads: int = 1,
 ) -> list[tuple[int, float, float]]:
     """Mean subsystem entropy against subsystem size for a circuit ensemble.
 
@@ -213,9 +211,7 @@ def page_curve(
     base[:modes] = math.exp(-2.0 * squeeze_r)
     base[modes:] = math.exp(2.0 * squeeze_r)
 
-    def one(task: tuple[int, int]) -> float:
-        pos, trial = task
-        k = sizes[pos]
+    def one(k: int, trial: int) -> float:
         # streams keyed by subsystem size, so a subset of sizes reproduces
         # the matching rows of a full run
         gen = rng.derive((k - 1) * samples + trial).generator()
@@ -230,11 +226,9 @@ def page_curve(
             raise ValueError("reduced covariance lost positivity; invalid circuit sample")
         return 0.5 * float(logdet)
 
-    tasks = [(pos, trial) for pos in range(len(sizes)) for trial in range(samples)]
-    values = pmap(one, tasks, threads)
     rows = []
-    for pos, k in enumerate(sizes):
-        chunk = np.array(values[pos * samples : (pos + 1) * samples])
+    for k in sizes:
+        chunk = np.array([one(k, trial) for trial in range(samples)])
         rows.append(
             (k, float(chunk.mean()), float(chunk.std(ddof=1) / math.sqrt(samples)))
         )

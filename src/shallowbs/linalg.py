@@ -3,8 +3,9 @@
 Everything that draws randomness in this package goes through :class:`RngStream`,
 a light handle around numpy's seeded generators.  Two streams with the same
 ``(seed, stream)`` pair always reproduce the same draw sequence, and derived
-child streams are disjoint from their siblings, which is what makes the
-Monte-Carlo drivers reproducible regardless of how work is partitioned.
+child streams are disjoint from their siblings, so each Monte-Carlo trial
+draws from its own stream keyed by the trial index and a rerun with the same
+seed reproduces every trial.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._parallel import pmap
 from .linalg import RngStream, ginibre
 from .matfn import hafnian, permanent
 
@@ -121,7 +120,6 @@ def frame_potential(
     n_sam: int,
     rng: RngStream,
     resamples: int = 1000,
-    threads: int = 1,
 ) -> FramePotentialEstimate:
     """Estimate the k-th frame potential E |Tr(U^dag V)|^(2k) over ensemble pairs.
 
@@ -139,7 +137,7 @@ def frame_potential(
         v = sample_unitary(rng.derive(2 * i + 1).generator())
         return float(abs(np.vdot(u, v)) ** (2 * k_moment))
 
-    values = np.array(pmap(one, range(n_sam), threads))
+    values = np.array([one(i) for i in range(n_sam)])
     raw = float(values.mean())
     k_fact = math.factorial(k_moment)
     boot = bootstrap_std(values, resamples, rng.derive(2 * n_sam)) / k_fact
@@ -171,7 +169,6 @@ def fbs_probability_samples(
     photons: int,
     n_sam: int,
     rng: RngStream,
-    threads: int = 1,
 ) -> np.ndarray:
     """|perm|^2 samples of random circuits at random collision-free in/out patterns."""
     if photons < 1:
@@ -185,7 +182,7 @@ def fbs_probability_samples(
         sub = u[np.ix_(s, t)]
         return float(abs(permanent(sub)) ** 2)
 
-    return np.array(pmap(one, range(n_sam), threads))
+    return np.array([one(i) for i in range(n_sam)])
 
 
 def gbs_probability_samples(
@@ -194,7 +191,6 @@ def gbs_probability_samples(
     photons: int,
     n_sam: int,
     rng: RngStream,
-    threads: int = 1,
 ) -> np.ndarray:
     """|Haf((U U^T)_s)|^2 samples with squeezed sources on every mode.
 
@@ -211,7 +207,7 @@ def gbs_probability_samples(
         sel = np.asarray(s, dtype=int)
         return float(abs(hafnian(b[np.ix_(sel, sel)])) ** 2)
 
-    return np.array(pmap(one, range(n_sam), threads))
+    return np.array([one(i) for i in range(n_sam)])
 
 
 def hiding_samples(
@@ -220,7 +216,6 @@ def hiding_samples(
     photons: int,
     n_sam: int,
     rng: RngStream,
-    threads: int = 1,
 ) -> np.ndarray:
     """Gaussian-matrix surrogates for the probability samples of a hiding ensemble.
 
@@ -244,4 +239,4 @@ def hiding_samples(
         x = ginibre(photons, m, gen)
         return float(abs(hafnian(x @ x.T)) ** 2 / scale)
 
-    return np.array(pmap(one, range(n_sam), threads))
+    return np.array([one(i) for i in range(n_sam)])

@@ -44,8 +44,6 @@ from shallowbs import (
 from shallowbs.cli import main
 from shallowbs.fock import pattern_factorial
 
-THREADS = 4
-
 
 def _finish(criterion, num: int, label: str, t0: float, budget: float, fails: list[str]) -> None:
     elapsed = time.perf_counter() - t0
@@ -228,16 +226,14 @@ def test_07_frame_potential(criterion):
     fails: list[str] = []
     n_sam = 20_000
     for k in (2, 3):
-        est = frame_potential(lambda gen: haar_unitary(8, gen), k, n_sam,
-                              RngStream(2000, k), threads=THREADS)
+        est = frame_potential(lambda gen: haar_unitary(8, gen), k, n_sam, RngStream(2000, k))
         if abs(est.normalized - 1.0) > 3.0 * est.bootstrap_std:
             fails.append(f"Haar k={k}: {est.normalized:.4f} +- {est.bootstrap_std:.4f} misses 1")
     norms: dict[int, float] = {}
     stds: dict[int, float] = {}
     for rounds in (1, 2, 3):
         arch = build_nlhs(4, rounds)
-        est = frame_potential(lambda gen: realize(arch, gen), 2, n_sam,
-                              RngStream(2001, rounds), threads=THREADS)
+        est = frame_potential(lambda gen: realize(arch, gen), 2, n_sam, RngStream(2001, rounds))
         norms[rounds], stds[rounds] = est.normalized, est.bootstrap_std
     if not norms[1] > norms[2] > norms[3]:
         fails.append(f"estimates not strictly decreasing: {norms}")
@@ -258,7 +254,7 @@ def test_08_page_curve(criterion):
     m, r, samples = 16, 0.4, 2000
 
     def curve(sampler, rng):
-        rows = page_curve(sampler, m, r, samples, rng, threads=THREADS)
+        rows = page_curve(sampler, m, r, samples, rng)
         return {k: (mean, se) for k, mean, se in rows}
 
     haar = curve(lambda gen: haar_unitary(m, gen), RngStream(3000))
@@ -289,13 +285,13 @@ def test_09_density_convergence(criterion):
     fails: list[str] = []
     m, photons, n_sam = 16, 3, 5000
     haar = fbs_probability_samples(lambda gen: haar_unitary(m, gen), m, photons, n_sam,
-                                   RngStream(4000), threads=THREADS)
+                                   RngStream(4000))
     arch3 = build_nlhs(4, 3)
     deep = fbs_probability_samples(lambda gen: realize(arch3, gen), m, photons, n_sam,
-                                   RngStream(4001), threads=THREADS)
+                                   RngStream(4001))
     arch1 = build_nlhs(4, 1)
     shallow = fbs_probability_samples(lambda gen: realize(arch1, gen), m, photons, n_sam,
-                                      RngStream(4002), threads=THREADS)
+                                      RngStream(4002))
     crit = 1.6276 * math.sqrt(2.0 / n_sam)
     ks_deep = ks_2samp(deep, haar).statistic
     ks_shallow = ks_2samp(shallow, haar).statistic
@@ -362,8 +358,8 @@ def test_11_hiding(criterion):
     m, photons, n_sam = 64, 4, 5000
     scale = float(m) ** photons
     sub = fbs_probability_samples(lambda gen: haar_unitary(m, gen), m, photons, n_sam,
-                                  RngStream(5000), threads=THREADS) * scale
-    gin = hiding_samples("fbs", m, photons, n_sam, RngStream(5001), threads=THREADS) * scale
+                                  RngStream(5000)) * scale
+    gin = hiding_samples("fbs", m, photons, n_sam, RngStream(5001)) * scale
     crit = 1.6276 * math.sqrt(2.0 / n_sam)
     ks = ks_2samp(sub, gin).statistic
     if ks >= crit:

@@ -6,7 +6,6 @@ import pytest
 
 from shallowbs.arch import arch_to_dict, build_local_parallel
 from shallowbs.cli import (
-    THREADS_ENV,
     main,
     resolve_config,
     validate_config,
@@ -131,19 +130,6 @@ def test_thread_count_does_not_change_output(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_threads_env_default(tmp_path, monkeypatch):
-    argv = ["hiding", "--seed", "2", "--kind", "fbs", "--modes", "8",
-            "--photons", "2", "--samples", "30"]
-    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv(THREADS_ENV, "3")
-    assert main(argv + ["--out", str(out_a)]) == 0
-    manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
-    assert manifest["config"]["threads"] == 3
-    monkeypatch.delenv(THREADS_ENV)
-    assert main(argv + ["--out", str(out_b)]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
-
-
 def test_render_writes_none_as_empty_field():
     result = {
         "columns": ["x", "density", "count"],
@@ -208,6 +194,9 @@ _NLHS = ["--ensemble", "nlhs", "--modes", "8", "--rounds", "1"]
          "--k-inputs is 2"),
         (_CHAIN + ["--scheme", "gbs", "--pairs", "1", "--squeeze", "0"], "--squeeze must be positive"),
         (_NLHS + ["--photons", "2", "--depth", "4"], "--depth must lie in [0, 3]"),
+        (_CHAIN + ["--photons", "2", "--format", "csv"], "use --format json"),
+        (_CHAIN + ["--photons", "2", "--dim", "0"], "--dim must be positive, got 0"),
+        (_CHAIN + ["--photons", "2", "--threads", "0"], "--threads must be positive, got 0"),
     ],
 )
 def test_permitted_count_bad_input_exit_code(tmp_path, capsys, argv, message):

@@ -152,8 +152,6 @@ def test_page_curve_rows_and_determinism():
     assert all(mean > -1e-9 and err >= 0 for _, mean, err in rows)
     again = page_curve(sampler, 4, 0.4, 10, RngStream(42, 0))
     assert rows == again
-    threaded = page_curve(sampler, 4, 0.4, 10, RngStream(42, 0), threads=3)
-    assert rows == threaded
     subset = page_curve(sampler, 4, 0.4, 10, RngStream(42, 0), subsystem_sizes=[2])
     assert subset[0] == rows[1]
 

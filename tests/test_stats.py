@@ -91,8 +91,6 @@ def test_frame_potential_haar_first_moment():
     assert abs(est.normalized - 1.0) < 3 * est.bootstrap_std
     again = frame_potential(sampler, 1, 3000, RngStream(14, 0))
     assert est == again
-    threaded = frame_potential(sampler, 1, 3000, RngStream(14, 0), threads=4)
-    assert est == threaded
 
 
 def test_frame_potential_validation():
@@ -126,9 +124,6 @@ def test_fbs_probability_samples_scale():
     assert values.shape == (2000,)
     assert (values >= 0).all()
     np.testing.assert_array_equal(values, fbs_probability_samples(sampler, 6, 2, 2000, rng))
-    np.testing.assert_array_equal(
-        values, fbs_probability_samples(sampler, 6, 2, 2000, rng, threads=3)
-    )
     # Haar minors sit near the Ginibre scale n!/m^n
     assert 0.5 * 2 / 36 < values.mean() < 2.0 * 2 / 36
 
