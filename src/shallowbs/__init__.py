@@ -9,7 +9,7 @@ frame potentials and probability-density comparisons.
 """
 
 from ._version import __version__
-from . import arch, cli, fock, gaussian, linalg, matfn, stats
+from . import arch, fock, gaussian, linalg, matfn, stats
 from .arch import (
     CircuitArchitecture,
     GateSlot,

@@ -9,6 +9,13 @@ the only place wall time appears.  Every experiment runs as one sequential
 loop; ``--threads`` is accepted and recorded for compatibility but has no
 effect.
 
+Each setting's kind and allowed values are declared once, in ``_FLAGS``.  A
+flag's text and a config-file value go through the same converter: the file
+may give the flag's text or a JSON value of the setting's kind (a number,
+``true``/``false`` for ``--effective``, a list of integers for ``--sides`` and
+``--input``).  Any value of the wrong kind or out of range is reported before
+work starts, as is every rule that spans several settings.
+
 Exit codes: 0 success, 2 invalid configuration, 3 resource guard exceeded.
 """
 
@@ -56,33 +63,53 @@ from .stats import (
 
 __all__ = ["main", "run", "validate_config", "EXPERIMENTS"]
 
-# flag name -> (type tag, help); type tags: int, float, str, intlist, flag
-_FLAGS: dict[str, tuple[str, str]] = {
-    "seed": ("int", "master random seed (required, recorded in the manifest)"),
-    "out": ("str", "result file path; a .manifest.json sidecar is written next to it"),
-    "format": ("str", "output format: csv or json"),
-    "threads": ("int", "accepted for compatibility and recorded; has no effect"),
-    "ensemble": ("str", "circuit ensemble: local-parallel, nlhs or haar"),
-    "modes": ("int", "number of optical modes"),
-    "dim": ("int", "lattice dimension for the local-parallel ensemble"),
-    "sides": ("intlist", "comma-separated lattice side lengths (default: one row of all modes)"),
-    "depth": ("int", "number of circuit layers"),
-    "rounds": ("int", "number of full sweeps for the nlhs ensemble"),
-    "photons": ("int", "number of photons"),
-    "pairs": ("int", "number of photon pairs (gbs)"),
-    "k-inputs": ("int", "number of squeezed input modes (gbs)"),
-    "squeeze": ("float", "squeezing parameter r"),
-    "buckets": ("int", "number of equal-count density buckets"),
-    "samples": ("int", "number of Monte-Carlo samples"),
-    "k-moment": ("int", "frame-potential moment order"),
-    "lambda": ("float", "effective-lightcone exponent"),
-    "beta": ("float", "leakage exponent, in (0, 1)"),
-    "gamma": ("float", "mode-scaling exponent, >= 1"),
-    "c-const": ("float", "mode-scaling constant"),
-    "scheme": ("str", "counting scheme: fbs or gbs"),
-    "input": ("intlist", "comma-separated input mode pattern"),
-    "kind": ("str", "hiding ensemble kind: fbs or gbs"),
-    "effective": ("flag", "clip lightcones to the effective radius"),
+# What a setting accepts beyond its kind: (phrase, test) or None for any value of the kind.
+_POSITIVE = ("positive", lambda v: v > 0)
+
+
+def _one_of(*names: str) -> tuple[str, Callable[[Any], bool]]:
+    return ", ".join(names[:-1]) + " or " + names[-1], lambda v: v in names
+
+
+# flag name -> (kind, allowed values, help); kinds: int, float, str, intlist, flag
+_FLAGS: dict[str, tuple[str, Any, str]] = {
+    "seed": ("int", ("non-negative", lambda v: v >= 0),
+             "master random seed, required and recorded in the manifest"),
+    "out": ("str", None, "result file path; a .manifest.json sidecar is written next to it"),
+    "format": ("str", _one_of("csv", "json"), "output format"),
+    "threads": ("int", _POSITIVE, "accepted for compatibility and recorded; has no effect"),
+    "ensemble": ("str", _one_of("local-parallel", "nlhs", "haar"), "circuit ensemble"),
+    "modes": ("int", _POSITIVE, "number of optical modes"),
+    "dim": ("int", _POSITIVE, "lattice dimension for the local-parallel ensemble"),
+    "sides": ("intlist", None, "comma-separated lattice side lengths (default: one row of all modes)"),
+    # range depends on the ensemble: >= 1 for local-parallel, [0, log2(modes)*rounds] for nlhs counts
+    "depth": ("int", None, "number of circuit layers"),
+    "rounds": ("int", _POSITIVE, "number of full sweeps for the nlhs ensemble"),
+    "photons": ("int", _POSITIVE, "number of photons"),
+    "pairs": ("int", _POSITIVE, "number of photon pairs (gbs)"),
+    "k-inputs": ("int", _POSITIVE, "number of squeezed input modes (gbs)"),
+    "squeeze": ("float", _POSITIVE, "squeezing parameter r"),
+    "buckets": ("int", _POSITIVE, "number of equal-count density buckets"),
+    "samples": ("int", _POSITIVE, "number of Monte-Carlo samples"),
+    "k-moment": ("int", _POSITIVE, "frame-potential moment order"),
+    "lambda": ("float", _POSITIVE, "effective-lightcone exponent"),
+    "beta": ("float", ("in (0, 1)", lambda v: 0 < v < 1), "leakage exponent"),
+    "gamma": ("float", (">= 1", lambda v: v >= 1), "mode-scaling exponent"),
+    "c-const": ("float", _POSITIVE, "mode-scaling constant"),
+    "scheme": ("str", _one_of("fbs", "gbs"), "counting scheme"),
+    "input": ("intlist", None, "comma-separated input mode pattern"),
+    "kind": ("str", _one_of("fbs", "gbs"), "hiding ensemble kind"),
+    "effective": ("flag", None, "clip lightcones to the effective radius"),
+}
+
+# kind -> (what a value must be, parser of the flag's text, JSON types taken as they are)
+_KINDS: dict[str, tuple[str, Optional[Callable[[str], Any]], tuple[type, ...]]] = {
+    "int": ("an integer", int, (int,)),
+    "float": ("a number", float, (int, float)),
+    "str": ("a string", None, (str,)),
+    "intlist": ("comma-separated integers or a list of integers",
+                lambda text: [int(p) for p in text.split(",") if p.strip() != ""], ()),
+    "flag": ("true or false", None, (bool,)),
 }
 
 _COMMON = ("seed", "out", "format", "threads")
@@ -134,44 +161,37 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment")
     for name, info in EXPERIMENTS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", type=str, default=None, help="JSON config file; flags override it")
-        for flag in _COMMON + tuple(info["flags"]):
-            kind, help_text = _FLAGS[flag]
-            dest = flag.replace("-", "_")
-            if kind == "flag":
-                p.add_argument(f"--{flag}", dest=dest, action="store_const", const=True,
-                               default=None, help=help_text)
-            else:
-                typ = {"int": int, "float": float, "str": str, "intlist": str}[kind]
-                p.add_argument(f"--{flag}", dest=dest, type=typ, default=None, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for flag in _COMMON + info["flags"]:
+            kind, allowed, help_text = _FLAGS[flag]
+            if allowed is not None:
+                help_text = f"{help_text}; must be {allowed[0]}"
+            switch = {"action": "store_const", "const": True} if kind == "flag" else {}
+            p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), help=help_text, **switch)
     return parser
 
 
-def _parse_intlist(value: Any, name: str, diags: list[str]) -> Optional[list[int]]:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip() != ""]
-        try:
-            return [int(p) for p in parts]
-        except ValueError:
-            diags.append(f"{name}: expected comma-separated integers, got {value!r}")
-            return None
-    if isinstance(value, (list, tuple)):
-        try:
-            return [int(v) for v in value]
-        except (TypeError, ValueError):
-            diags.append(f"{name}: expected a list of integers, got {value!r}")
-            return None
-    diags.append(f"{name}: expected integers, got {value!r}")
-    return None
+def _convert(flag: str, value: Any) -> Any:
+    """Typed value of one setting from its flag text or its JSON config-file value."""
+    kind = _FLAGS[flag][0]
+    expected, from_text, json_types = _KINDS[kind]
+    try:
+        if isinstance(value, str) and from_text is not None:
+            return from_text(value)
+        if kind == "intlist" and isinstance(value, list) and all(type(v) is int for v in value):
+            return value
+        if type(value) in json_types:
+            return float(value) if kind == "float" else value
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"--{flag} expects {expected}, got {value!r}")
 
 
 def resolve_config(experiment: str, namespace: argparse.Namespace) -> tuple[dict, list[str]]:
-    """Merge config file, flags and defaults into one flat dictionary."""
+    """Merge config file, flags and defaults into one flat dictionary of typed values."""
     diags: list[str] = []
     info = EXPERIMENTS[experiment]
-    keys = _COMMON + tuple(info["flags"])
+    keys = _COMMON + info["flags"]
     file_cfg: dict = {}
     if namespace.config is not None:
         try:
@@ -193,10 +213,12 @@ def resolve_config(experiment: str, namespace: argparse.Namespace) -> tuple[dict
             value = file_cfg.get(dest, file_cfg.get(flag))
         if value is None:
             value = info["defaults"].get(flag)
-        if _FLAGS[flag][0] == "intlist" and value is not None:
-            value = _parse_intlist(value, flag, diags)
-        if _FLAGS[flag][0] == "flag" and value is None:
-            value = False
+        if value is not None:
+            try:
+                value = _convert(flag, value)
+            except ValueError as exc:
+                diags.append(str(exc))
+                value = None
         resolved[dest] = value
     return resolved, diags
 
@@ -208,40 +230,27 @@ def _need(cfg: dict, key: str, diags: list[str]) -> bool:
     return True
 
 
-def _check_positive(cfg: dict, key: str, diags: list[str]) -> None:
-    value = cfg.get(key)
-    if value is not None and value < 1:
-        diags.append(f"--{key.replace('_', '-')} must be positive, got {value}")
-
-
 def _validate_ensemble(cfg: dict, diags: list[str], require_arch: bool) -> None:
     ensemble = cfg.get("ensemble")
-    if ensemble is None:
-        diags.append("missing required option --ensemble")
-        return
-    if ensemble not in ("local-parallel", "nlhs", "haar"):
-        diags.append(f"unknown ensemble {ensemble!r}")
+    if not _need(cfg, "ensemble", diags):
         return
     if require_arch and ensemble == "haar":
         diags.append(f"{cfg['experiment']} needs a gate architecture; the haar ensemble has none")
         return
     if not _need(cfg, "modes", diags):
         return
-    _check_positive(cfg, "modes", diags)
     m = cfg["modes"]
     if ensemble == "nlhs":
         if m < 2 or m & (m - 1) != 0:
             diags.append(f"nlhs ensemble requires a power-of-two mode count, got {m}")
-        if not _need(cfg, "rounds", diags):
-            return
-        _check_positive(cfg, "rounds", diags)
+        _need(cfg, "rounds", diags)
     if ensemble == "local-parallel":
         if not _need(cfg, "depth", diags):
             return
-        _check_positive(cfg, "depth", diags)
+        if cfg["depth"] < 1:
+            diags.append(f"--depth must be positive, got {cfg['depth']}")
         if cfg.get("dim") is None:
             cfg["dim"] = 1
-        _check_positive(cfg, "dim", diags)
         dim, sides = cfg["dim"], cfg.get("sides")
         if dim < 1:
             return
@@ -260,28 +269,21 @@ def _validate_ensemble(cfg: dict, diags: list[str], require_arch: bool) -> None:
 
 
 def _validate_count_inputs(cfg: dict, diags: list[str]) -> None:
-    """Scheme, photon numbers, input pattern and nlhs depth of permitted-count."""
+    """Photon numbers, input pattern and nlhs depth of permitted-count."""
     m, rounds, depth = cfg.get("modes"), cfg.get("rounds"), cfg.get("depth")
     if cfg.get("ensemble") == "nlhs" and None not in (m, rounds, depth) and m >= 1 and rounds >= 1:
         top = (m.bit_length() - 1) * rounds
         if not 0 <= depth <= top:
             diags.append(f"--depth must lie in [0, {top}] for this nlhs circuit, got {depth}")
     scheme = cfg.get("scheme")
-    if scheme not in ("fbs", "gbs"):
-        diags.append(f"--scheme must be fbs or gbs, got {scheme!r}")
-        return
     if scheme == "gbs" and cfg.get("effective"):
         diags.append("effective clipping applies to the fbs scheme only")
-    key = "photons" if scheme == "fbs" else "pairs"
-    if not _need(cfg, key, diags):
+    key = {"fbs": "photons", "gbs": "pairs"}.get(scheme)
+    if key is None or not _need(cfg, key, diags):
         return
-    _check_positive(cfg, key, diags)
     if scheme == "fbs":
         size, what = cfg["photons"], "--photons"
     else:
-        _check_positive(cfg, "k_inputs", diags)
-        if cfg.get("squeeze") is not None and cfg["squeeze"] <= 0:
-            diags.append(f"--squeeze must be positive, got {cfg['squeeze']}")
         size, what = (cfg["k_inputs"], "--k-inputs") if cfg.get("k_inputs") else (m, "--modes")
         if size is None:
             return
@@ -307,15 +309,14 @@ def validate_config(cfg: dict) -> list[str]:
     experiment = cfg.get("experiment")
     if experiment not in EXPERIMENTS:
         return [f"unknown experiment {experiment!r}"]
+    for flag in _COMMON + EXPERIMENTS[experiment]["flags"]:
+        allowed, value = _FLAGS[flag][1], cfg.get(flag.replace("-", "_"))
+        if allowed is not None and value is not None and not allowed[1](value):
+            diags.append(f"--{flag} must be {allowed[0]}, got {value!r}")
     _need(cfg, "seed", diags)
-    if cfg.get("seed") is not None and cfg["seed"] < 0:
-        diags.append(f"--seed must be non-negative, got {cfg['seed']}")
     _need(cfg, "out", diags)
-    if cfg.get("format") not in ("csv", "json"):
-        diags.append(f"--format must be csv or json, got {cfg.get('format')!r}")
     if experiment in ("arch-info", "permitted-count") and cfg.get("format") == "csv":
         diags.append(f"{experiment} emits a nested report; use --format json")
-    _check_positive(cfg, "threads", diags)
 
     if experiment == "arch-info":
         _validate_ensemble(cfg, diags, require_arch=True)
@@ -328,60 +329,31 @@ def validate_config(cfg: dict) -> list[str]:
             for key in ("lambda", "beta"):
                 _need(cfg, key, diags)
     elif experiment == "thresholds":
-        if _need(cfg, "photons", diags):
-            _check_positive(cfg, "photons", diags)
-            if cfg.get("pairs") is None and cfg["photons"] >= 2:
-                cfg["pairs"] = cfg["photons"] // 2
-        if _need(cfg, "pairs", diags):
-            _check_positive(cfg, "pairs", diags)
-        for key in ("gamma", "c_const", "lambda", "beta"):
+        if _need(cfg, "photons", diags) and cfg.get("pairs") is None and cfg["photons"] >= 2:
+            cfg["pairs"] = cfg["photons"] // 2
+        for key in ("pairs", "gamma", "c_const", "lambda", "beta"):
             _need(cfg, key, diags)
-        if cfg.get("gamma") is not None and cfg["gamma"] < 1:
-            diags.append(f"--gamma must be >= 1, got {cfg['gamma']}")
-        if cfg.get("c_const") is not None and cfg["c_const"] <= 0:
-            diags.append(f"--c-const must be positive, got {cfg['c_const']}")
-        _check_positive(cfg, "dim", diags)
     elif experiment in ("density-fbs", "density-gbs"):
         _validate_ensemble(cfg, diags, require_arch=False)
         if _need(cfg, "photons", diags):
-            _check_positive(cfg, "photons", diags)
             if experiment == "density-gbs" and cfg["photons"] % 2 != 0:
                 diags.append(f"density-gbs needs an even photon number, got {cfg['photons']}")
             if cfg.get("modes") is not None and cfg["photons"] > cfg["modes"]:
                 diags.append("photon number exceeds mode count for collision-free patterns")
-        _check_positive(cfg, "samples", diags)
-        _check_positive(cfg, "buckets", diags)
         if cfg.get("samples") is not None and cfg.get("buckets") is not None:
             if cfg["buckets"] > cfg["samples"]:
                 diags.append("more buckets than samples")
-    elif experiment == "page-curve":
+    elif experiment in ("page-curve", "frame-potential"):
         _validate_ensemble(cfg, diags, require_arch=False)
-        if cfg.get("modes") is not None and cfg["modes"] < 2:
+        if experiment == "page-curve" and cfg.get("modes") is not None and cfg["modes"] < 2:
             diags.append("page-curve needs at least two modes")
-        if cfg.get("squeeze") is not None and cfg["squeeze"] <= 0:
-            diags.append(f"--squeeze must be positive, got {cfg['squeeze']}")
-        _check_positive(cfg, "samples", diags)
         if cfg.get("samples") is not None and cfg["samples"] < 2:
-            diags.append("page-curve needs at least two samples")
-    elif experiment == "frame-potential":
-        _validate_ensemble(cfg, diags, require_arch=False)
-        _check_positive(cfg, "k_moment", diags)
-        _check_positive(cfg, "samples", diags)
+            diags.append(f"{experiment} needs at least two --samples, got {cfg['samples']}")
     elif experiment == "hiding":
-        if cfg.get("kind") not in ("fbs", "gbs"):
-            diags.append(f"--kind must be fbs or gbs, got {cfg.get('kind')!r}")
-        if _need(cfg, "modes", diags):
-            _check_positive(cfg, "modes", diags)
-        if _need(cfg, "photons", diags):
-            _check_positive(cfg, "photons", diags)
-            if cfg.get("kind") == "gbs" and cfg["photons"] % 2 != 0:
-                diags.append(f"gbs hiding needs an even photon number, got {cfg['photons']}")
-        _check_positive(cfg, "samples", diags)
-
-    if cfg.get("lambda") is not None and cfg["lambda"] <= 0:
-        diags.append(f"--lambda must be positive, got {cfg['lambda']}")
-    if cfg.get("beta") is not None and not 0 < cfg["beta"] < 1:
-        diags.append(f"--beta must lie in (0, 1), got {cfg['beta']}")
+        _need(cfg, "kind", diags)
+        _need(cfg, "modes", diags)
+        if _need(cfg, "photons", diags) and cfg.get("kind") == "gbs" and cfg["photons"] % 2 != 0:
+            diags.append(f"gbs hiding needs an even photon number, got {cfg['photons']}")
     return diags
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from shallowbs.arch import arch_to_dict, build_local_parallel
 from shallowbs.cli import (
+    EXPERIMENTS,
     main,
     resolve_config,
     validate_config,
@@ -160,11 +161,16 @@ def test_resource_guard_exit_code(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_console_script_entry_point(tmp_path):
+@pytest.mark.parametrize(
+    "launch",
+    [["-c", "import sys; from shallowbs.cli import main; sys.exit(main())"],
+     ["-m", "shallowbs.cli"]],
+    ids=["import-main", "run-module"],
+)
+def test_console_script_entry_point(tmp_path, launch):
     out = tmp_path / "th.json"
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from shallowbs.cli import main; sys.exit(main())",
+        [sys.executable, *launch,
          "thresholds", "--seed", "1", "--photons", "4", "--pairs", "2",
          "--gamma", "1.0", "--c-const", "1.0", "--lambda", "0.5",
          "--beta", "0.5", "--out", str(out)],
@@ -172,6 +178,7 @@ def test_console_script_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     report = json.loads(out.read_text())
     assert set(report) == {"fbs", "gbs"}
 
@@ -197,6 +204,9 @@ _NLHS = ["--ensemble", "nlhs", "--modes", "8", "--rounds", "1"]
         (_CHAIN + ["--photons", "2", "--format", "csv"], "use --format json"),
         (_CHAIN + ["--photons", "2", "--dim", "0"], "--dim must be positive, got 0"),
         (_CHAIN + ["--photons", "2", "--threads", "0"], "--threads must be positive, got 0"),
+        (_CHAIN + ["--scheme", "gbs", "--pairs", "1", "--photons", "0"],
+         "--photons must be positive, got 0"),
+        (_NLHS + ["--photons", "2", "--dim", "0"], "--dim must be positive, got 0"),
     ],
 )
 def test_permitted_count_bad_input_exit_code(tmp_path, capsys, argv, message):
@@ -223,3 +233,62 @@ def test_import_does_not_load_networkx():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_HIDING = ["hiding", "--seed", "1", "--kind", "fbs", "--modes", "4", "--photons", "2"]
+_COUNT = ["permitted-count", "--seed", "1"] + _CHAIN + ["--photons", "2"]
+
+
+@pytest.mark.parametrize(
+    "file_cfg, argv, flag",
+    [
+        ({"samples": "abc"}, _HIDING, "--samples"),
+        ({"samples": 2.7}, _HIDING, "--samples"),
+        ({"modes": True}, ["hiding", "--seed", "1", "--kind", "fbs", "--photons", "2"], "--modes"),
+        ({"effective": "no"}, _COUNT, "--effective"),
+        ({"input": [0, "x"]}, _COUNT, "--input"),
+        (None, _HIDING + ["--samples", "abc"], "--samples"),
+        (None, ["frame-potential", "--seed", "1", "--ensemble", "haar", "--modes", "4",
+                "--samples", "1"], "--samples"),
+    ],
+)
+def test_bad_setting_values_exit_2(tmp_path, capsys, file_cfg, argv, flag):
+    out = tmp_path / "x.out"
+    argv = argv + ["--out", str(out)]
+    if file_cfg is not None:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(file_cfg))
+        argv += ["--config", str(cfg_file)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-config"
+    assert any(flag in d for d in err["diagnostics"]), err["diagnostics"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, file_cfg, key, expect",
+    [
+        ("hiding", {"samples": "30"}, "samples", 30),
+        ("arch-info", {"sides": [2, 4]}, "sides", [2, 4]),
+        ("permitted-count", {"effective": True}, "effective", True),
+        ("page-curve", {"squeeze": 1}, "squeeze", 1.0),
+    ],
+)
+def test_config_file_values_are_converted(tmp_path, experiment, file_cfg, key, expect):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(file_cfg))
+    cfg, diags = resolve_config(experiment, parse([experiment, "--config", str(cfg_file)]))
+    assert diags == []
+    assert cfg[key] == expect
+    assert type(cfg[key]) is type(expect)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_help_names_every_flag(capsys, experiment):
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in ("config", "seed", "out", "format", "threads") + EXPERIMENTS[experiment]["flags"]:
+        assert f"--{flag}" in text
