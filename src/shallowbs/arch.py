@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -196,32 +196,23 @@ def build_nlhs(log2_modes: int, rounds: int) -> CircuitArchitecture:
     )
 
 
-GateSampler = Callable[[np.random.Generator, int], np.ndarray]
-
-
 def realize(
-    arch: CircuitArchitecture,
-    rng: Union[RngStream, np.random.Generator],
-    gate_sampler: Optional[GateSampler] = None,
+    arch: CircuitArchitecture, rng: Union[RngStream, np.random.Generator]
 ) -> np.ndarray:
     """Draw one random instance of the architecture as an M x M unitary.
 
     Layers act in order with later layers multiplying on the left, and every
-    slot receives an independent Haar 2x2 gate (or one from ``gate_sampler``,
-    a callable ``(generator, count) -> (count, 2, 2)``).  Gates of one layer
-    are drawn as a single batch, in slot order.
+    slot receives an independent Haar 2x2 gate.  Gates of one layer are drawn
+    as a single batch, in slot order.
     """
     gen = as_generator(rng)
-    draw = gate_sampler if gate_sampler is not None else _haar_u2_batch
     m = arch.mode_count
     u = np.eye(m, dtype=complex)
     for a_idx, b_idx in zip(arch._a_arrays, arch._b_arrays):  # type: ignore[attr-defined]
         k = len(a_idx)
         if k == 0:
             continue
-        g = np.asarray(draw(gen, k))
-        if g.shape != (k, 2, 2):
-            raise ValueError(f"gate sampler returned shape {g.shape}, expected {(k, 2, 2)}")
+        g = _haar_u2_batch(gen, k)
         rows_a = u[a_idx]
         rows_b = u[b_idx]
         u[a_idx] = g[:, 0, 0, None] * rows_a + g[:, 0, 1, None] * rows_b
@@ -234,41 +225,41 @@ def _check_depth(arch: CircuitArchitecture, depth: int) -> None:
         raise ValueError(f"depth {depth} outside [0, {arch.depth}] for this architecture")
 
 
-def _spread(
-    arch: CircuitArchitecture, mode: int, depth: int, reverse: bool
-) -> frozenset[int]:
+def _cone_masks(arch: CircuitArchitecture, depth: int, forward: bool) -> list[int]:
+    """Every mode's lightcone through the first ``depth`` layers as a bitmask, in one pass.
+
+    Walking the layers in order merges, at each gate, the inputs that can reach
+    either of its modes, which gives backward cones.  A forward cone is the
+    backward cone of the mirrored circuit, so ``forward`` walks them in reverse.
+    """
+    _check_depth(arch, depth)
+    masks = [1 << mode for mode in range(arch.mode_count)]
+    window = arch.layers[:depth]
+    for layer in reversed(window) if forward else window:
+        for slot in layer.slots:
+            masks[slot.a] = masks[slot.b] = masks[slot.a] | masks[slot.b]
+    return masks
+
+
+def _mask_modes(mask: int) -> list[int]:
+    """The modes set in a bitmask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _lightcone(arch: CircuitArchitecture, mode: int, depth: int, forward: bool) -> frozenset[int]:
     if not 0 <= mode < arch.mode_count:
         raise IndexError(f"mode {mode} out of range for {arch.mode_count} modes")
-    _check_depth(arch, depth)
-    reached = np.zeros(arch.mode_count, dtype=bool)
-    reached[mode] = True
-    window = arch.layers[:depth]
-    for layer in reversed(window) if reverse else window:
-        for slot in layer.slots:
-            if reached[slot.a] or reached[slot.b]:
-                reached[slot.a] = True
-                reached[slot.b] = True
-    return frozenset(int(i) for i in np.flatnonzero(reached))
+    return frozenset(_mask_modes(_cone_masks(arch, depth, forward)[mode]))
 
 
 def forward_lightcone(arch: CircuitArchitecture, input_mode: int, depth: int) -> frozenset[int]:
     """Output modes reachable from ``input_mode`` through the first ``depth`` layers."""
-    return _spread(arch, input_mode, depth, reverse=False)
+    return _lightcone(arch, input_mode, depth, forward=True)
 
 
 def backward_lightcone(arch: CircuitArchitecture, output_mode: int, depth: int) -> frozenset[int]:
     """Input modes that can reach ``output_mode`` through the first ``depth`` layers."""
-    return _spread(arch, output_mode, depth, reverse=True)
-
-
-def _backward_masks(arch: CircuitArchitecture, depth: int) -> list[int]:
-    """Every mode's backward lightcone as a bitmask, in one pass over the layers."""
-    _check_depth(arch, depth)
-    masks = [1 << mode for mode in range(arch.mode_count)]
-    for layer in arch.layers[:depth]:
-        for slot in layer.slots:
-            masks[slot.a] = masks[slot.b] = masks[slot.a] | masks[slot.b]
-    return masks
+    return _lightcone(arch, output_mode, depth, forward=False)
 
 
 def path_count(arch: CircuitArchitecture, input_mode: int, output_mode: int) -> int:
@@ -315,11 +306,11 @@ def effective_lightcone_radius(
     return math.ceil(math.sqrt(2.0 * photons**lam * depth / (beta * dimension)))
 
 
-def _far_mask(side_lengths: Sequence[int], radius: int) -> np.ndarray:
-    """Boolean (M, M) mask: True where two modes are more than ``radius`` apart
-    in at least one lattice dimension."""
+def _far_mask(side_lengths: Sequence[int], radius: int, modes: Sequence[int]) -> np.ndarray:
+    """Boolean (len(modes), M) mask: True where a mode of ``modes`` and another
+    mode are more than ``radius`` apart in at least one lattice dimension."""
     coords = mode_coordinates(side_lengths)
-    diff = np.abs(coords[:, None, :] - coords[None, :, :])
+    diff = np.abs(coords[np.asarray(modes, dtype=np.intp), None, :] - coords[None, :, :])
     return (diff > radius).any(axis=2)
 
 
@@ -335,7 +326,7 @@ def leakage_rate(
         raise IndexError(f"mode {input_mode} out of range for {m} modes")
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    far = _far_mask(side_lengths, radius)[:, input_mode]
+    far = _far_mask(side_lengths, radius, [input_mode])[0]
     return float(np.sum(np.abs(u[far, input_mode]) ** 2))
 
 
@@ -352,7 +343,7 @@ def truncate_unitary(u: np.ndarray, side_lengths: Sequence[int], radius: int) ->
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     out = u.copy()
-    out[_far_mask(side_lengths, radius)] = 0
+    out[_far_mask(side_lengths, radius, range(m))] = 0
     return out
 
 

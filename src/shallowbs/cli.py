@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from typing import Any, Callable, Optional
@@ -75,7 +76,11 @@ def _one_of(*names: str) -> tuple[str, Callable[[Any], bool]]:
 _FLAGS: dict[str, tuple[str, Any, str]] = {
     "seed": ("int", ("non-negative", lambda v: v >= 0),
              "master random seed, required and recorded in the manifest"),
-    "out": ("str", None, "result file path; a .manifest.json sidecar is written next to it"),
+    "out": ("str", ("a file path in an existing directory, with no directory at it"
+                    " or at <out>.manifest.json",
+                    lambda v: os.path.isdir(os.path.dirname(v) or ".")
+                    and not any(os.path.isdir(p) for p in (v, v + ".manifest.json"))),
+            "result file path; a .manifest.json sidecar is written next to it"),
     "format": ("str", _one_of("csv", "json"), "output format"),
     "threads": ("int", _POSITIVE, "accepted for compatibility and recorded; has no effect"),
     "ensemble": ("str", _one_of("local-parallel", "nlhs", "haar"), "circuit ensemble"),

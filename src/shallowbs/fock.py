@@ -19,16 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, combinations_with_replacement
+from operator import or_
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .arch import (
     CircuitArchitecture,
+    _cone_masks,
+    _far_mask,
+    _mask_modes,
     effective_lightcone_radius,
-    forward_lightcone,
-    mode_coordinates,
 )
 from .matfn import GuardError, permanent
 
@@ -62,9 +64,27 @@ def _as_pattern(modes: Iterable[int], m: int, name: str) -> Pattern:
     return pat
 
 
-def _require_collision_free(pat: Pattern, name: str) -> None:
-    if any(pat[i] == pat[i + 1] for i in range(len(pat) - 1)):
-        raise ValueError(f"{name} pattern must be collision-free, got {pat}")
+def _input_pattern(modes: Iterable[int], m: int, size: Optional[int] = None) -> Pattern:
+    """A sorted, in-range, collision-free input pattern, of ``size`` modes when given."""
+    t = _as_pattern(modes, m, "input")
+    if any(t[i] == t[i + 1] for i in range(len(t) - 1)):
+        raise ValueError(f"input pattern must be collision-free, got {t}")
+    if size is not None and len(t) != size:
+        raise ValueError(f"expected {size} input modes, got pattern of {len(t)}")
+    return t
+
+
+def _photon_patterns(
+    m: int, input_modes: Iterable[int], output_modes: Iterable[int]
+) -> tuple[Pattern, Pattern]:
+    """Input and output patterns of one Fock outcome, holding equal photon numbers."""
+    t = _input_pattern(input_modes, m)
+    s = _as_pattern(output_modes, m, "output")
+    if len(s) != len(t):
+        raise ValueError(
+            f"photon number mismatch: {len(t)} photons in, pattern of {len(s)} out"
+        )
+    return t, s
 
 
 def pattern_factorial(pat: Sequence[int]) -> int:
@@ -86,14 +106,7 @@ def fbs_probability(
     takes rows from the output pattern and columns from the input pattern.
     """
     u = np.asarray(u)
-    m = u.shape[0]
-    t = _as_pattern(input_modes, m, "input")
-    s = _as_pattern(output_modes, m, "output")
-    _require_collision_free(t, "input")
-    if len(s) != len(t):
-        raise ValueError(
-            f"photon number mismatch: {len(t)} photons in, pattern of {len(s)} out"
-        )
+    t, s = _photon_patterns(u.shape[0], input_modes, output_modes)
     if len(t) == 0:
         return 1.0
     sub = u[np.ix_(s, t)]
@@ -150,19 +163,14 @@ def is_permitted_fbs(
     depth: int,
 ) -> bool:
     """Whether the outcome can carry probability at the given circuit depth."""
-    t = _as_pattern(input_modes, arch.mode_count, "input")
-    s = _as_pattern(output_modes, arch.mode_count, "output")
-    _require_collision_free(t, "input")
-    if len(s) != len(t):
-        raise ValueError(
-            f"photon number mismatch: {len(t)} photons in, pattern of {len(s)} out"
-        )
-    cones = [forward_lightcone(arch, mode, depth) for mode in t]
+    t, s = _photon_patterns(arch.mode_count, input_modes, output_modes)
+    forward = _cone_masks(arch, depth, forward=True)
+    cones = [forward[mode] for mode in t]
     owner: list[int] = [-1] * len(cones)  # output photon held by each input cone
 
     def augment(j: int, seen: set[int]) -> bool:
         for i, cone in enumerate(cones):
-            if i not in seen and s[j] in cone:
+            if i not in seen and cone >> s[j] & 1:
                 seen.add(i)
                 if owner[i] < 0 or augment(owner[i], seen):
                     owner[i] = j
@@ -205,16 +213,31 @@ def _count_sums(
     )
 
 
+def _input_cones(
+    arch: CircuitArchitecture, input_modes: Iterable[int], depth: int
+) -> tuple[Pattern, list[int]]:
+    """A nonempty input pattern and the forward lightcone bitmask of each of its photons."""
+    t = _input_pattern(input_modes, arch.mode_count)
+    if not t:
+        raise ValueError("input pattern must contain at least one photon")
+    forward = _cone_masks(arch, depth, forward=True)
+    return t, [forward[mode] for mode in t]
+
+
 def _count_cones(
-    m: int, cones: Sequence[frozenset[int]], upper_bound: float, guard: int
+    m: int, cones: Sequence[int], upper_bound: float, guard: int
 ) -> PermittedCountReport:
     # after k cones the sums are k-photon outcomes over the modes reached
-    reached = [len(frozenset().union(*cones[:k])) for k in range(1, len(cones) + 1)]
+    reached = accumulate(cones, or_)
     _check_build(
-        ((len(c), math.comb(r + k - 1, k)) for k, (c, r) in enumerate(zip(cones, reached), 1)),
+        (
+            (c.bit_count(), math.comb(r.bit_count() + k - 1, k))
+            for k, (c, r) in enumerate(zip(cones, reached), 1)
+        ),
         guard,
     )
-    return _count_sums(m, len(cones), ([(x,) for x in c] for c in cones), upper_bound)
+    choices = ([(x,) for x in _mask_modes(c)] for c in cones)
+    return _count_sums(m, len(cones), choices, upper_bound)
 
 
 def count_permitted_fbs(
@@ -228,12 +251,8 @@ def count_permitted_fbs(
     The permitted set is built as the Minkowski sum of the input lightcones,
     one cone at a time; the guard bounds the partial sums that build visits.
     """
-    t = _as_pattern(input_modes, arch.mode_count, "input")
-    _require_collision_free(t, "input")
-    if not t:
-        raise ValueError("input pattern must contain at least one photon")
-    cones = [forward_lightcone(arch, mode, depth) for mode in t]
-    bound = float(math.prod(len(c) for c in cones))
+    _, cones = _input_cones(arch, input_modes, depth)
+    bound = float(math.prod(c.bit_count() for c in cones))
     return _count_cones(arch.mode_count, cones, bound, guard)
 
 
@@ -258,21 +277,12 @@ def count_permitted_fbs_effective(
     """
     if arch.family != "local-parallel" or arch.side_lengths is None:
         raise ValueError("effective counting requires a local-parallel lattice")
-    t = _as_pattern(input_modes, arch.mode_count, "input")
-    _require_collision_free(t, "input")
-    if not t:
-        raise ValueError("input pattern must contain at least one photon")
+    t, cones = _input_cones(arch, input_modes, depth)
     d = len(arch.side_lengths)
     photons = len(t)
     radius = effective_lightcone_radius(photons, depth, lam, beta, d)
-    coords = mode_coordinates(arch.side_lengths)
-    cones = []
-    for mode in t:
-        cone = forward_lightcone(arch, mode, depth)
-        inside = np.flatnonzero(
-            (np.abs(coords - coords[mode]) <= radius).all(axis=1)
-        )
-        cones.append(cone & frozenset(int(i) for i in inside))
+    far = _far_mask(arch.side_lengths, radius, t)
+    cones = [cone & sum(1 << int(i) for i in np.flatnonzero(~row)) for cone, row in zip(cones, far)]
     per_cone = (2.0 * photons**lam * depth / (beta * d)) ** (d / 2.0)
     return _count_cones(arch.mode_count, cones, per_cone**photons, guard)
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arch import CircuitArchitecture, _backward_masks
+from .arch import CircuitArchitecture, _cone_masks
 from .fock import (
     DepthThresholds,
     ENUMERATION_GUARD,
@@ -33,7 +33,7 @@ from .fock import (
     _check_threshold_params,
     _check_build,
     _count_sums,
-    _require_collision_free,
+    _input_pattern,
     pattern_factorial,
 )
 from .linalg import RngStream
@@ -91,24 +91,19 @@ class GbsConfig:
         r = math.asinh(math.sqrt(2.0 * pairs / k_inputs))
         return cls(modes=modes, k_inputs=k_inputs, squeeze_r=r, pairs=pairs)
 
-    def default_input_modes(self) -> Pattern:
-        """The first ``k_inputs`` modes, the convention used when none are given."""
-        return tuple(range(self.k_inputs))
+    def input_pattern(self, m: int, input_modes: Optional[Iterable[int]] = None) -> Pattern:
+        """The ``k_inputs`` squeezed modes on an ``m``-mode circuit, the first ones by default."""
+        if m != self.modes:
+            raise ValueError(f"circuit has {m} modes, configuration has {self.modes}")
+        return _input_pattern(
+            range(self.k_inputs) if input_modes is None else input_modes, m, self.k_inputs
+        )
 
 
 def smsv_covariance(cfg: GbsConfig, input_modes: Optional[Iterable[int]] = None) -> np.ndarray:
     """Covariance of K identical squeezed vacua on ``input_modes``, vacuum elsewhere."""
-    modes = (
-        cfg.default_input_modes()
-        if input_modes is None
-        else _as_pattern(input_modes, cfg.modes, "input")
-    )
-    _require_collision_free(modes, "input")
-    if len(modes) != cfg.k_inputs:
-        raise ValueError(
-            f"expected {cfg.k_inputs} input modes, got pattern of {len(modes)}"
-        )
     m = cfg.modes
+    modes = cfg.input_pattern(m, input_modes)
     diag = np.ones(2 * m)
     idx = np.array(modes, dtype=int)
     diag[idx] = math.exp(-2.0 * cfg.squeeze_r)
@@ -253,16 +248,9 @@ def gbs_unnormalized_probability(
     """
     u = np.asarray(u)
     m = u.shape[0]
-    if u.shape != (m, m) or m != cfg.modes:
+    if u.shape != (m, m):
         raise ValueError(f"matrix shape {u.shape} does not match {cfg.modes} modes")
-    t = (
-        cfg.default_input_modes()
-        if input_modes is None
-        else _as_pattern(input_modes, m, "input")
-    )
-    _require_collision_free(t, "input")
-    if len(t) != cfg.k_inputs:
-        raise ValueError(f"expected {cfg.k_inputs} input modes, got pattern of {len(t)}")
+    t = cfg.input_pattern(m, input_modes)
     s = _as_pattern(output_modes, m, "output")
     if len(s) % 2 != 0:
         raise ValueError(f"outcome must hold an even photon number, got {len(s)}")
@@ -289,17 +277,14 @@ def is_permitted_gbs(
     remaining sorted outcome.  Its states can grow exponentially in number, so
     outcomes beyond the hafnian guard raise ``GuardError``.
     """
-    t = _as_pattern(input_modes, arch.mode_count, "input")
-    _require_collision_free(t, "input")
-    if len(t) != cfg.k_inputs:
-        raise ValueError(f"expected {cfg.k_inputs} input modes, got pattern of {len(t)}")
+    t = cfg.input_pattern(arch.mode_count, input_modes)
     s = _as_pattern(output_modes, arch.mode_count, "output")
     if len(s) % 2 != 0:
         raise ValueError(f"outcome must hold an even photon number, got {len(s)}")
     if len(s) > HAFNIAN_MAX_DIM:
         raise GuardError(f"pairing guard: {len(s)} photons exceed {HAFNIAN_MAX_DIM}")
     inputs = sum(1 << mode for mode in t)
-    sources = [mask & inputs for mask in _backward_masks(arch, depth)]
+    sources = [mask & inputs for mask in _cone_masks(arch, depth, forward=False)]
 
     @cache
     def pairable(rest: Pattern) -> bool:
@@ -342,18 +327,11 @@ def count_permitted_gbs(
     sources on every mode and so stays valid, if loose, for restricted inputs.
     """
     m = arch.mode_count
-    t = (
-        cfg.default_input_modes()
-        if input_modes is None
-        else _as_pattern(input_modes, m, "input")
-    )
-    _require_collision_free(t, "input")
-    if len(t) != cfg.k_inputs:
-        raise ValueError(f"expected {cfg.k_inputs} input modes, got pattern of {len(t)}")
+    t = cfg.input_pattern(m, input_modes)
     if depth is None:
         depth = arch.depth
     n = cfg.pairs
-    back = _backward_masks(arch, depth)
+    back = _cone_masks(arch, depth, forward=False)
     inputs = sum(1 << mode for mode in t)
     sources = [mask & inputs for mask in back]
     fed = sum(1 for mask in sources if mask)

@@ -17,9 +17,9 @@ from shallowbs.arch import (
     path_count,
     realize,
     truncate_unitary,
-    _backward_masks,
+    _cone_masks,
 )
-from shallowbs.linalg import RngStream, frobenius_norm_sq
+from shallowbs.linalg import RngStream, _haar_u2_batch, embed_two_mode, frobenius_norm_sq
 
 
 def layer_pairs(arch):
@@ -130,23 +130,18 @@ def test_realize_single_layer_block_structure():
     np.testing.assert_array_equal(u[2:4, 0:2], np.zeros((2, 2)))
 
 
-def test_realize_rejects_bad_sampler_shape():
-    arch = build_local_parallel(1, [4], 1)
-
-    def bad(gen, count):
-        return np.zeros((count, 2, 3))
-
-    with pytest.raises(ValueError):
-        realize(arch, RngStream(0, 0), gate_sampler=bad)
-
-
-def test_realize_gate_sampler_identity_gates():
-    arch = build_nlhs(2, 1)
-
-    def identity(gen, count):
-        return np.broadcast_to(np.eye(2, dtype=complex), (count, 2, 2))
-
-    np.testing.assert_array_equal(realize(arch, RngStream(0, 0), identity), np.eye(4))
+def test_realize_matches_product_of_embedded_gates():
+    """Redraw each layer's gates from the same stream and multiply them as full matrices."""
+    for arch in (build_local_parallel(2, [2, 3], 4), build_nlhs(3, 2)):
+        m = arch.mode_count
+        gen = RngStream(5, 1).generator()
+        expect = np.eye(m, dtype=complex)
+        for layer in arch.layers:
+            if not layer.slots:
+                continue
+            for gate, slot in zip(_haar_u2_batch(gen, len(layer.slots)), layer.slots):
+                expect = embed_two_mode(gate, slot.a, slot.b, m) @ expect
+        np.testing.assert_allclose(realize(arch, RngStream(5, 1)), expect, rtol=0, atol=1e-12)
 
 
 def test_lightcone_frozen_chain():
@@ -170,15 +165,22 @@ def test_lightcone_duality():
                 assert (j in fwd[i]) == (i in back[j])
 
 
-def test_backward_masks_match_lightcones():
-    for arch in (build_local_parallel(2, [3, 4], 3), build_nlhs(3, 2)):
+def test_lightcones_match_path_counts():
+    """o in forward(i) exactly when a path runs from i to o through the first
+    depth layers, exactly when i in backward(o)."""
+    archs = (build_local_parallel(2, [3, 4], 3), build_local_parallel(1, [6], 4), build_nlhs(3, 2))
+    for arch in archs:
         m = arch.mode_count
         for depth in range(arch.depth + 1):
-            masks = _backward_masks(arch, depth)
-            for j in range(m):
-                assert {i for i in range(m) if masks[j] >> i & 1} == backward_lightcone(arch, j, depth)
-    with pytest.raises(ValueError):
-        _backward_masks(arch, arch.depth + 1)
+            prefix = CircuitArchitecture(m, arch.layers[:depth])
+            back = [backward_lightcone(arch, o, depth) for o in range(m)]
+            for i in range(m):
+                fwd = forward_lightcone(arch, i, depth)
+                for o in range(m):
+                    assert (o in fwd) == (path_count(prefix, i, o) > 0) == (i in back[o])
+    for forward in (True, False):
+        with pytest.raises(ValueError):
+            _cone_masks(arch, arch.depth + 1, forward)
 
 
 def test_lightcone_bounds_checks():

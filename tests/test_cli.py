@@ -266,6 +266,21 @@ def test_bad_setting_values_exit_2(tmp_path, capsys, file_cfg, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory", "manifest-is-directory"])
+def test_bad_out_path_exit_2(tmp_path, capsys, where):
+    out = {
+        "missing-directory": tmp_path / "missing" / "x.csv",
+        "a-directory": tmp_path,
+        "manifest-is-directory": tmp_path / "x.csv",
+    }[where]
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    assert main(_HIDING + ["--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-config"
+    assert any("--out" in d for d in err["diagnostics"]), err["diagnostics"]
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
 @pytest.mark.parametrize(
     "experiment, file_cfg, key, expect",
     [

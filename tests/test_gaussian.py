@@ -293,6 +293,15 @@ def test_is_permitted_gbs_respects_input_support():
     assert is_permitted_gbs(arch, cfg, (6, 7), (6, 7), 1)
 
 
+def test_permitted_gbs_rejects_config_of_other_mode_count():
+    arch = build_local_parallel(1, [8], 2)
+    cfg = GbsConfig(4, 2, 0.5, 1)
+    with pytest.raises(ValueError, match="circuit has 8 modes"):
+        count_permitted_gbs(arch, cfg)
+    with pytest.raises(ValueError, match="circuit has 8 modes"):
+        is_permitted_gbs(arch, cfg, (0, 1), (0, 1), 2)
+
+
 def test_forbidden_gbs_outcomes_carry_no_probability():
     arch = build_local_parallel(1, [8], 1)
     cfg = GbsConfig(8, 8, 0.4, 2)
