@@ -3,7 +3,8 @@
 Every subcommand resolves its configuration from an optional JSON config file
 plus command-line flags (flags win), validates it, runs the experiment, and
 writes exactly one result file plus a ``<out>.manifest.json`` sidecar holding
-the resolved configuration, package version and wall time.  Result files are
+the resolved configuration, package version and wall time; a failed write
+leaves neither (see ``_write_files``).  Result files are
 byte-identical across reruns with the same configuration; the manifest is
 the only place wall time appears.  Every experiment runs as one sequential
 loop; ``--threads`` is accepted and recorded for compatibility but has no
@@ -22,6 +23,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 resource guard exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -430,39 +432,18 @@ def _run_thresholds(cfg: dict, master: RngStream) -> dict:
         cfg["pairs"], cfg["gamma"], cfg["c_const"], cfg["dim"], cfg["lambda"], cfg["beta"]
     )
     if cfg["format"] == "csv":
-        columns = list(fbs.to_dict().keys())
-        return {"columns": columns, "rows": [fbs.to_dict(), gbs.to_dict()]}
+        return {"rows": [fbs.to_dict(), gbs.to_dict()]}
     return {"json": {"fbs": fbs.to_dict(), "gbs": gbs.to_dict()}}
-
-
-def _provenance(cfg: dict, keys: tuple[str, ...]) -> dict:
-    return {k: cfg[k] for k in keys}
 
 
 def _run_density(cfg: dict, master: RngStream) -> dict:
     tag, sampler = _build_sampler(cfg)
-    if cfg["experiment"] == "density-fbs":
-        values = fbs_probability_samples(
-            sampler, cfg["modes"], cfg["photons"], cfg["samples"], master
-        )
-    else:
-        values = gbs_probability_samples(
-            sampler, cfg["modes"], cfg["photons"], cfg["samples"], master
-        )
+    fbs = cfg["experiment"] == "density-fbs"
+    driver = fbs_probability_samples if fbs else gbs_probability_samples
+    values = driver(sampler, cfg["modes"], cfg["photons"], cfg["samples"], master)
     curve = density_function(values, cfg["buckets"])
-    rows = []
-    for bucket in curve.buckets:
-        row = {
-            "x": bucket.x,
-            "density": bucket.density,
-            "count": bucket.count,
-            "width": bucket.width,
-            "ensemble": tag,
-        }
-        row.update(_provenance(cfg, ("modes", "photons", "samples", "seed")))
-        rows.append(row)
-    columns = ["x", "density", "count", "width", "ensemble", "modes", "photons", "samples", "seed"]
-    return {"columns": columns, "rows": rows}
+    extra = {"ensemble": tag, **{k: cfg[k] for k in ("modes", "photons", "samples", "seed")}}
+    return {"rows": [{**row, **extra} for row in curve.to_rows()]}
 
 
 def _run_page_curve(cfg: dict, master: RngStream) -> dict:
@@ -481,8 +462,7 @@ def _run_page_curve(cfg: dict, master: RngStream) -> dict:
         }
         for k, mean, err in rows_raw
     ]
-    columns = ["k", "mean_S2", "stderr", "ensemble", "M", "r", "samples", "seed"]
-    return {"columns": columns, "rows": rows}
+    return {"rows": rows}
 
 
 def _run_frame_potential(cfg: dict, master: RngStream) -> dict:
@@ -490,8 +470,7 @@ def _run_frame_potential(cfg: dict, master: RngStream) -> dict:
     est = frame_potential(sampler, cfg["k_moment"], cfg["samples"], master)
     row = est.to_dict()
     row.update(ensemble=tag, modes=cfg["modes"], seed=cfg["seed"])
-    columns = list(est.to_dict().keys()) + ["ensemble", "modes", "seed"]
-    return {"columns": columns, "rows": [row]}
+    return {"rows": [row]}
 
 
 def _run_hiding(cfg: dict, master: RngStream) -> dict:
@@ -506,8 +485,7 @@ def _run_hiding(cfg: dict, master: RngStream) -> dict:
         }
         for v in values
     ]
-    columns = ["value", "kind", "modes", "photons", "seed"]
-    return {"columns": columns, "rows": rows}
+    return {"rows": rows}
 
 
 _RUNNERS = {
@@ -525,15 +503,36 @@ _RUNNERS = {
 def _render(cfg: dict, result: dict) -> str:
     if "json" in result:
         return json.dumps(result["json"], indent=2, sort_keys=True) + "\n"
-    columns, rows = result["columns"], result["rows"]
+    rows = result["rows"]
     if cfg["format"] == "json":
         return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    columns = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow(["" if row[c] is None else row[c] for c in columns])
     return buf.getvalue()
+
+
+def _write_files(files: list[tuple[str, str]]) -> None:
+    """Write each ``(path, text)`` to a temporary file, then move the files into place in order.
+
+    A failure while writing leaves no file at any of the paths and no temporary
+    file behind, so a result never appears half-written.
+    """
+    staged = [(f"{path}.{os.getpid()}.tmp", path, text) for path, text in files]
+    try:
+        for tmp, _, text in staged:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for tmp, path, _ in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
 
 
 def run(cfg: dict) -> int:
@@ -552,18 +551,18 @@ def run(cfg: dict) -> int:
         sys.stderr.write("\n")
         return 3
     wall = time.monotonic() - started
-    text = _render(cfg, result)
-    with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
     manifest = {
         "experiment": cfg["experiment"],
         "config": {k: v for k, v in cfg.items()},
         "version": __version__,
         "wall_time_s": wall,
     }
-    with open(cfg["out"] + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_files(
+        [
+            (cfg["out"], _render(cfg, result)),
+            (cfg["out"] + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
+        ]
+    )
     return 0
 
 

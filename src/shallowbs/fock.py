@@ -287,6 +287,23 @@ def count_permitted_fbs_effective(
     return _count_cones(arch.mode_count, cones, per_cone**photons, guard)
 
 
+def _check_scaling_curve(
+    m: int, n: int, noun: str, gamma: float, c: float, c_name: str, d: int
+) -> None:
+    """Reject ratio-bound arguments off the lattice scaling curve ``m = c * n**gamma``."""
+    if n < 1:
+        raise ValueError(f"{noun} number must be positive, got {n}")
+    if d < 1:
+        raise ValueError(f"lattice dimension must be positive, got {d}")
+    if c <= 0:
+        raise ValueError(f"mode-scaling constant must be positive, got {c}")
+    expected = c * n**gamma
+    if abs(m - expected) > 0.5 + 1e-9 * expected:
+        raise ValueError(
+            f"mode count {m} is not {c_name}*n^gamma = {expected:.3f} within rounding"
+        )
+
+
 def fbs_permitted_ratio_bound(
     m: int, photons: int, gamma: float, c0: float, d: int, depth: int
 ) -> float:
@@ -295,17 +312,7 @@ def fbs_permitted_ratio_bound(
     Valid in the scaling regime ``m = c0 * photons**gamma``; the call rejects
     mode counts that are off that curve by more than rounding.
     """
-    if photons < 1:
-        raise ValueError(f"photon number must be positive, got {photons}")
-    if d < 1:
-        raise ValueError(f"lattice dimension must be positive, got {d}")
-    if c0 <= 0:
-        raise ValueError(f"mode-scaling constant must be positive, got {c0}")
-    expected = c0 * photons**gamma
-    if abs(m - expected) > 0.5 + 1e-9 * expected:
-        raise ValueError(
-            f"mode count {m} is not c0*n^gamma = {expected:.3f} within rounding"
-        )
+    _check_scaling_curve(m, photons, "photon", gamma, c0, "c0", d)
     n = photons
     return 3.0 * math.sqrt(n) * (
         (2.0**d * depth**d * n ** (1.0 - gamma)) / (math.e * d**d * c0)

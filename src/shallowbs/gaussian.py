@@ -30,6 +30,7 @@ from .fock import (
     PermittedCountReport,
     Pattern,
     _as_pattern,
+    _check_scaling_curve,
     _check_threshold_params,
     _check_build,
     _count_sums,
@@ -118,7 +119,11 @@ def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
     if u.shape != (m, m):
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     re, im = u.real, u.imag
-    return np.block([[re, -im], [im, re]])
+    o = np.empty((2 * m, 2 * m), dtype=re.dtype)
+    o[:m, :m] = o[m:, m:] = re
+    o[:m, m:] = -im
+    o[m:, :m] = im
+    return o
 
 
 def evolve_covariance(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -194,32 +199,20 @@ def page_curve(
     """
     if modes < 2:
         raise ValueError(f"need at least two modes for a bipartition, got {modes}")
-    if squeeze_r <= 0:
-        raise ValueError(f"squeezing must be positive, got {squeeze_r}")
+    sigma0 = smsv_covariance(GbsConfig(modes, modes, squeeze_r, 0))
     if samples < 2:
         raise ValueError(f"need at least two samples, got {samples}")
     sizes = list(range(1, modes)) if subsystem_sizes is None else [int(k) for k in subsystem_sizes]
     if any(not 1 <= k <= modes - 1 for k in sizes):
         raise ValueError(f"subsystem sizes must lie in [1, {modes - 1}], got {sizes}")
 
-    base = np.ones(2 * modes)
-    base[:modes] = math.exp(-2.0 * squeeze_r)
-    base[modes:] = math.exp(2.0 * squeeze_r)
-
     def one(k: int, trial: int) -> float:
         # streams keyed by subsystem size, so a subset of sizes reproduces
         # the matching rows of a full run
         gen = rng.derive((k - 1) * samples + trial).generator()
         u = sample_unitary(gen)
-        subset = np.sort(gen.choice(modes, size=k, replace=False))
-        o = symplectic_from_unitary(u)
-        sigma = (o * base) @ o.T
-        idx = np.concatenate([subset, subset + modes])
-        red = sigma[np.ix_(idx, idx)]
-        sign, logdet = np.linalg.slogdet(red)
-        if sign <= 0:
-            raise ValueError("reduced covariance lost positivity; invalid circuit sample")
-        return 0.5 * float(logdet)
+        subset = gen.choice(modes, size=k, replace=False)
+        return renyi2_entropy(reduced_covariance(evolve_covariance(sigma0, u), subset))
 
     rows = []
     for k in sizes:
@@ -233,6 +226,13 @@ def page_curve(
 def _pair_matrix(u: np.ndarray, input_modes: Sequence[int]) -> np.ndarray:
     cols = u[:, np.asarray(input_modes, dtype=int)]
     return cols @ cols.T
+
+
+def _hafnian_weight(u: np.ndarray, input_modes: Pattern, output_modes: Pattern) -> float:
+    """|Haf(B_s)|^2 / s! for checked input and even output patterns, B = U I_K U^T."""
+    sel = np.array(output_modes, dtype=int)
+    b_s = _pair_matrix(u, input_modes)[np.ix_(sel, sel)]
+    return float(abs(hafnian(b_s)) ** 2 / pattern_factorial(output_modes))
 
 
 def gbs_unnormalized_probability(
@@ -254,12 +254,16 @@ def gbs_unnormalized_probability(
     s = _as_pattern(output_modes, m, "output")
     if len(s) % 2 != 0:
         raise ValueError(f"outcome must hold an even photon number, got {len(s)}")
-    if len(s) == 0:
-        return 1.0
-    b = _pair_matrix(u, t)
-    sel = np.array(s, dtype=int)
-    b_s = b[np.ix_(sel, sel)]
-    return float(abs(hafnian(b_s)) ** 2 / pattern_factorial(s))
+    return _hafnian_weight(u, t, s)
+
+
+def _source_masks(
+    arch: CircuitArchitecture, input_modes: Pattern, depth: int
+) -> tuple[list[int], list[int]]:
+    """Backward lightcone bitmask of every mode, and the squeezed inputs each one holds."""
+    back = _cone_masks(arch, depth, forward=False)
+    inputs = sum(1 << mode for mode in input_modes)
+    return back, [mask & inputs for mask in back]
 
 
 def is_permitted_gbs(
@@ -283,8 +287,7 @@ def is_permitted_gbs(
         raise ValueError(f"outcome must hold an even photon number, got {len(s)}")
     if len(s) > HAFNIAN_MAX_DIM:
         raise GuardError(f"pairing guard: {len(s)} photons exceed {HAFNIAN_MAX_DIM}")
-    inputs = sum(1 << mode for mode in t)
-    sources = [mask & inputs for mask in _cone_masks(arch, depth, forward=False)]
+    _, sources = _source_masks(arch, t, depth)
 
     @cache
     def pairable(rest: Pattern) -> bool:
@@ -331,9 +334,7 @@ def count_permitted_gbs(
     if depth is None:
         depth = arch.depth
     n = cfg.pairs
-    back = _cone_masks(arch, depth, forward=False)
-    inputs = sum(1 << mode for mode in t)
-    sources = [mask & inputs for mask in back]
+    back, sources = _source_masks(arch, t, depth)
     fed = sum(1 for mask in sources if mask)
     allowed: list[Pattern] = []
     for a in range(m):
@@ -388,17 +389,7 @@ def gbs_permitted_ratio_bound(
     m: int, pairs: int, gamma: float, c1: float, d: int, depth: int
 ) -> float:
     """Closed-form bound on the permitted fraction of even outcomes, lattice case."""
-    if pairs < 1:
-        raise ValueError(f"pair number must be positive, got {pairs}")
-    if d < 1:
-        raise ValueError(f"lattice dimension must be positive, got {d}")
-    if c1 <= 0:
-        raise ValueError(f"mode-scaling constant must be positive, got {c1}")
-    expected = c1 * pairs**gamma
-    if abs(m - expected) > 0.5 + 1e-9 * expected:
-        raise ValueError(
-            f"mode count {m} is not c1*n^gamma = {expected:.3f} within rounding"
-        )
+    _check_scaling_curve(m, pairs, "pair", gamma, c1, "c1", d)
     n = pairs
     return 2.0 * (
         (2.0 ** (2 * d + 1) / (math.e * d**d * c1)) * depth**d * n ** (1.0 - gamma)

@@ -15,7 +15,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import RngStream, ginibre
+from .fock import _input_pattern, fbs_probability
+from .gaussian import _hafnian_weight
+from .linalg import RngStream, as_generator, ginibre
 from .matfn import hafnian, permanent
 
 __all__ = [
@@ -158,8 +160,7 @@ def random_collision_free_pattern(
         raise ValueError(f"photon number must be non-negative, got {photons}")
     if photons > m:
         raise ValueError(f"cannot place {photons} collision-free photons in {m} modes")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    picks = gen.choice(m, size=photons, replace=False)
+    picks = as_generator(rng).choice(m, size=photons, replace=False)
     return tuple(int(x) for x in np.sort(picks))
 
 
@@ -179,8 +180,7 @@ def fbs_probability_samples(
         u = sample_unitary(gen)
         t = random_collision_free_pattern(m, photons, gen)
         s = random_collision_free_pattern(m, photons, gen)
-        sub = u[np.ix_(s, t)]
-        return float(abs(permanent(sub)) ** 2)
+        return fbs_probability(u, t, s)
 
     return np.array([one(i) for i in range(n_sam)])
 
@@ -198,14 +198,13 @@ def gbs_probability_samples(
     """
     if photons < 2 or photons % 2 != 0:
         raise ValueError(f"photon number must be even and positive, got {photons}")
+    t = _input_pattern(range(m), m)
 
     def one(i: int) -> float:
         gen = rng.derive(i).generator()
         u = sample_unitary(gen)
         s = random_collision_free_pattern(m, photons, gen)
-        b = u @ u.T
-        sel = np.asarray(s, dtype=int)
-        return float(abs(hafnian(b[np.ix_(sel, sel)])) ** 2)
+        return _hafnian_weight(u, t, s)
 
     return np.array([one(i) for i in range(n_sam)])
 

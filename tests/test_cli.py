@@ -1,9 +1,11 @@
+import errno
 import json
 import subprocess
 import sys
 
 import pytest
 
+import shallowbs.cli
 from shallowbs.arch import arch_to_dict, build_local_parallel
 from shallowbs.cli import (
     EXPERIMENTS,
@@ -132,10 +134,7 @@ def test_thread_count_does_not_change_output(tmp_path):
 
 
 def test_render_writes_none_as_empty_field():
-    result = {
-        "columns": ["x", "density", "count"],
-        "rows": [{"x": 0.5, "density": None, "count": 3}],
-    }
+    result = {"rows": [{"x": 0.5, "density": None, "count": 3}]}
     text = _render({"format": "csv"}, result)
     assert text == "x,density,count\n0.5,,3\n"
     as_json = _render({"format": "json"}, result)
@@ -307,3 +306,41 @@ def test_help_names_every_flag(capsys, experiment):
     text = capsys.readouterr().out
     for flag in ("config", "seed", "out", "format", "threads") + EXPERIMENTS[experiment]["flags"]:
         assert f"--{flag}" in text
+
+
+class _FailingFile:
+    """A text file whose write stores half the text and then fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["result", "manifest"])
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, failing):
+    opened = []
+
+    def failing_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        opened.append(path)
+        return _FailingFile(fh) if len(opened) == failing else fh
+
+    out = tmp_path / "x.csv"
+    monkeypatch.setattr(shallowbs.cli, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        main(_HIDING + ["--out", str(out)])
+    assert len(opened) == failing
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    assert main(_HIDING + ["--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.csv.manifest.json"]

@@ -68,6 +68,12 @@ def test_symplectic_from_unitary_properties():
     eye, zero = np.eye(5), np.zeros((5, 5))
     omega = np.block([[zero, eye], [-eye, zero]])
     np.testing.assert_allclose(o @ omega @ o.T, omega, atol=1e-12)
+    for v in (u, np.eye(3), realize(build_nlhs(2, 1), RngStream(3, 1))):
+        block = np.block([[v.real, -v.imag], [v.imag, v.real]])
+        o = symplectic_from_unitary(v)
+        assert o.dtype == block.dtype
+        np.testing.assert_array_equal(o, block)
+        np.testing.assert_array_equal(np.signbit(o), np.signbit(block))
 
 
 def test_evolve_covariance_keeps_vacuum_and_purity():
@@ -166,6 +172,8 @@ def test_page_curve_validation():
         page_curve(sampler, 4, 0.4, 1, RngStream(0, 0))
     with pytest.raises(ValueError):
         page_curve(sampler, 4, 0.4, 10, RngStream(0, 0), subsystem_sizes=[4])
+    with pytest.raises(ValueError, match="squeezing must be positive, got 0.0"):
+        page_curve(sampler, 4, 0.0, 10, RngStream(0, 0))
 
 
 def test_gbs_probability_single_source_identity_circuit():

@@ -3,6 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from shallowbs.arch import build_local_parallel, build_nlhs, realize
+from shallowbs.fock import fbs_probability
+from shallowbs.gaussian import (
+    GbsConfig,
+    evolve_covariance,
+    gbs_unnormalized_probability,
+    page_curve,
+    reduced_covariance,
+    renyi2_entropy,
+    smsv_covariance,
+)
 from shallowbs.linalg import RngStream, haar_unitary
 from shallowbs.stats import (
     bootstrap_std,
@@ -113,6 +124,8 @@ def test_random_collision_free_pattern():
     assert len(seen) == 6
     with pytest.raises(ValueError):
         random_collision_free_pattern(3, 4, RngStream(0, 0))
+    with pytest.raises(TypeError, match="expected RngStream or numpy Generator, got int"):
+        random_collision_free_pattern(4, 2, 6)
 
 
 def test_fbs_probability_samples_scale():
@@ -155,3 +168,43 @@ def test_hiding_samples_scales_and_validation():
         hiding_samples("other", 8, 2, 100, rng)
     with pytest.raises(ValueError):
         hiding_samples("gbs", 8, 3, 100, rng)
+
+
+@pytest.mark.parametrize(
+    "arch", [build_nlhs(3, 1), build_local_parallel(2, [2, 4], 3)], ids=["nlhs", "lattice"]
+)
+def test_drivers_compute_through_library_rules(arch):
+    """Each trial of a driver equals the public rule applied to that trial's own draws."""
+    m, n_sam, rng = arch.mode_count, 25, RngStream(31, 0)
+
+    def sampler(gen):
+        return realize(arch, gen)
+
+    fbs, gbs = [], []
+    cfg = GbsConfig(m, m, 0.7, 2)
+    for i in range(n_sam):
+        gen = rng.derive(i).generator()
+        u = realize(arch, gen)
+        t = random_collision_free_pattern(m, 3, gen)
+        s = random_collision_free_pattern(m, 3, gen)
+        fbs.append(fbs_probability(u, t, s))
+        gen = rng.derive(i).generator()
+        u = realize(arch, gen)
+        gbs.append(gbs_unnormalized_probability(u, cfg, random_collision_free_pattern(m, 4, gen)))
+    np.testing.assert_array_equal(fbs_probability_samples(sampler, m, 3, n_sam, rng), fbs)
+    np.testing.assert_array_equal(gbs_probability_samples(sampler, m, 4, n_sam, rng), gbs)
+
+    sigma0 = smsv_covariance(GbsConfig(m, m, 0.4, 0))
+    rows = []
+    for k in range(1, m):
+        entropies = []
+        for trial in range(n_sam):
+            gen = rng.derive((k - 1) * n_sam + trial).generator()
+            u = realize(arch, gen)
+            subset = gen.choice(m, size=k, replace=False)
+            entropies.append(
+                renyi2_entropy(reduced_covariance(evolve_covariance(sigma0, u), subset))
+            )
+        chunk = np.array(entropies)
+        rows.append((k, float(chunk.mean()), float(chunk.std(ddof=1) / math.sqrt(n_sam))))
+    assert page_curve(sampler, m, 0.4, n_sam, rng) == rows
