@@ -130,7 +130,7 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
     },
     "permitted-count": {
         "flags": _ENSEMBLE
-        + ("scheme", "photons", "pairs", "k-inputs", "squeeze", "input", "effective", "lambda", "beta"),
+        + ("scheme", "photons", "pairs", "k-inputs", "input", "effective", "lambda", "beta"),
         "defaults": {"format": "json", "scheme": "fbs", "effective": False},
     },
     "thresholds": {
@@ -407,10 +407,7 @@ def _run_permitted_count(cfg: dict, master: RngStream) -> dict:
             report = count_permitted_fbs(arch, pattern, depth)
     else:
         k = cfg.get("k_inputs") or arch.mode_count
-        if cfg.get("squeeze") is not None:
-            gbs_cfg = GbsConfig(arch.mode_count, k, cfg["squeeze"], cfg["pairs"])
-        else:
-            gbs_cfg = GbsConfig.with_matched_squeezing(arch.mode_count, k, cfg["pairs"])
+        gbs_cfg = GbsConfig.with_matched_squeezing(arch.mode_count, k, cfg["pairs"])
         pattern = cfg.get("input") or list(range(k))
         report = count_permitted_gbs(arch, gbs_cfg, pattern, depth)
     out = report.to_dict()

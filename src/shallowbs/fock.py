@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 from itertools import accumulate, combinations_with_replacement
-from operator import or_
+from operator import index, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -56,10 +56,10 @@ ENUMERATION_GUARD = 10**8
 
 
 def _as_pattern(modes: Iterable[int], m: int, name: str) -> Pattern:
-    pat = tuple(int(x) for x in modes)
-    if any(not 0 <= x < m for x in pat):
+    pat = tuple(map(index, modes))
+    if pat and (min(pat) < 0 or max(pat) >= m):
         raise IndexError(f"{name} pattern {pat} out of range for {m} modes")
-    if any(pat[i] > pat[i + 1] for i in range(len(pat) - 1)):
+    if list(pat) != sorted(pat):
         raise ValueError(f"{name} pattern must be sorted, got {pat}")
     return pat
 
@@ -67,7 +67,7 @@ def _as_pattern(modes: Iterable[int], m: int, name: str) -> Pattern:
 def _input_pattern(modes: Iterable[int], m: int, size: Optional[int] = None) -> Pattern:
     """A sorted, in-range, collision-free input pattern, of ``size`` modes when given."""
     t = _as_pattern(modes, m, "input")
-    if any(t[i] == t[i + 1] for i in range(len(t) - 1)):
+    if len(set(t)) != len(t):
         raise ValueError(f"input pattern must be collision-free, got {t}")
     if size is not None and len(t) != size:
         raise ValueError(f"expected {size} input modes, got pattern of {len(t)}")

@@ -223,15 +223,10 @@ def page_curve(
     return rows
 
 
-def _pair_matrix(u: np.ndarray, input_modes: Sequence[int]) -> np.ndarray:
-    cols = u[:, np.asarray(input_modes, dtype=int)]
-    return cols @ cols.T
-
-
 def _hafnian_weight(u: np.ndarray, input_modes: Pattern, output_modes: Pattern) -> float:
     """|Haf(B_s)|^2 / s! for checked input and even output patterns, B = U I_K U^T."""
-    sel = np.array(output_modes, dtype=int)
-    b_s = _pair_matrix(u, input_modes)[np.ix_(sel, sel)]
+    rows = u[np.ix_(output_modes, input_modes)]
+    b_s = rows @ rows.T
     return float(abs(hafnian(b_s)) ** 2 / pattern_factorial(output_modes))
 
 

@@ -2,15 +2,15 @@
 
 Both functions are exponential-cost by nature, so each carries a hard size
 guard and a slow but obviously-correct oracle for cross-checking.  The fast
-permanent walks the column subsets of the inclusion-exclusion sum in Gray-code
-order, updating the running row sums by a single column per step; the fast
-hafnian expands perfect matchings recursively with memoization on the bitmask
-of unmatched vertices.
+permanent sums Glynn's formula over sign vectors, 2^10 of them per numpy
+operation; the fast hafnian expands perfect matchings recursively with
+memoization on the bitmask of unmatched vertices.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +35,13 @@ HAFNIAN_ORACLE_MAX_DIM = 12
 
 _HAFNIAN_SYMMETRY_TOL = 1e-10
 
+# Entry j is the sign product of the sign vector numbered j: bit i of j set
+# means row i + 1 takes the sign -1.
+_BLOCK_BITS = 10
+_PARITY = (
+    1.0 - 2.0 * (np.arange(1 << _BLOCK_BITS)[:, None] >> np.arange(_BLOCK_BITS) & 1)
+).prod(axis=1)
+
 
 class GuardError(ValueError):
     """An input exceeds a hard resource guard (matrix size or enumeration count)."""
@@ -47,11 +54,13 @@ def _require_square(a: np.ndarray, name: str) -> int:
 
 
 def permanent(a: np.ndarray) -> complex:
-    """Permanent by Ryser's inclusion-exclusion with Gray-code column updates.
+    """Permanent by Glynn's formula, summed over blocks of sign vectors.
 
-    Cost is O(2^n * n) arithmetic.  The outer accumulation is compensated
-    (Kahan) so alternating-sign cancellation does not erode precision for the
-    sizes the guard admits.
+    perm(A) = 2^(1-n) * sum over delta in {+1, -1}^n with delta_0 = +1 of
+    (prod_k delta_k) * prod_j (delta^T A)_j  (Glynn 2010).  The row sums for
+    every sign vector over rows 1..min(n-1, 10) are built as one block, each
+    row doubling the block; a loop runs over the sign patterns of any higher
+    rows.  Cost is O(2^n * n) arithmetic.
     """
     a = np.asarray(a)
     n = _require_square(a, "permanent")
@@ -60,30 +69,23 @@ def permanent(a: np.ndarray) -> complex:
     if n == 0:
         return complex(1.0)
     a = a.astype(complex, copy=False)
-    columns = [np.ascontiguousarray(a[:, j]) for j in range(n)]
-
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    gray = 0
-    for t in range(1, 1 << n):
-        g = t ^ (t >> 1)
-        flipped = g ^ gray
-        j = flipped.bit_length() - 1
-        if g & flipped:
-            row_sums += columns[j]
-        else:
-            row_sums -= columns[j]
-        gray = g
-        term = complex(np.prod(row_sums))
-        if (n - g.bit_count()) & 1:
-            term = -term
-        # Kahan step
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total
+    k = min(n - 1, _BLOCK_BITS)
+    # numpy adds, not a matmul against a table of sign vectors: from n = 11 on
+    # that matmul runs on threaded BLAS, which stalled for milliseconds per
+    # call on a shared 2-core host (gone with OPENBLAS_NUM_THREADS=1)
+    block = np.empty((1 << k, n), dtype=complex)
+    block[0] = a[0]
+    for i in range(k):
+        h = 1 << i
+        np.subtract(block[:h], a[i + 1], out=block[h : 2 * h])
+        block[:h] += a[i + 1]
+    parity = _PARITY[: 1 << k]
+    high = a[k + 1 :]
+    total = 0j
+    for signs in product((1.0, -1.0), repeat=len(high)):
+        row_sums = block + np.dot(signs, high)
+        total += prod(signs) * (parity @ row_sums.prod(axis=1))
+    return complex(total * 2.0 ** (1 - n))
 
 
 def permanent_oracle(a: np.ndarray) -> complex:

@@ -55,6 +55,8 @@ def test_fbs_probability_validation():
         fbs_probability(u, (0, 0), (0, 1))
     with pytest.raises(IndexError):
         fbs_probability(u, (0, 4), (0, 1))
+    with pytest.raises(TypeError):
+        fbs_probability(u, (0.6, 1.2, 2.9), (0, 1, 2))
     assert fbs_probability(u, (), ()) == 1.0
 
 

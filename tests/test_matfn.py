@@ -25,7 +25,7 @@ def test_permanent_known_values():
     assert permanent(np.array([[1.0, 2.0], [3.0, 4.0]])) == 10.0
     assert permanent(np.zeros((0, 0))) == 1.0
     assert permanent(np.array([[5.0]])) == 5.0
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 9, 12, 16):
         np.testing.assert_allclose(permanent(np.eye(n)), 1.0, rtol=1e-13)
         np.testing.assert_allclose(
             permanent(np.ones((n, n))), float(math.factorial(n)), rtol=1e-13
@@ -42,15 +42,31 @@ def test_permanent_matches_oracle():
             np.testing.assert_allclose(fast, slow, rtol=1e-10)
 
 
+def test_permanent_block_diagonal_factorizes():
+    """Above the oracle's range: Per of shuffled diag(B, C) is Per(B) Per(C)."""
+    gen = np.random.default_rng(66)
+    for half in (6, 8):
+        b = random_complex(gen, half)
+        c = random_complex(gen, half)
+        joint = np.zeros((2 * half, 2 * half), dtype=complex)
+        joint[:half, :half] = b
+        joint[half:, half:] = c
+        joint = joint[gen.permutation(2 * half)][:, gen.permutation(2 * half)]
+        np.testing.assert_allclose(
+            permanent(joint), permanent_oracle(b) * permanent_oracle(c), rtol=1e-10
+        )
+
+
 def test_permanent_row_scaling_and_swap():
     gen = np.random.default_rng(7)
-    a = random_complex(gen, 5)
-    base = permanent(a)
-    scaled = a.copy()
-    scaled[2] *= 3.5 - 1.0j
-    np.testing.assert_allclose(permanent(scaled), (3.5 - 1.0j) * base, rtol=1e-11)
-    swapped = a[[1, 0, 2, 3, 4]]
-    np.testing.assert_allclose(permanent(swapped), base, rtol=1e-11)
+    for n in (5, 12):
+        a = random_complex(gen, n)
+        base = permanent(a)
+        scaled = a.copy()
+        scaled[2] *= 3.5 - 1.0j
+        np.testing.assert_allclose(permanent(scaled), (3.5 - 1.0j) * base, rtol=1e-11)
+        swapped = a[[1, 0, *range(2, n)]]
+        np.testing.assert_allclose(permanent(swapped), base, rtol=1e-11)
 
 
 def test_hafnian_known_values():
