@@ -143,7 +143,7 @@ def build_local_parallel(
     m = math.prod(sides)
     strides = np.array([math.prod(sides[k + 1 :]) for k in range(dimension)], dtype=int)
 
-    coords = np.stack(np.unravel_index(np.arange(m), sides), axis=1)
+    coords = mode_coordinates(sides)
     layers = []
     for step in range(depth):
         axis, offset = divmod(step % (2 * dimension), 2)

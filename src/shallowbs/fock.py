@@ -361,6 +361,35 @@ def _check_threshold_params(gamma: float, c: float, d: int, lam: float, beta: fl
         raise ValueError(f"leakage exponent must lie in (0, 1), got {beta}")
 
 
+def _depth_thresholds(
+    scheme: str, n: int, photons: int, gamma: float, c: float, d: int,
+    lam: float, beta: float, kappa_div: float, alpha_div: float,
+) -> DepthThresholds:
+    """Regime-boundary depths at ``m = c * n**gamma`` from the scheme's divisors.
+
+    ``n`` counts photons for Fock-state and pairs for Gaussian sampling.
+    """
+    m = c * n**gamma
+    kappa = math.e ** (1.0 / d) * c ** (1.0 / d) * d / kappa_div
+    alpha = math.e ** (2.0 / d) * c ** (2.0 / d) * beta * d / alpha_div
+    eps = math.exp(math.lgamma(photons + 1) - photons * math.log(m))
+    return DepthThresholds(
+        scheme=scheme,
+        forbidden_constant=kappa,
+        forbidden_depth=kappa * n ** ((gamma - 1.0) / d),
+        concentration_constant=alpha,
+        concentration_depth=alpha * n ** (2.0 * (gamma - 1.0) / d - lam),
+        additive_error=eps,
+        photons=photons,
+        modes=m,
+        gamma=gamma,
+        scaling_constant=c,
+        dimension=d,
+        lam=lam,
+        beta=beta,
+    )
+
+
 def fbs_depth_thresholds(
     photons: int, gamma: float, c0: float, d: int, lam: float, beta: float
 ) -> DepthThresholds:
@@ -368,23 +397,4 @@ def fbs_depth_thresholds(
     if photons < 1:
         raise ValueError(f"photon number must be positive, got {photons}")
     _check_threshold_params(gamma, c0, d, lam, beta)
-    n = photons
-    m = c0 * n**gamma
-    kappa = math.e ** (1.0 / d) * c0 ** (1.0 / d) * d / 2.0
-    alpha = math.e ** (2.0 / d) * c0 ** (2.0 / d) * beta * d / 2.0
-    eps = math.exp(math.lgamma(n + 1) - n * math.log(m))
-    return DepthThresholds(
-        scheme="fbs",
-        forbidden_constant=kappa,
-        forbidden_depth=kappa * n ** ((gamma - 1.0) / d),
-        concentration_constant=alpha,
-        concentration_depth=alpha * n ** (2.0 * (gamma - 1.0) / d - lam),
-        additive_error=eps,
-        photons=n,
-        modes=m,
-        gamma=gamma,
-        scaling_constant=c0,
-        dimension=d,
-        lam=lam,
-        beta=beta,
-    )
+    return _depth_thresholds("fbs", photons, photons, gamma, c0, d, lam, beta, 2.0, 2.0)

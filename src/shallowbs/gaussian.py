@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, asdict
-from functools import cache
+from operator import index
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ from .fock import (
     _check_threshold_params,
     _check_build,
     _count_sums,
+    _depth_thresholds,
     _input_pattern,
     pattern_factorial,
 )
@@ -147,7 +148,7 @@ def reduced_covariance(sigma: np.ndarray, modes: Iterable[int]) -> np.ndarray:
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2 != 0:
         raise ValueError(f"covariance must be square even-dimensional, got {sigma.shape}")
     m = sigma.shape[0] // 2
-    keep = sorted(set(int(x) for x in modes))
+    keep = sorted(set(map(index, modes)))
     if not keep:
         raise ValueError("mode subset must be nonempty")
     if len(keep) >= m:
@@ -271,10 +272,10 @@ def is_permitted_gbs(
     """Whether an even outcome can carry Gaussian-sampling probability.
 
     Photons must split into pairs such that each pair shares a squeezed source
-    lying in both photons' backward lightcones.  The search pairs the lowest
-    remaining photon with each distinct later mode in turn, memoized on the
-    remaining sorted outcome.  Its states can grow exponentially in number, so
-    outcomes beyond the hafnian guard raise ``GuardError``.
+    lying in both photons' backward lightcones.  With ``S[i][j] = 1`` when
+    photons i and j share a source and 0 otherwise, ``Haf(S)`` counts exactly
+    those pairings, so the outcome is permitted when it is nonzero.  The
+    hafnian's dimension guard caps the outcome at ``HAFNIAN_MAX_DIM`` photons.
     """
     t = cfg.input_pattern(arch.mode_count, input_modes)
     s = _as_pattern(output_modes, arch.mode_count, "output")
@@ -283,20 +284,8 @@ def is_permitted_gbs(
     if len(s) > HAFNIAN_MAX_DIM:
         raise GuardError(f"pairing guard: {len(s)} photons exceed {HAFNIAN_MAX_DIM}")
     _, sources = _source_masks(arch, t, depth)
-
-    @cache
-    def pairable(rest: Pattern) -> bool:
-        if not rest:
-            return True
-        a, tail = rest[0], rest[1:]
-        return any(
-            (i == 0 or b != tail[i - 1])
-            and sources[a] & sources[b]
-            and pairable(tail[:i] + tail[i + 1 :])
-            for i, b in enumerate(tail)
-        )
-
-    return pairable(s)
+    shared = np.array([[bool(sources[a] & sources[b]) for b in s] for a in s], dtype=float)
+    return hafnian(shared.reshape(len(s), len(s))) != 0
 
 
 def count_permitted_gbs(
@@ -358,25 +347,9 @@ def gbs_depth_thresholds(
     if pairs < 1:
         raise ValueError(f"pair number must be positive, got {pairs}")
     _check_threshold_params(gamma, c1, d, lam, beta)
-    n = pairs
-    m = c1 * n**gamma
-    kappa = c1 ** (1.0 / d) * math.e ** (1.0 / d) * d / 2.0 ** (1.0 / d + 2.0)
-    alpha = c1 ** (2.0 / d) * math.e ** (2.0 / d) * beta * d / 2.0 ** (2.0 / d + 3.0)
-    eps = math.exp(math.lgamma(2 * n + 1) - 2 * n * math.log(m))
-    return DepthThresholds(
-        scheme="gbs",
-        forbidden_constant=kappa,
-        forbidden_depth=kappa * n ** ((gamma - 1.0) / d),
-        concentration_constant=alpha,
-        concentration_depth=alpha * n ** (2.0 * (gamma - 1.0) / d - lam),
-        additive_error=eps,
-        photons=2 * n,
-        modes=m,
-        gamma=gamma,
-        scaling_constant=c1,
-        dimension=d,
-        lam=lam,
-        beta=beta,
+    return _depth_thresholds(
+        "gbs", pairs, 2 * pairs, gamma, c1, d, lam, beta,
+        2.0 ** (1.0 / d + 2.0), 2.0 ** (2.0 / d + 3.0),
     )
 
 

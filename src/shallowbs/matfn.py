@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 from math import prod
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -199,8 +200,8 @@ def select_submatrix(
     u = np.asarray(u)
     if u.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {u.shape}")
-    rows = np.asarray(list(rows), dtype=int)
-    cols = np.asarray(list(cols), dtype=int)
+    rows = np.asarray(list(map(index, rows)), dtype=int)
+    cols = np.asarray(list(map(index, cols)), dtype=int)
     if rows.size and (rows.min() < 0 or rows.max() >= u.shape[0]):
         raise IndexError(f"row selection out of range for shape {u.shape}")
     if cols.size and (cols.min() < 0 or cols.max() >= u.shape[1]):

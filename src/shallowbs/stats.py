@@ -18,7 +18,6 @@ import numpy as np
 from .fock import _input_pattern, fbs_probability
 from .gaussian import _hafnian_weight
 from .linalg import RngStream, as_generator, ginibre
-from .matfn import hafnian, permanent
 
 __all__ = [
     "DensityBucket",
@@ -32,6 +31,9 @@ __all__ = [
     "fbs_probability_samples",
     "gbs_probability_samples",
 ]
+
+# Bootstrap resamples behind the frame potential's reported standard deviation.
+_FRAME_POTENTIAL_RESAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,6 @@ def frame_potential(
     k_moment: int,
     n_sam: int,
     rng: RngStream,
-    resamples: int = 1000,
 ) -> FramePotentialEstimate:
     """Estimate the k-th frame potential E |Tr(U^dag V)|^(2k) over ensemble pairs.
 
@@ -142,7 +143,7 @@ def frame_potential(
     values = np.array([one(i) for i in range(n_sam)])
     raw = float(values.mean())
     k_fact = math.factorial(k_moment)
-    boot = bootstrap_std(values, resamples, rng.derive(2 * n_sam)) / k_fact
+    boot = bootstrap_std(values, _FRAME_POTENTIAL_RESAMPLES, rng.derive(2 * n_sam)) / k_fact
     return FramePotentialEstimate(
         k_moment=k_moment,
         raw_mean=raw,
@@ -224,18 +225,19 @@ def hiding_samples(
     """
     if kind not in ("fbs", "gbs"):
         raise ValueError(f"kind must be 'fbs' or 'gbs', got {kind!r}")
+    if m < 1:
+        raise ValueError(f"mode count must be positive, got {m}")
     if photons < 1:
         raise ValueError(f"photon number must be positive, got {photons}")
     if kind == "gbs" and photons % 2 != 0:
         raise ValueError(f"gbs photon number must be even, got {photons}")
     scale = float(m) ** photons
+    p = tuple(range(photons))
 
     def one(i: int) -> float:
         gen = rng.derive(i).generator()
         if kind == "fbs":
-            x = ginibre(photons, photons, gen)
-            return float(abs(permanent(x)) ** 2 / scale)
-        x = ginibre(photons, m, gen)
-        return float(abs(hafnian(x @ x.T)) ** 2 / scale)
+            return fbs_probability(ginibre(photons, photons, gen), p, p) / scale
+        return _hafnian_weight(ginibre(photons, m, gen), range(m), p) / scale
 
     return np.array([one(i) for i in range(n_sam)])

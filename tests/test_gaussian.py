@@ -99,6 +99,8 @@ def test_reduced_covariance_picks_blocks():
         reduced_covariance(sigma, [0, 1, 2])
     with pytest.raises(IndexError):
         reduced_covariance(sigma, [3])
+    with pytest.raises(TypeError):
+        reduced_covariance(sigma, [0.6, 1.2])
 
 
 def tmsv_covariance(r):
@@ -385,6 +387,8 @@ def test_is_permitted_gbs_at_photon_guard():
     start = time.perf_counter()
     assert not is_permitted_gbs(arch, cfg, t, sorted(cones[0][:11] + cones[1][:13]), 6)
     assert is_permitted_gbs(arch, cfg, t, sorted(cones[0][:12] + cones[1][:12]), 6)
+    # every photon on one fed mode: all 23!! pairings share a source
+    assert is_permitted_gbs(arch, cfg, t, (62,) * 24, 6)
     assert time.perf_counter() - start < 5.0
     with pytest.raises(GuardError, match="26 photons"):
         is_permitted_gbs(arch, cfg, t, sorted(cones[0][:13] + cones[1][:13]), 6)

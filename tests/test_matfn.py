@@ -152,3 +152,5 @@ def test_select_submatrix_bounds():
         select_submatrix(u, [3], [0])
     with pytest.raises(IndexError):
         select_submatrix(u, [0], [-5])
+    with pytest.raises(TypeError):
+        select_submatrix(u, [0.5, 1.9], [2.7])

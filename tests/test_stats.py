@@ -168,6 +168,10 @@ def test_hiding_samples_scales_and_validation():
         hiding_samples("other", 8, 2, 100, rng)
     with pytest.raises(ValueError):
         hiding_samples("gbs", 8, 3, 100, rng)
+    with pytest.raises(ValueError, match="mode count must be positive"):
+        hiding_samples("fbs", 0, 2, 3, rng)
+    with pytest.raises(ValueError, match="mode count must be positive"):
+        hiding_samples("fbs", -2, 3, 3, rng)
 
 
 @pytest.mark.parametrize(
