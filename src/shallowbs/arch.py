@@ -16,9 +16,9 @@ support of row i is the backward lightcone of i.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -40,9 +40,6 @@ __all__ = [
     "leakage_rate",
     "truncate_unitary",
     "arch_to_dict",
-    "arch_from_dict",
-    "arch_to_json",
-    "arch_from_json",
 ]
 
 
@@ -64,18 +61,18 @@ class Layer:
 class CircuitArchitecture:
     """Immutable layered circuit layout.
 
-    ``family`` is one of ``"local-parallel"``, ``"nlhs"`` or ``"custom"``.
-    Lattice circuits carry ``dimension`` and ``side_lengths``; hypercubic ones
-    carry ``log2_modes`` and ``rounds``.  ``depth`` equals the layer count.
+    Four facts are stored: ``mode_count``, ``layers``, ``family`` (one of
+    ``"local-parallel"``, ``"nlhs"`` or ``"custom"``) and ``side_lengths``,
+    which a lattice circuit gives and no other circuit does.  Everything else
+    is derived: ``depth`` is the layer count, ``dimension`` the number of side
+    lengths, and for nlhs circuits ``log2_modes`` is log2 of the power-of-two
+    mode count and ``rounds`` the number of full sweeps in the depth.
     """
 
     mode_count: int
     layers: tuple[Layer, ...]
     family: str = "custom"
-    dimension: Optional[int] = None
     side_lengths: Optional[tuple[int, ...]] = None
-    log2_modes: Optional[int] = None
-    rounds: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.mode_count < 1:
@@ -91,15 +88,16 @@ class CircuitArchitecture:
                     raise ValueError(f"layer {li}: mode reused by slot {slot}")
                 seen.add(slot.a)
                 seen.add(slot.b)
+        if (self.side_lengths is not None) != (self.family == "local-parallel"):
+            raise ValueError("side lengths are given exactly for local-parallel circuits")
         if self.side_lengths is not None:
             if math.prod(self.side_lengths) != self.mode_count:
                 raise ValueError(
                     f"side lengths {self.side_lengths} do not fill {self.mode_count} modes"
                 )
-        if self.log2_modes is not None and (1 << self.log2_modes) != self.mode_count:
-            raise ValueError(
-                f"log2_modes={self.log2_modes} inconsistent with {self.mode_count} modes"
-            )
+        m = self.mode_count
+        if self.family == "nlhs" and (m < 2 or m & (m - 1)):
+            raise ValueError(f"nlhs needs a power-of-two mode count of at least 2, got {m}")
         # per-layer index arrays, precomputed once for the realization hot path
         a_arrays = tuple(
             np.array([s.a for s in layer.slots], dtype=np.intp) for layer in self.layers
@@ -118,6 +116,18 @@ class CircuitArchitecture:
     def gate_count(self) -> int:
         return sum(len(layer.slots) for layer in self.layers)
 
+    @property
+    def dimension(self) -> Optional[int]:
+        return None if self.side_lengths is None else len(self.side_lengths)
+
+    @property
+    def log2_modes(self) -> Optional[int]:
+        return self.mode_count.bit_length() - 1 if self.family == "nlhs" else None
+
+    @property
+    def rounds(self) -> Optional[int]:
+        return self.depth // self.log2_modes if self.family == "nlhs" else None
+
 
 def build_local_parallel(
     dimension: int, side_lengths: Sequence[int], depth: int
@@ -135,7 +145,7 @@ def build_local_parallel(
         raise ValueError(
             f"expected {dimension} side lengths, got {len(side_lengths)}"
         )
-    sides = tuple(int(s) for s in side_lengths)
+    sides = tuple(index(s) for s in side_lengths)
     if any(s < 2 for s in sides):
         raise ValueError(f"every side length must be at least 2, got {sides}")
     if depth < 0:
@@ -157,7 +167,6 @@ def build_local_parallel(
         mode_count=m,
         layers=tuple(layers),
         family="local-parallel",
-        dimension=dimension,
         side_lengths=sides,
     )
 
@@ -187,13 +196,7 @@ def build_nlhs(log2_modes: int, rounds: int) -> CircuitArchitecture:
                     slots.append(GateSlot(base + k, base + k + half))
             slots.sort()
             layers.append(Layer(tuple(slots)))
-    return CircuitArchitecture(
-        mode_count=m,
-        layers=tuple(layers),
-        family="nlhs",
-        log2_modes=p,
-        rounds=rounds,
-    )
+    return CircuitArchitecture(mode_count=m, layers=tuple(layers), family="nlhs")
 
 
 def realize(
@@ -279,7 +282,7 @@ def path_count(arch: CircuitArchitecture, input_mode: int, output_mode: int) -> 
 
 def mode_coordinates(side_lengths: Sequence[int]) -> np.ndarray:
     """Lattice coordinates of each flattened mode index, shape (M, d)."""
-    sides = tuple(int(s) for s in side_lengths)
+    sides = tuple(index(s) for s in side_lengths)
     m = math.prod(sides)
     return np.stack(np.unravel_index(np.arange(m), sides), axis=1)
 
@@ -364,27 +367,3 @@ def arch_to_dict(arch: CircuitArchitecture) -> dict:
         d["rounds"] = arch.rounds
     return d
 
-
-def arch_from_dict(d: dict) -> CircuitArchitecture:
-    """Rebuild an architecture from its dictionary form, revalidating invariants."""
-    layers = tuple(
-        Layer(tuple(GateSlot(int(a), int(b)) for a, b in layer)) for layer in d["layers"]
-    )
-    side = d.get("side_lengths")
-    return CircuitArchitecture(
-        mode_count=int(d["mode_count"]),
-        layers=layers,
-        family=d.get("family", "custom"),
-        dimension=d.get("dimension"),
-        side_lengths=tuple(int(s) for s in side) if side is not None else None,
-        log2_modes=d.get("log2_modes"),
-        rounds=d.get("rounds"),
-    )
-
-
-def arch_to_json(arch: CircuitArchitecture) -> str:
-    return json.dumps(arch_to_dict(arch), sort_keys=True)
-
-
-def arch_from_json(text: str) -> CircuitArchitecture:
-    return arch_from_dict(json.loads(text))

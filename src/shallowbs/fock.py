@@ -275,7 +275,7 @@ def count_permitted_fbs_effective(
     clipped box is wider than the size the formula assumes, so only
     ``exact_count`` is authoritative here.
     """
-    if arch.family != "local-parallel" or arch.side_lengths is None:
+    if arch.side_lengths is None:
         raise ValueError("effective counting requires a local-parallel lattice")
     t, cones = _input_cones(arch, input_modes, depth)
     d = len(arch.side_lengths)

@@ -59,6 +59,11 @@ __all__ = [
 ]
 
 
+def _check_k_inputs(modes: int, k_inputs: int) -> None:
+    if not 1 <= k_inputs <= modes:
+        raise ValueError(f"need 1 <= k_inputs <= modes, got k_inputs={k_inputs}, modes={modes}")
+
+
 @dataclass(frozen=True)
 class GbsConfig:
     """Gaussian-sampling experiment shape: mode, source and photon-pair counts.
@@ -74,10 +79,7 @@ class GbsConfig:
     pairs: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k_inputs <= self.modes:
-            raise ValueError(
-                f"need 1 <= k_inputs <= modes, got k_inputs={self.k_inputs}, modes={self.modes}"
-            )
+        _check_k_inputs(self.modes, self.k_inputs)
         if self.pairs < 0 or self.pairs > self.k_inputs:
             raise ValueError(
                 f"need 0 <= pairs <= k_inputs, got pairs={self.pairs}, k_inputs={self.k_inputs}"
@@ -90,6 +92,7 @@ class GbsConfig:
         """Choose r so the mean photon number K sinh^2(r) equals 2 * pairs."""
         if pairs < 1:
             raise ValueError(f"need at least one pair to match squeezing, got {pairs}")
+        _check_k_inputs(modes, k_inputs)
         r = math.asinh(math.sqrt(2.0 * pairs / k_inputs))
         return cls(modes=modes, k_inputs=k_inputs, squeeze_r=r, pairs=pairs)
 
@@ -203,7 +206,7 @@ def page_curve(
     sigma0 = smsv_covariance(GbsConfig(modes, modes, squeeze_r, 0))
     if samples < 2:
         raise ValueError(f"need at least two samples, got {samples}")
-    sizes = list(range(1, modes)) if subsystem_sizes is None else [int(k) for k in subsystem_sizes]
+    sizes = list(range(1, modes)) if subsystem_sizes is None else [index(k) for k in subsystem_sizes]
     if any(not 1 <= k <= modes - 1 for k in sizes):
         raise ValueError(f"subsystem sizes must lie in [1, {modes - 1}], got {sizes}")
 
@@ -329,8 +332,8 @@ def count_permitted_gbs(
         caps = (min(math.comb(e + k - 1, k), math.comb(fed + 2 * k - 1, 2 * k)) for k in range(1, n + 1))
         _check_build(((e, cap) for cap in caps), guard)
 
-    if arch.family == "local-parallel" and arch.dimension is not None:
-        d = arch.dimension
+    if arch.side_lengths is not None:
+        d = len(arch.side_lengths)
         per_pair = (4.0 * depth / d) ** d
     else:
         # largest round-trip cone |L_D(L_D^t(j))| over anchor modes j: the

@@ -73,13 +73,9 @@ def density_function(samples: Sequence[float], n_buckets: int) -> DensityCurve:
         raise ValueError(
             f"bucket count must lie in [1, {total}] for {total} samples, got {n_buckets}"
         )
-    base, rem = divmod(total, n_buckets)
     buckets = []
-    start = 0
-    for i in range(n_buckets):
-        size = base + (1 if i < rem else 0)
-        chunk = values[start : start + size]
-        start += size
+    for chunk in np.array_split(values, n_buckets):
+        size = chunk.size
         lo, hi = float(chunk[0]), float(chunk[-1])
         width = hi - lo
         density = (size / total) / width if width > 0 else None

@@ -5,8 +5,6 @@ from shallowbs.arch import (
     CircuitArchitecture,
     GateSlot,
     Layer,
-    arch_from_json,
-    arch_to_json,
     backward_lightcone,
     build_local_parallel,
     build_nlhs,
@@ -47,6 +45,7 @@ def test_brickwork_1d_cycle_repeats():
 def test_brickwork_2d_with_short_axis():
     """A side of length 2 has no odd-offset gates, leaving that step empty."""
     arch = build_local_parallel(2, [2, 3], 4)
+    assert (arch.dimension, arch.log2_modes, arch.rounds) == (2, None, None)
     assert layer_pairs(arch) == [
         [(0, 3), (1, 4), (2, 5)],
         [],
@@ -64,6 +63,8 @@ def test_brickwork_validation():
         build_local_parallel(1, [1], 1)
     with pytest.raises(ValueError):
         build_local_parallel(1, [4], -1)
+    with pytest.raises(TypeError):
+        build_local_parallel(1, [8.7], 2)
 
 
 def test_nlhs_two_qubit_layers():
@@ -101,8 +102,16 @@ def test_architecture_rejects_bad_slots():
         CircuitArchitecture(4, (Layer((GateSlot(2, 2),)),))
     with pytest.raises(ValueError):
         CircuitArchitecture(4, (Layer((GateSlot(0, 4),)),))
-    with pytest.raises(ValueError):
-        CircuitArchitecture(4, (), side_lengths=(3,))
+    with pytest.raises(ValueError, match="do not fill"):
+        CircuitArchitecture(4, (), family="local-parallel", side_lengths=(3,))
+    with pytest.raises(ValueError, match="exactly for local-parallel"):
+        CircuitArchitecture(4, (), family="local-parallel")
+    with pytest.raises(ValueError, match="exactly for local-parallel"):
+        CircuitArchitecture(8, (), family="nlhs", side_lengths=(2, 4))
+    with pytest.raises(ValueError, match="power-of-two"):
+        CircuitArchitecture(6, (), family="nlhs")
+    with pytest.raises(ValueError, match="power-of-two"):
+        CircuitArchitecture(1, (), family="nlhs")
 
 
 def test_realize_is_unitary_and_deterministic():
@@ -239,6 +248,8 @@ def test_mode_coordinates_row_major():
     np.testing.assert_array_equal(
         coords, [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
     )
+    with pytest.raises(TypeError):
+        mode_coordinates([2.9, 2])
 
 
 def test_effective_lightcone_radius_values():
@@ -288,11 +299,3 @@ def test_truncate_keeps_near_entries():
                 assert trunc[i, j] == u[i, j]
             else:
                 assert trunc[i, j] == 0
-
-
-def test_arch_json_round_trip():
-    for arch in (build_local_parallel(2, [2, 3], 4), build_nlhs(3, 2)):
-        again = arch_from_json(arch_to_json(arch))
-        assert again == arch
-        assert again.family == arch.family
-        assert layer_pairs(again) == layer_pairs(arch)

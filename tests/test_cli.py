@@ -233,12 +233,64 @@ def test_nlhs_depth_checked_only_where_read(tmp_path):
 
 def test_import_does_not_load_networkx():
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, shallowbs; print('networkx' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, shallowbs, shallowbs.cli; print('networkx' in sys.modules, 'scipy' in sys.modules)"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["arch-info", "--ensemble", "haar", "--modes", "4"], None,
+         "arch-info needs a gate architecture; the haar ensemble has none"),
+        (["permitted-count"] + _NLHS + ["--photons", "2", "--effective", "--lambda", "0.5",
+                                        "--beta", "0.5"], None,
+         "effective clipping requires the local-parallel ensemble"),
+        (["permitted-count"] + _CHAIN + ["--scheme", "gbs", "--pairs", "1", "--effective",
+                                         "--lambda", "0.5", "--beta", "0.5"], None,
+         "effective clipping applies to the fbs scheme only"),
+        (["density-gbs", "--ensemble", "haar", "--modes", "6", "--photons", "3"], None,
+         "density-gbs needs an even photon number, got 3"),
+        (["density-fbs", "--ensemble", "haar", "--modes", "4", "--photons", "5"], None,
+         "photon number exceeds mode count for collision-free patterns"),
+        (["density-fbs", "--ensemble", "haar", "--modes", "6", "--photons", "2",
+          "--samples", "5", "--buckets", "6"], None, "more buckets than samples"),
+        (["page-curve", "--ensemble", "haar", "--modes", "1"], None,
+         "page-curve needs at least two modes"),
+        (["hiding", "--kind", "gbs", "--modes", "8", "--photons", "3"], None,
+         "gbs hiding needs an even photon number, got 3"),
+        (["arch-info", "--ensemble", "local-parallel", "--modes", "8", "--dim", "2",
+          "--depth", "2"], None, "--sides is required for lattices with dim > 1"),
+        (["arch-info", "--ensemble", "local-parallel", "--modes", "8", "--depth", "0"], None,
+         "--depth must be positive, got 0"),
+        (["arch-info"], [1, 2], "config file: top level must be a JSON object"),
+        (["arch-info"], _MISSING, "No such file or directory"),
+    ],
+    ids=["arch-info-haar", "effective-nlhs", "effective-gbs", "density-gbs-odd",
+         "density-fbs-photons-over-modes", "buckets-over-samples", "page-curve-one-mode",
+         "hiding-gbs-odd", "dim-without-sides", "depth-zero", "config-list", "config-missing"],
+)
+def test_invalid_config_diagnostics_exit_2(tmp_path, capsys, argv, config, message):
+    out = tmp_path / "x.out"
+    argv = argv + ["--seed", "1", "--out", str(out)]
+    if config is not None:
+        cfg_file = tmp_path / "cfg.json"
+        if config is not _MISSING:
+            cfg_file.write_text(json.dumps(config))
+        argv += ["--config", str(cfg_file)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-config"
+    assert any(message in d for d in err["diagnostics"]), err["diagnostics"]
+    assert not out.exists()
+    assert not (tmp_path / "x.out.manifest.json").exists()
 
 
 _HIDING = ["hiding", "--seed", "1", "--kind", "fbs", "--modes", "4", "--photons", "2"]

@@ -39,6 +39,9 @@ def test_gbs_config_validation():
     with pytest.raises(ValueError):
         GbsConfig(4, 2, 0.0, 1)
     assert GbsConfig(4, 2, 0.4, 0).pairs == 0
+    for k_inputs in (0, -1):
+        with pytest.raises(ValueError, match="need 1 <= k_inputs <= modes"):
+            GbsConfig.with_matched_squeezing(8, k_inputs, 1)
 
 
 def test_matched_squeezing_mean_photons():
@@ -174,6 +177,8 @@ def test_page_curve_validation():
         page_curve(sampler, 4, 0.4, 1, RngStream(0, 0))
     with pytest.raises(ValueError):
         page_curve(sampler, 4, 0.4, 10, RngStream(0, 0), subsystem_sizes=[4])
+    with pytest.raises(TypeError):
+        page_curve(sampler, 4, 0.4, 10, RngStream(0, 0), subsystem_sizes=[1.7])
     with pytest.raises(ValueError, match="squeezing must be positive, got 0.0"):
         page_curve(sampler, 4, 0.0, 10, RngStream(0, 0))
 
