@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 from shallowbs import (
-    GbsConfig,
     RngStream,
     enumerate_outcomes,
     fbs_probability,
@@ -32,14 +31,14 @@ for s, p in probs[:5]:
     print(f"  {s}: {p:.5f}")
 print("  ...")
 
-cfg = GbsConfig(modes=4, k_inputs=4, squeeze_r=0.5, pairs=1)
+r = 0.5
 u4 = haar_unitary(4, RngStream(22))
-scale = math.tanh(cfg.squeeze_r) ** 2 / math.cosh(cfg.squeeze_r) ** 4
+scale = math.tanh(r) ** 2 / math.cosh(r) ** 4
 print("\nsqueezed light, one photon pair over 4 modes:")
 sector = 0.0
 for s in enumerate_outcomes(4, 2):
-    p = gbs_unnormalized_probability(u4, cfg, s) * scale
+    p = gbs_unnormalized_probability(u4, range(4), s) * scale
     sector += p
     print(f"  {s}: p = {p:.5f}")
 print(f"  sector total {sector:.6f} vs closed-form pair marginal "
-      f"{photon_pair_marginal(cfg, 1):.6f}")
+      f"{photon_pair_marginal(4, r, 1):.6f}")

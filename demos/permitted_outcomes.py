@@ -6,7 +6,6 @@ depth grows, then prints the closed-form depth thresholds separating the
 forbidden-dominated and concentrated regimes.
 """
 from shallowbs import (
-    GbsConfig,
     build_local_parallel,
     count_permitted_fbs,
     count_permitted_gbs,
@@ -26,12 +25,12 @@ for depth in range(1, 7):
 print(f"  ({rep.total_outcomes} outcomes in total; the ratio climbs toward 1 "
       "once cones overlap)")
 
-cfg = GbsConfig(modes=M, k_inputs=M, squeeze_r=0.4, pairs=2)
-print(f"\nsqueezed light: {cfg.pairs} pairs, every mode a source")
+PAIRS = 2
+print(f"\nsqueezed light: {PAIRS} pairs, every mode a source")
 print(f"{'depth':>5} {'permitted':>9} {'bound':>9}")
 for depth in range(1, 5):
     arch = build_local_parallel(1, [M], depth)
-    rep = count_permitted_gbs(arch, cfg, depth=depth)
+    rep = count_permitted_gbs(arch, range(M), PAIRS, depth)
     print(f"{depth:>5} {rep.exact_count:>9} {rep.upper_bound:>9.0f}")
 
 print("\ndepth thresholds at N = 16 photons, M = 2 N^1.2, d = 1:")

@@ -37,7 +37,6 @@ from .fock import (
     outcome_count,
 )
 from .gaussian import (
-    GbsConfig,
     count_permitted_gbs,
     evolve_covariance,
     gbs_depth_thresholds,

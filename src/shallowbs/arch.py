@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 
+_FAMILIES = ("local-parallel", "nlhs", "custom")
+
+
 class GateSlot(NamedTuple):
     """One two-mode gate position; ``a < b`` by construction."""
 
@@ -75,6 +78,13 @@ class CircuitArchitecture:
     side_lengths: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
+        if self.family not in _FAMILIES:
+            raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
+        if self.side_lengths is not None:
+            sides = tuple(index(s) for s in self.side_lengths)
+            if any(s < 2 for s in sides):
+                raise ValueError(f"every side length must be at least 2, got {sides}")
+            object.__setattr__(self, "side_lengths", sides)
         if self.mode_count < 1:
             raise ValueError(f"mode count must be positive, got {self.mode_count}")
         for li, layer in enumerate(self.layers):
@@ -146,8 +156,6 @@ def build_local_parallel(
             f"expected {dimension} side lengths, got {len(side_lengths)}"
         )
     sides = tuple(index(s) for s in side_lengths)
-    if any(s < 2 for s in sides):
-        raise ValueError(f"every side length must be at least 2, got {sides}")
     if depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
     m = math.prod(sides)

@@ -49,12 +49,7 @@ from .fock import (
     count_permitted_fbs_effective,
     fbs_depth_thresholds,
 )
-from .gaussian import (
-    GbsConfig,
-    count_permitted_gbs,
-    gbs_depth_thresholds,
-    page_curve,
-)
+from .gaussian import count_permitted_gbs, gbs_depth_thresholds, page_curve
 from .linalg import RngStream, haar_unitary
 from .matfn import GuardError
 from .stats import (
@@ -408,10 +403,8 @@ def _run_permitted_count(cfg: dict, master: RngStream) -> dict:
         else:
             report = count_permitted_fbs(arch, pattern, depth)
     else:
-        k = cfg.get("k_inputs") or arch.mode_count
-        gbs_cfg = GbsConfig.with_matched_squeezing(arch.mode_count, k, cfg["pairs"])
-        pattern = cfg.get("input") or list(range(k))
-        report = count_permitted_gbs(arch, gbs_cfg, pattern, depth)
+        pattern = cfg.get("input") or list(range(cfg.get("k_inputs") or arch.mode_count))
+        report = count_permitted_gbs(arch, pattern, cfg["pairs"], depth)
     out = report.to_dict()
     out.update(
         scheme=cfg["scheme"],

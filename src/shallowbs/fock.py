@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, asdict
 from itertools import accumulate, combinations_with_replacement
 from operator import index, or_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,13 +64,11 @@ def _as_pattern(modes: Iterable[int], m: int, name: str) -> Pattern:
     return pat
 
 
-def _input_pattern(modes: Iterable[int], m: int, size: Optional[int] = None) -> Pattern:
-    """A sorted, in-range, collision-free input pattern, of ``size`` modes when given."""
+def _input_pattern(modes: Iterable[int], m: int) -> Pattern:
+    """A sorted, in-range, collision-free input pattern."""
     t = _as_pattern(modes, m, "input")
     if len(set(t)) != len(t):
         raise ValueError(f"input pattern must be collision-free, got {t}")
-    if size is not None and len(t) != size:
-        raise ValueError(f"expected {size} input modes, got pattern of {len(t)}")
     return t
 
 
@@ -107,8 +105,6 @@ def fbs_probability(
     """
     u = np.asarray(u)
     t, s = _photon_patterns(u.shape[0], input_modes, output_modes)
-    if len(t) == 0:
-        return 1.0
     sub = u[np.ix_(s, t)]
     return float(abs(permanent(sub)) ** 2 / pattern_factorial(s))
 

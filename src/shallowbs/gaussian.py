@@ -11,13 +11,16 @@ submatrices of ``B = U I_K U^T`` with I_K projecting onto the squeezed input
 modes; entry B_ab vanishes unless some input mode sits in both backward
 lightcones of a and b, which is what drives the pairing-based permitted
 counting here.
+
+Like their Fock-state counterparts, the functions take only the values they
+read: the squeezed input modes as a sorted pattern, the squeezing r, the pair
+number and the circuit or its mode count.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, asdict
 from operator import index
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -42,7 +45,6 @@ from .linalg import RngStream
 from .matfn import HAFNIAN_MAX_DIM, GuardError, hafnian
 
 __all__ = [
-    "GbsConfig",
     "smsv_covariance",
     "evolve_covariance",
     "reduced_covariance",
@@ -59,60 +61,26 @@ __all__ = [
 ]
 
 
-def _check_k_inputs(modes: int, k_inputs: int) -> None:
-    if not 1 <= k_inputs <= modes:
-        raise ValueError(f"need 1 <= k_inputs <= modes, got k_inputs={k_inputs}, modes={modes}")
+def _source_pattern(input_modes: Iterable[int], m: int) -> Pattern:
+    """A nonempty collision-free pattern of squeezed input modes on ``m`` modes."""
+    t = _input_pattern(input_modes, m)
+    if not t:
+        raise ValueError("input pattern must hold at least one squeezed mode")
+    return t
 
 
-@dataclass(frozen=True)
-class GbsConfig:
-    """Gaussian-sampling experiment shape: mode, source and photon-pair counts.
-
-    ``k_inputs`` modes carry identical single-mode squeezed vacua with
-    parameter ``squeeze_r``; outcomes of interest hold ``pairs`` photon pairs,
-    i.e. ``2 * pairs`` photons.
-    """
-
-    modes: int
-    k_inputs: int
-    squeeze_r: float
-    pairs: int
-
-    def __post_init__(self) -> None:
-        _check_k_inputs(self.modes, self.k_inputs)
-        if self.pairs < 0 or self.pairs > self.k_inputs:
-            raise ValueError(
-                f"need 0 <= pairs <= k_inputs, got pairs={self.pairs}, k_inputs={self.k_inputs}"
-            )
-        if self.squeeze_r <= 0:
-            raise ValueError(f"squeezing must be positive, got {self.squeeze_r}")
-
-    @classmethod
-    def with_matched_squeezing(cls, modes: int, k_inputs: int, pairs: int) -> "GbsConfig":
-        """Choose r so the mean photon number K sinh^2(r) equals 2 * pairs."""
-        if pairs < 1:
-            raise ValueError(f"need at least one pair to match squeezing, got {pairs}")
-        _check_k_inputs(modes, k_inputs)
-        r = math.asinh(math.sqrt(2.0 * pairs / k_inputs))
-        return cls(modes=modes, k_inputs=k_inputs, squeeze_r=r, pairs=pairs)
-
-    def input_pattern(self, m: int, input_modes: Optional[Iterable[int]] = None) -> Pattern:
-        """The ``k_inputs`` squeezed modes on an ``m``-mode circuit, the first ones by default."""
-        if m != self.modes:
-            raise ValueError(f"circuit has {m} modes, configuration has {self.modes}")
-        return _input_pattern(
-            range(self.k_inputs) if input_modes is None else input_modes, m, self.k_inputs
-        )
+def _check_squeezing(squeeze_r: float) -> None:
+    if squeeze_r <= 0:
+        raise ValueError(f"squeezing must be positive, got {squeeze_r}")
 
 
-def smsv_covariance(cfg: GbsConfig, input_modes: Optional[Iterable[int]] = None) -> np.ndarray:
-    """Covariance of K identical squeezed vacua on ``input_modes``, vacuum elsewhere."""
-    m = cfg.modes
-    modes = cfg.input_pattern(m, input_modes)
-    diag = np.ones(2 * m)
-    idx = np.array(modes, dtype=int)
-    diag[idx] = math.exp(-2.0 * cfg.squeeze_r)
-    diag[idx + m] = math.exp(2.0 * cfg.squeeze_r)
+def smsv_covariance(modes: int, input_modes: Iterable[int], squeeze_r: float) -> np.ndarray:
+    """Covariance of identical squeezed vacua on ``input_modes``, vacuum elsewhere."""
+    idx = np.array(_source_pattern(input_modes, modes), dtype=int)
+    _check_squeezing(squeeze_r)
+    diag = np.ones(2 * modes)
+    diag[idx] = math.exp(-2.0 * squeeze_r)
+    diag[idx + modes] = math.exp(2.0 * squeeze_r)
     return np.diag(diag)
 
 
@@ -203,7 +171,7 @@ def page_curve(
     """
     if modes < 2:
         raise ValueError(f"need at least two modes for a bipartition, got {modes}")
-    sigma0 = smsv_covariance(GbsConfig(modes, modes, squeeze_r, 0))
+    sigma0 = smsv_covariance(modes, range(modes), squeeze_r)
     if samples < 2:
         raise ValueError(f"need at least two samples, got {samples}")
     sizes = list(range(1, modes)) if subsystem_sizes is None else [index(k) for k in subsystem_sizes]
@@ -235,10 +203,7 @@ def _hafnian_weight(u: np.ndarray, input_modes: Pattern, output_modes: Pattern) 
 
 
 def gbs_unnormalized_probability(
-    u: np.ndarray,
-    cfg: GbsConfig,
-    output_modes: Iterable[int],
-    input_modes: Optional[Iterable[int]] = None,
+    u: np.ndarray, input_modes: Iterable[int], output_modes: Iterable[int]
 ) -> float:
     """Relative weight |Haf(B_s)|^2 / s! of an even outcome within its photon sector.
 
@@ -248,8 +213,8 @@ def gbs_unnormalized_probability(
     u = np.asarray(u)
     m = u.shape[0]
     if u.shape != (m, m):
-        raise ValueError(f"matrix shape {u.shape} does not match {cfg.modes} modes")
-    t = cfg.input_pattern(m, input_modes)
+        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    t = _source_pattern(input_modes, m)
     s = _as_pattern(output_modes, m, "output")
     if len(s) % 2 != 0:
         raise ValueError(f"outcome must hold an even photon number, got {len(s)}")
@@ -267,7 +232,6 @@ def _source_masks(
 
 def is_permitted_gbs(
     arch: CircuitArchitecture,
-    cfg: GbsConfig,
     input_modes: Iterable[int],
     output_modes: Iterable[int],
     depth: int,
@@ -280,7 +244,7 @@ def is_permitted_gbs(
     those pairings, so the outcome is permitted when it is nonzero.  The
     hafnian's dimension guard caps the outcome at ``HAFNIAN_MAX_DIM`` photons.
     """
-    t = cfg.input_pattern(arch.mode_count, input_modes)
+    t = _source_pattern(input_modes, arch.mode_count)
     s = _as_pattern(output_modes, arch.mode_count, "output")
     if len(s) % 2 != 0:
         raise ValueError(f"outcome must hold an even photon number, got {len(s)}")
@@ -293,9 +257,9 @@ def is_permitted_gbs(
 
 def count_permitted_gbs(
     arch: CircuitArchitecture,
-    cfg: GbsConfig,
-    input_modes: Optional[Iterable[int]] = None,
-    depth: Optional[int] = None,
+    input_modes: Iterable[int],
+    pairs: int,
+    depth: int,
     guard: int = ENUMERATION_GUARD,
 ) -> PermittedCountReport:
     """Count permitted even outcomes and report the pairing-count bound.
@@ -317,10 +281,10 @@ def count_permitted_gbs(
     sources on every mode and so stays valid, if loose, for restricted inputs.
     """
     m = arch.mode_count
-    t = cfg.input_pattern(m, input_modes)
-    if depth is None:
-        depth = arch.depth
-    n = cfg.pairs
+    t = _source_pattern(input_modes, m)
+    if not 0 <= pairs <= len(t):
+        raise ValueError(f"need 0 <= pairs <= {len(t)} squeezed inputs, got pairs={pairs}")
+    n = pairs
     back, sources = _source_masks(arch, t, depth)
     fed = sum(1 for mask in sources if mask)
     allowed: list[Pattern] = []
@@ -367,16 +331,19 @@ def gbs_permitted_ratio_bound(
     ) ** n
 
 
-def photon_pair_marginal(cfg: GbsConfig, pairs: int) -> float:
+def photon_pair_marginal(k_inputs: int, squeeze_r: float, pairs: int) -> float:
     """Probability that K identical squeezed vacua hold exactly ``pairs`` photon pairs.
 
     Negative-binomial law ``C(K/2 + n - 1, n) tanh(r)^{2n} / cosh(r)^K``.  Odd
     source counts use the Gamma-function extension of the binomial weight,
     which goes beyond the closed-form derivation, so they raise a warning.
     """
+    if k_inputs < 1:
+        raise ValueError(f"need at least one squeezed source, got {k_inputs}")
+    _check_squeezing(squeeze_r)
     if pairs < 0:
         raise ValueError(f"pair number must be non-negative, got {pairs}")
-    k, r, n = cfg.k_inputs, cfg.squeeze_r, pairs
+    k, r, n = k_inputs, squeeze_r, pairs
     if k % 2 != 0:
         warnings.warn(
             "odd source count: pair marginal uses the Gamma extension of the binomial weight",

@@ -15,7 +15,6 @@ import pytest
 from scipy.stats import ks_2samp
 
 from shallowbs import (
-    GbsConfig,
     RngStream,
     build_local_parallel,
     build_nlhs,
@@ -112,13 +111,12 @@ def _nullity_fbs_instances():
 
 def _nullity_gbs_instances():
     rng = RngStream(301)
-    cfg = GbsConfig(modes=8, k_inputs=8, squeeze_r=0.4, pairs=2)
     depths = [1] * 7 + [2] * 7 + [3] * 6
     out = []
     for i, depth in enumerate(depths):
         arch = build_local_parallel(1, [8], depth)
         out.append((arch, depth, realize(arch, rng.derive(i))))
-    return cfg, out
+    return out
 
 
 def test_03_lightcone_nullity(criterion):
@@ -136,14 +134,14 @@ def test_03_lightcone_nullity(criterion):
     if worst >= 1e-12:
         fails.append(f"forbidden single-photon outcome carries probability {worst:.2e}")
 
-    cfg, gbs = _nullity_gbs_instances()
+    gbs = _nullity_gbs_instances()
     gbs_forbidden = 0
     gbs_worst = 0.0
     for arch, depth, u in gbs:
         for s in enumerate_outcomes(8, 4):
-            if not is_permitted_gbs(arch, cfg, range(8), s, depth):
+            if not is_permitted_gbs(arch, range(8), s, depth):
                 gbs_forbidden += 1
-                gbs_worst = max(gbs_worst, gbs_unnormalized_probability(u, cfg, s))
+                gbs_worst = max(gbs_worst, gbs_unnormalized_probability(u, range(8), s))
     if gbs_forbidden == 0:
         fails.append("no forbidden squeezed-light outcome was exercised")
     if gbs_worst >= 1e-12:
@@ -165,9 +163,8 @@ def test_04_count_bound_dominance(criterion):
         if rep.exact_count > bound:
             fails.append(f"exact {rep.exact_count} > bound {bound} for input {inp} depth {depth}")
         checked += 1
-    cfg, gbs = _nullity_gbs_instances()
-    for arch, depth, _ in gbs:
-        rep = count_permitted_gbs(arch, cfg, depth=depth)
+    for arch, depth, _ in _nullity_gbs_instances():
+        rep = count_permitted_gbs(arch, range(8), 2, depth)
         bound = round(rep.upper_bound)
         if rep.upper_bound != bound:
             fails.append(f"non-integer pairing bound {rep.upper_bound} at depth {depth}")
@@ -324,7 +321,6 @@ def test_10_gbs_fock_oracle(criterion):
     worst_mass = 0.0
     for pairs in range(0, 4):
         total = 2 * pairs
-        cfg = GbsConfig(modes=m, k_inputs=k_in, squeeze_r=r, pairs=pairs)
         inputs = [occ for occ in even_occs if sum(occ) == total]
         outcomes = list(enumerate_outcomes(m, total))
         oracle = np.empty(len(outcomes))
@@ -338,10 +334,10 @@ def test_10_gbs_fock_oracle(criterion):
                 amp += c_in * permanent(select_submatrix(u, s, t_pat)) / math.sqrt(
                     pattern_factorial(s) * pattern_factorial(t_pat))
             oracle[idx] = abs(amp) ** 2
-            direct[idx] = gbs_unnormalized_probability(u, cfg, s) * scale
+            direct[idx] = gbs_unnormalized_probability(u, range(k_in), s) * scale
         worst_ratio = max(worst_ratio, float(np.max(
             np.abs(oracle / oracle.sum() - direct / direct.sum()) / (direct / direct.sum()))))
-        marginal = photon_pair_marginal(cfg, pairs)
+        marginal = photon_pair_marginal(k_in, r, pairs)
         worst_mass = max(worst_mass, abs(oracle.sum() - marginal) / marginal)
     if worst_ratio > 1e-6:
         fails.append(f"sector probability ratios disagree by {worst_ratio:.2e}")

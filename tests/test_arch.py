@@ -112,6 +112,12 @@ def test_architecture_rejects_bad_slots():
         CircuitArchitecture(6, (), family="nlhs")
     with pytest.raises(ValueError, match="power-of-two"):
         CircuitArchitecture(1, (), family="nlhs")
+    with pytest.raises(ValueError, match="family must be one of"):
+        CircuitArchitecture(8, build_nlhs(3, 1).layers, family="NLHS")
+    with pytest.raises(TypeError):
+        CircuitArchitecture(4, (), family="local-parallel", side_lengths=(2.0, 2.0))
+    with pytest.raises(ValueError, match="every side length must be at least 2"):
+        CircuitArchitecture(4, (), family="local-parallel", side_lengths=(1, 4))
 
 
 def test_realize_is_unitary_and_deterministic():

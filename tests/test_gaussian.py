@@ -13,7 +13,6 @@ from shallowbs.arch import (
 )
 from shallowbs.fock import GuardError, enumerate_outcomes
 from shallowbs.gaussian import (
-    GbsConfig,
     count_permitted_gbs,
     evolve_covariance,
     gbs_depth_thresholds,
@@ -31,37 +30,41 @@ from shallowbs.gaussian import (
 from shallowbs.linalg import RngStream, haar_unitary
 
 
-def test_gbs_config_validation():
-    with pytest.raises(ValueError):
-        GbsConfig(4, 5, 0.4, 1)
-    with pytest.raises(ValueError):
-        GbsConfig(4, 2, 0.4, 3)
-    with pytest.raises(ValueError):
-        GbsConfig(4, 2, 0.0, 1)
-    assert GbsConfig(4, 2, 0.4, 0).pairs == 0
+def test_gaussian_functions_refuse_bad_values():
+    arch = build_local_parallel(1, [4], 2)
+    u = np.eye(4, dtype=complex)
+    for refused in (
+        lambda: smsv_covariance(4, (), 0.4),
+        lambda: gbs_unnormalized_probability(u, (), (0, 0)),
+        lambda: is_permitted_gbs(arch, (), (0, 0), 2),
+        lambda: count_permitted_gbs(arch, (), 0, 2),
+    ):
+        with pytest.raises(ValueError, match="at least one squeezed mode"):
+            refused()
+    with pytest.raises(ValueError, match="need 0 <= pairs <= 2"):
+        count_permitted_gbs(arch, (0, 1), 3, 2)
+    with pytest.raises(ValueError, match="got pairs=-1"):
+        count_permitted_gbs(arch, (0, 1), -1, 2)
+    assert count_permitted_gbs(arch, (0, 1), 0, 2).exact_count == 1
+    for squeeze_r in (0.0, -0.4):
+        with pytest.raises(ValueError, match=f"squeezing must be positive, got {squeeze_r}"):
+            smsv_covariance(4, (0, 1), squeeze_r)
+        with pytest.raises(ValueError, match=f"squeezing must be positive, got {squeeze_r}"):
+            photon_pair_marginal(2, squeeze_r, 1)
     for k_inputs in (0, -1):
-        with pytest.raises(ValueError, match="need 1 <= k_inputs <= modes"):
-            GbsConfig.with_matched_squeezing(8, k_inputs, 1)
-
-
-def test_matched_squeezing_mean_photons():
-    for modes, k, pairs in ((8, 8, 2), (16, 4, 3)):
-        cfg = GbsConfig.with_matched_squeezing(modes, k, pairs)
-        np.testing.assert_allclose(
-            k * math.sinh(cfg.squeeze_r) ** 2, 2.0 * pairs, rtol=1e-12
-        )
+        with pytest.raises(ValueError, match="at least one squeezed source"):
+            photon_pair_marginal(k_inputs, 0.4, 1)
 
 
 def test_smsv_covariance_structure():
-    cfg = GbsConfig(3, 2, 0.5, 1)
-    sigma = smsv_covariance(cfg, (0, 2))
+    sigma = smsv_covariance(3, (0, 2), 0.5)
     expect = np.diag(
         [math.exp(-1.0), 1.0, math.exp(-1.0), math.exp(1.0), 1.0, math.exp(1.0)]
     )
     np.testing.assert_allclose(sigma, expect, rtol=1e-12)
     np.testing.assert_allclose(np.linalg.det(sigma), 1.0, rtol=1e-12)
     with pytest.raises(ValueError):
-        smsv_covariance(cfg, (0, 1, 2))
+        smsv_covariance(3, (0, 0, 2), 0.5)
 
 
 def test_symplectic_from_unitary_properties():
@@ -82,8 +85,7 @@ def test_symplectic_from_unitary_properties():
 def test_evolve_covariance_keeps_vacuum_and_purity():
     u = haar_unitary(4, RngStream(5, 1))
     np.testing.assert_allclose(evolve_covariance(np.eye(8), u), np.eye(8), atol=1e-12)
-    cfg = GbsConfig(4, 4, 0.3, 1)
-    sigma = evolve_covariance(smsv_covariance(cfg), u)
+    sigma = evolve_covariance(smsv_covariance(4, range(4), 0.3), u)
     np.testing.assert_allclose(np.linalg.det(sigma), 1.0, rtol=1e-10)
     assert is_valid_covariance(sigma)
     with pytest.raises(ValueError):
@@ -134,8 +136,7 @@ def test_renyi2_entropy_two_mode_squeezed():
 def test_entropy_complement_symmetry_exact():
     # a pure Gaussian state has equal subsystem entropies across any cut
     u = haar_unitary(6, RngStream(8, 4))
-    cfg = GbsConfig(6, 6, 0.4, 1)
-    sigma = evolve_covariance(smsv_covariance(cfg), u)
+    sigma = evolve_covariance(smsv_covariance(6, range(6), 0.4), u)
     for subset in ([0], [0, 3], [1, 2, 5]):
         complement = [i for i in range(6) if i not in subset]
         np.testing.assert_allclose(
@@ -184,25 +185,23 @@ def test_page_curve_validation():
 
 
 def test_gbs_probability_single_source_identity_circuit():
-    cfg = GbsConfig(3, 1, 0.7, 1)
     u = np.eye(3, dtype=complex)
     np.testing.assert_allclose(
-        gbs_unnormalized_probability(u, cfg, (0, 0)), 0.5, rtol=1e-12
+        gbs_unnormalized_probability(u, (0,), (0, 0)), 0.5, rtol=1e-12
     )
-    assert gbs_unnormalized_probability(u, cfg, (0, 1)) == 0.0
-    assert gbs_unnormalized_probability(u, cfg, (1, 1)) == 0.0
-    assert gbs_unnormalized_probability(u, cfg, ()) == 1.0
+    assert gbs_unnormalized_probability(u, (0,), (0, 1)) == 0.0
+    assert gbs_unnormalized_probability(u, (0,), (1, 1)) == 0.0
+    assert gbs_unnormalized_probability(u, (0,), ()) == 1.0
     with pytest.raises(ValueError):
-        gbs_unnormalized_probability(u, cfg, (0,))
+        gbs_unnormalized_probability(u, (0,), (0,))
 
 
 def test_gbs_probability_balanced_beamsplitter_antibunches():
     """U U^T = I for the real balanced splitter, so split pairs are forbidden."""
-    cfg = GbsConfig(2, 2, 0.5, 1)
     u = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    assert gbs_unnormalized_probability(u, cfg, (0, 1)) < 1e-15
+    assert gbs_unnormalized_probability(u, (0, 1), (0, 1)) < 1e-15
     np.testing.assert_allclose(
-        gbs_unnormalized_probability(u, cfg, (0, 0)), 0.5, rtol=1e-12
+        gbs_unnormalized_probability(u, (0, 1), (0, 0)), 0.5, rtol=1e-12
     )
 
 
@@ -245,8 +244,7 @@ def test_is_permitted_gbs_against_brute_force():
             sources = source_sets(arch, t, depth)
             outcome = tuple(sorted(gen.integers(0, m, size=2 * pairs).tolist()))
             expect = pairing_exists_brute_force(sources, outcome)
-            cfg = GbsConfig(m, k, 0.4, pairs)
-            assert is_permitted_gbs(arch, cfg, t, outcome, depth) == expect
+            assert is_permitted_gbs(arch, t, outcome, depth) == expect
             seen.add(expect)
     assert seen == {True, False}
 
@@ -262,13 +260,12 @@ def test_is_permitted_gbs_many_photons():
     dead = [mode for mode in range(16) if not sources[mode]]
     assert dead
     for pairs in (7, 8):
-        cfg = GbsConfig(16, 8, 0.4, pairs)
         for _ in range(20):
             picks = gen.integers(0, len(allowed), size=pairs)
             outcome = sorted(mode for i in picks for mode in allowed[i])
-            assert is_permitted_gbs(arch, cfg, t, outcome, 2)
+            assert is_permitted_gbs(arch, t, outcome, 2)
             outcome[int(gen.integers(0, 2 * pairs))] = int(gen.choice(dead))
-            assert not is_permitted_gbs(arch, cfg, t, sorted(outcome), 2)
+            assert not is_permitted_gbs(arch, t, sorted(outcome), 2)
 
 
 def test_count_permitted_gbs_against_brute_force():
@@ -285,57 +282,43 @@ def test_count_permitted_gbs_against_brute_force():
                 pairing_exists_brute_force(sources, s)
                 for s in enumerate_outcomes(m, 2 * pairs)
             )
-            report = count_permitted_gbs(arch, GbsConfig(m, k, 0.4, pairs), t, depth)
+            report = count_permitted_gbs(arch, t, pairs, depth)
             assert report.exact_count == expect
 
 
 def test_is_permitted_gbs_frozen_chain():
     arch = build_local_parallel(1, [8], 1)
-    cfg = GbsConfig(8, 8, 0.4, 1)
     t = tuple(range(8))
-    assert is_permitted_gbs(arch, cfg, t, (0, 1), 1)
-    assert is_permitted_gbs(arch, cfg, t, (0, 0), 1)
-    assert not is_permitted_gbs(arch, cfg, t, (0, 5), 1)
-    cfg2 = GbsConfig(8, 8, 0.4, 2)
-    assert is_permitted_gbs(arch, cfg2, t, (0, 1, 2, 3), 1)
-    assert not is_permitted_gbs(arch, cfg2, t, (0, 1, 2, 5), 1)
+    assert is_permitted_gbs(arch, t, (0, 1), 1)
+    assert is_permitted_gbs(arch, t, (0, 0), 1)
+    assert not is_permitted_gbs(arch, t, (0, 5), 1)
+    assert is_permitted_gbs(arch, t, (0, 1, 2, 3), 1)
+    assert not is_permitted_gbs(arch, t, (0, 1, 2, 5), 1)
 
 
 def test_is_permitted_gbs_respects_input_support():
     arch = build_local_parallel(1, [8], 1)
-    cfg = GbsConfig(8, 2, 0.4, 1)
-    assert not is_permitted_gbs(arch, cfg, (0, 1), (6, 7), 1)
-    assert is_permitted_gbs(arch, cfg, (6, 7), (6, 7), 1)
-
-
-def test_permitted_gbs_rejects_config_of_other_mode_count():
-    arch = build_local_parallel(1, [8], 2)
-    cfg = GbsConfig(4, 2, 0.5, 1)
-    with pytest.raises(ValueError, match="circuit has 8 modes"):
-        count_permitted_gbs(arch, cfg)
-    with pytest.raises(ValueError, match="circuit has 8 modes"):
-        is_permitted_gbs(arch, cfg, (0, 1), (0, 1), 2)
+    assert not is_permitted_gbs(arch, (0, 1), (6, 7), 1)
+    assert is_permitted_gbs(arch, (6, 7), (6, 7), 1)
 
 
 def test_forbidden_gbs_outcomes_carry_no_probability():
     arch = build_local_parallel(1, [8], 1)
-    cfg = GbsConfig(8, 8, 0.4, 2)
     t = tuple(range(8))
     for i in range(2):
         u = realize(arch, RngStream(83, i))
         for s in enumerate_outcomes(8, 4):
-            if not is_permitted_gbs(arch, cfg, t, s, 1):
-                assert gbs_unnormalized_probability(u, cfg, s) < 1e-12
+            if not is_permitted_gbs(arch, t, s, 1):
+                assert gbs_unnormalized_probability(u, t, s) < 1e-12
 
 
 def test_count_permitted_gbs_frozen_and_support():
     """Exact counts cross-checked against the nonzero-probability support."""
-    cfg = GbsConfig(8, 8, 0.4, 2)
     t = tuple(range(8))
     expected = {1: (74, 144.0), 2: (219, 576.0), 3: (314, 1296.0)}
     for depth, (count, bound) in expected.items():
         arch = build_local_parallel(1, [8], depth)
-        report = count_permitted_gbs(arch, cfg, t, depth)
+        report = count_permitted_gbs(arch, t, 2, depth)
         assert report.exact_count == count
         assert report.upper_bound == bound
         assert report.total_outcomes == 330
@@ -344,33 +327,31 @@ def test_count_permitted_gbs_frozen_and_support():
         support = sum(
             1
             for s in enumerate_outcomes(8, 4)
-            if gbs_unnormalized_probability(u, cfg, s) > 1e-12
+            if gbs_unnormalized_probability(u, t, s) > 1e-12
         )
         assert support == count
 
 
 def test_count_permitted_gbs_nlhs_fallback_bound():
     arch = build_nlhs(3, 1)
-    report = count_permitted_gbs(arch, GbsConfig(8, 8, 0.4, 2), tuple(range(8)), None)
+    report = count_permitted_gbs(arch, tuple(range(8)), 2, arch.depth)
     assert report.exact_count == report.total_outcomes == 330
     assert report.exact_count <= report.upper_bound == 576.0
 
 
 def test_count_permitted_gbs_guard():
     arch = build_nlhs(7, 1)
-    cfg = GbsConfig(128, 128, 0.4, 4)
     with pytest.raises(GuardError):
-        count_permitted_gbs(arch, cfg, tuple(range(128)), None, guard=10**6)
+        count_permitted_gbs(arch, tuple(range(128)), 4, arch.depth, guard=10**6)
 
 
 def test_count_permitted_gbs_guard_bounds_build_visits():
     # full connectivity: the 36 allowed pairs give 36 + 36*36 visits
     arch = build_nlhs(3, 1)
-    cfg = GbsConfig(8, 8, 0.4, 2)
-    report = count_permitted_gbs(arch, cfg, guard=1332)
+    report = count_permitted_gbs(arch, range(8), 2, arch.depth, guard=1332)
     assert report.exact_count == report.total_outcomes == 330
     with pytest.raises(GuardError, match="1332 partial outcomes"):
-        count_permitted_gbs(arch, cfg, guard=1331)
+        count_permitted_gbs(arch, range(8), 2, arch.depth, guard=1331)
 
 
 def test_large_gbs_count_refused_quickly():
@@ -378,7 +359,7 @@ def test_large_gbs_count_refused_quickly():
     arch = build_nlhs(10, 1)
     start = time.perf_counter()
     with pytest.raises(GuardError):
-        count_permitted_gbs(arch, GbsConfig(1024, 1024, 0.4, 4))
+        count_permitted_gbs(arch, range(1024), 4, arch.depth)
     assert time.perf_counter() - start < 2.0
 
 
@@ -388,15 +369,14 @@ def test_is_permitted_gbs_at_photon_guard():
     arch = build_local_parallel(2, [12, 12], 6)
     t = (62, 68)
     cones = [sorted(forward_lightcone(arch, mode, 6)) for mode in t]
-    cfg = GbsConfig(144, 2, 0.4, 1)
     start = time.perf_counter()
-    assert not is_permitted_gbs(arch, cfg, t, sorted(cones[0][:11] + cones[1][:13]), 6)
-    assert is_permitted_gbs(arch, cfg, t, sorted(cones[0][:12] + cones[1][:12]), 6)
+    assert not is_permitted_gbs(arch, t, sorted(cones[0][:11] + cones[1][:13]), 6)
+    assert is_permitted_gbs(arch, t, sorted(cones[0][:12] + cones[1][:12]), 6)
     # every photon on one fed mode: all 23!! pairings share a source
-    assert is_permitted_gbs(arch, cfg, t, (62,) * 24, 6)
+    assert is_permitted_gbs(arch, t, (62,) * 24, 6)
     assert time.perf_counter() - start < 5.0
     with pytest.raises(GuardError, match="26 photons"):
-        is_permitted_gbs(arch, cfg, t, sorted(cones[0][:13] + cones[1][:13]), 6)
+        is_permitted_gbs(arch, t, sorted(cones[0][:13] + cones[1][:13]), 6)
 
 
 def test_gbs_depth_thresholds_unit_constants():
@@ -425,15 +405,14 @@ def test_gbs_ratio_bound_formula_and_domain():
 
 
 def test_photon_pair_marginal_values():
-    cfg = GbsConfig(4, 2, 0.4, 1)
+    r = 0.4
     np.testing.assert_allclose(
-        photon_pair_marginal(cfg, 1), 0.12352105383470628, rtol=1e-12
+        photon_pair_marginal(2, r, 1), 0.12352105383470628, rtol=1e-12
     )
     # K = 2 reduces to a geometric law in tanh^2
-    r = cfg.squeeze_r
     for n in range(5):
         np.testing.assert_allclose(
-            photon_pair_marginal(cfg, n),
+            photon_pair_marginal(2, r, n),
             math.tanh(r) ** (2 * n) / math.cosh(r) ** 2,
             rtol=1e-12,
         )
@@ -441,14 +420,12 @@ def test_photon_pair_marginal_values():
 
 def test_photon_pair_marginal_normalizes_and_matches_mean():
     for k, r in ((2, 0.4), (4, 0.3), (8, 0.25)):
-        cfg = GbsConfig(8, k, r, 1)
-        probs = [photon_pair_marginal(cfg, n) for n in range(60)]
+        probs = [photon_pair_marginal(k, r, n) for n in range(60)]
         np.testing.assert_allclose(sum(probs), 1.0, atol=1e-12)
         mean = sum(2 * n * p for n, p in enumerate(probs))
         np.testing.assert_allclose(mean, k * math.sinh(r) ** 2, rtol=1e-10)
 
 
 def test_photon_pair_marginal_odd_sources_warns():
-    cfg = GbsConfig(8, 3, 0.4, 1)
     with pytest.warns(UserWarning):
-        photon_pair_marginal(cfg, 1)
+        photon_pair_marginal(3, 0.4, 1)

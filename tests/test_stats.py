@@ -6,7 +6,6 @@ import pytest
 from shallowbs.arch import build_local_parallel, build_nlhs, realize
 from shallowbs.fock import fbs_probability
 from shallowbs.gaussian import (
-    GbsConfig,
     evolve_covariance,
     gbs_unnormalized_probability,
     page_curve,
@@ -185,7 +184,6 @@ def test_drivers_compute_through_library_rules(arch):
         return realize(arch, gen)
 
     fbs, gbs = [], []
-    cfg = GbsConfig(m, m, 0.7, 2)
     for i in range(n_sam):
         gen = rng.derive(i).generator()
         u = realize(arch, gen)
@@ -194,11 +192,11 @@ def test_drivers_compute_through_library_rules(arch):
         fbs.append(fbs_probability(u, t, s))
         gen = rng.derive(i).generator()
         u = realize(arch, gen)
-        gbs.append(gbs_unnormalized_probability(u, cfg, random_collision_free_pattern(m, 4, gen)))
+        gbs.append(gbs_unnormalized_probability(u, range(m), random_collision_free_pattern(m, 4, gen)))
     np.testing.assert_array_equal(fbs_probability_samples(sampler, m, 3, n_sam, rng), fbs)
     np.testing.assert_array_equal(gbs_probability_samples(sampler, m, 4, n_sam, rng), gbs)
 
-    sigma0 = smsv_covariance(GbsConfig(m, m, 0.4, 0))
+    sigma0 = smsv_covariance(m, range(m), 0.4)
     rows = []
     for k in range(1, m):
         entropies = []
