@@ -12,10 +12,10 @@ effect.
 
 Each setting's kind and allowed values are declared once, in ``_FLAGS``.  A
 flag's text and a config-file value go through the same converter: the file
-may give the flag's text or a JSON value of the setting's kind (a number,
-``true``/``false`` for ``--effective``, a list of integers for ``--sides`` and
-``--input``).  Any value of the wrong kind or out of range is reported before
-work starts, as is every rule that spans several settings.
+may give the flag's text or a JSON value of the setting's kind (a finite
+number, ``true``/``false`` for ``--effective``, a list of integers for
+``--sides`` and ``--input``).  Every bad value and broken rule is reported
+before work starts; a rule the library owns is checked by calling the library.
 
 Exit codes: 0 success, 2 invalid configuration, 3 resource guard exceeded.
 """
@@ -39,17 +39,20 @@ import numpy as np
 from ._version import __version__
 from .arch import (
     CircuitArchitecture,
+    _check_depth,
     arch_to_dict,
     build_local_parallel,
     build_nlhs,
     realize,
 )
 from .fock import (
+    _check_lattice,
+    _input_pattern,
     count_permitted_fbs,
     count_permitted_fbs_effective,
     fbs_depth_thresholds,
 )
-from .gaussian import count_permitted_gbs, gbs_depth_thresholds, page_curve
+from .gaussian import _check_pairs, count_permitted_gbs, gbs_depth_thresholds, page_curve
 from .linalg import RngStream, haar_unitary
 from .matfn import GuardError
 from .stats import (
@@ -108,7 +111,7 @@ _FLAGS: dict[str, tuple[str, Any, str]] = {
 # kind -> (what a value must be, parser of the flag's text, JSON types taken as they are)
 _KINDS: dict[str, tuple[str, Optional[Callable[[str], Any]], tuple[type, ...]]] = {
     "int": ("an integer", int, (int,)),
-    "float": ("a number", float, (int, float)),
+    "float": ("a finite number", float, (int, float)),
     "str": ("a string", None, (str,)),
     "intlist": ("comma-separated integers or a list of integers",
                 lambda text: [int(p) for p in text.split(",") if p.strip() != ""], ()),
@@ -179,15 +182,18 @@ def _convert(flag: str, value: Any) -> Any:
     """Typed value of one setting from its flag text or its JSON config-file value."""
     kind = _FLAGS[flag][0]
     expected, from_text, json_types = _KINDS[kind]
+    typed = None
     try:
         if isinstance(value, str) and from_text is not None:
-            return from_text(value)
-        if kind == "intlist" and isinstance(value, list) and all(type(v) is int for v in value):
-            return value
-        if type(value) in json_types:
-            return float(value) if kind == "float" else value
+            typed = from_text(value)
+        elif kind == "intlist" and isinstance(value, list) and all(type(v) is int for v in value):
+            typed = value
+        elif type(value) in json_types:
+            typed = float(value) if kind == "float" else value
     except (ValueError, OverflowError):
         pass
+    if typed is not None and (kind != "float" or math.isfinite(typed)):
+        return typed
     raise ValueError(f"--{flag} expects {expected}, got {value!r}")
 
 
@@ -227,153 +233,149 @@ def resolve_config(experiment: str, namespace: argparse.Namespace) -> tuple[dict
     return resolved, diags
 
 
+def _setting(cfg: dict, key: str) -> Any:
+    """A setting's value, or None when it is absent or outside its ``_FLAGS`` range."""
+    value, allowed = cfg.get(key), _FLAGS[key.replace("_", "-")][1]
+    return None if value is None or (allowed and not allowed[1](value)) else value
+
+
 def _need(cfg: dict, key: str, diags: list[str]) -> bool:
+    """Whether a required setting is usable; only a missing one is reported here."""
     if cfg.get(key) is None:
         diags.append(f"missing required option --{key.replace('_', '-')}")
-        return False
-    return True
+    return _setting(cfg, key) is not None
 
 
-def _validate_ensemble(cfg: dict, diags: list[str], require_arch: bool) -> None:
+def _check(diags: list[str], rule: Callable[..., Any], *args: Any) -> Any:
+    """``rule(*args)``, or None with the library's refusal added to ``diags``."""
+    try:
+        return rule(*args)
+    except (ValueError, IndexError, TypeError) as exc:
+        diags.append(str(exc))
+
+
+def _validate_ensemble(cfg: dict, diags: list[str]) -> Optional[CircuitArchitecture]:
+    """Check the ensemble settings and build the circuit; None for haar or a refused circuit."""
     ensemble = cfg.get("ensemble")
-    if not _need(cfg, "ensemble", diags):
-        return
-    if require_arch and ensemble == "haar":
-        diags.append(f"{cfg['experiment']} needs a gate architecture; the haar ensemble has none")
-        return
-    if not _need(cfg, "modes", diags):
-        return
+    if not _need(cfg, "ensemble", diags) or not _need(cfg, "modes", diags) or ensemble == "haar":
+        return None
     m = cfg["modes"]
     if ensemble == "nlhs":
+        rounds = _need(cfg, "rounds", diags)
         if m < 2 or m & (m - 1) != 0:
             diags.append(f"nlhs ensemble requires a power-of-two mode count, got {m}")
-        _need(cfg, "rounds", diags)
-    if ensemble == "local-parallel":
-        if not _need(cfg, "depth", diags):
-            return
-        if cfg["depth"] < 1:
-            diags.append(f"--depth must be positive, got {cfg['depth']}")
-        if cfg.get("dim") is None:
-            cfg["dim"] = 1
-        dim, sides = cfg["dim"], cfg.get("sides")
-        if dim < 1:
-            return
-        if sides is None:
-            if dim != 1:
-                diags.append("--sides is required for lattices with dim > 1")
-                return
-            sides = [m]
-        if len(sides) != dim:
-            diags.append(f"expected {dim} side lengths, got {len(sides)}")
-        elif math.prod(sides) != m:
-            diags.append(f"side lengths {sides} do not fill {m} modes")
-        elif any(s < 2 for s in sides):
-            diags.append(f"every side length must be at least 2, got {sides}")
-        cfg["sides"] = sides
+        elif rounds:
+            return _check(diags, build_nlhs, m.bit_length() - 1, cfg["rounds"])
+        return None
+    if not _need(cfg, "depth", diags):
+        return None
+    if cfg["depth"] < 1:
+        diags.append(f"--depth must be positive, got {cfg['depth']}")
+    cfg["dim"] = 1 if cfg.get("dim") is None else cfg["dim"]
+    dim, sides = _setting(cfg, "dim"), cfg.get("sides")
+    if dim is None:
+        return None
+    if sides is None and dim != 1:
+        diags.append("--sides is required for lattices with dim > 1")
+        return None
+    sides = cfg["sides"] = [m] if sides is None else sides
+    # build_local_parallel derives the mode count from the sides, so --modes is compared here
+    if math.prod(sides) != m:
+        diags.append(f"side lengths {sides} do not fill {m} modes")
+    elif cfg["depth"] >= 1:
+        return _check(diags, build_local_parallel, dim, sides, cfg["depth"])
+    return None
 
 
-def _validate_count_inputs(cfg: dict, diags: list[str]) -> None:
-    """Photon numbers, input pattern and nlhs depth of permitted-count."""
-    m, rounds, depth = cfg.get("modes"), cfg.get("rounds"), cfg.get("depth")
-    if cfg.get("ensemble") == "nlhs" and None not in (m, rounds, depth) and m >= 1 and rounds >= 1:
-        top = (m.bit_length() - 1) * rounds
-        if not 0 <= depth <= top:
-            diags.append(f"--depth must lie in [0, {top}] for this nlhs circuit, got {depth}")
+def _validate_count(cfg: dict, diags: list[str], arch: Optional[CircuitArchitecture]) -> None:
+    """Check the counting settings of permitted-count and resolve its depth and input pattern."""
     scheme = cfg.get("scheme")
-    if scheme == "gbs" and cfg.get("effective"):
-        diags.append("effective clipping applies to the fbs scheme only")
+    if cfg.get("effective"):
+        if scheme == "gbs":
+            diags.append("effective clipping applies to the fbs scheme only")
+        for key in ("lambda", "beta"):
+            _need(cfg, key, diags)
+        if arch is not None:
+            _check(diags, _check_lattice, arch)
+    if arch is not None and arch.family == "nlhs":
+        cfg["depth"] = arch.depth if cfg.get("depth") is None else cfg["depth"]
+        _check(diags, _check_depth, arch, cfg["depth"])
     key = {"fbs": "photons", "gbs": "pairs"}.get(scheme)
     if key is None or not _need(cfg, key, diags):
         return
-    if scheme == "fbs":
-        size, what = cfg["photons"], "--photons"
-    else:
-        size, what = (cfg["k_inputs"], "--k-inputs") if cfg.get("k_inputs") else (m, "--modes")
-        if size is None:
-            return
-        if cfg["pairs"] > size:
-            diags.append(f"--pairs {cfg['pairs']} exceeds the {size} squeezed inputs")
-    pattern = cfg.get("input")
-    if not pattern:
-        if m is not None and size > m:
-            diags.append(f"{what} {size} exceeds the {m} modes")
+    what = "photons" if scheme == "fbs" else "modes" if cfg.get("k_inputs") is None else "k_inputs"
+    size, m = _setting(cfg, what), _setting(cfg, "modes")
+    if size is None or m is None:
         return
-    if len(pattern) != size:
-        diags.append(f"--input holds {len(pattern)} modes but {what} is {size}")
-    if m is not None and (
-        any(not 0 <= x < m for x in pattern)
-        or any(a >= b for a, b in zip(pattern, pattern[1:]))
-    ):
-        diags.append(f"--input {pattern} must be strictly increasing modes in [0, {m - 1}]")
+    if scheme == "gbs":
+        _check(diags, _check_pairs, cfg["pairs"], size)
+    pattern = cfg.get("input")
+    if pattern and len(pattern) != size:
+        diags.append(f"--input holds {len(pattern)} modes but --{what.replace('_', '-')} is {size}")
+    # a default pattern longer than m + 1 modes is refused just as that one is
+    cfg["input"] = _check(diags, _input_pattern, pattern or range(min(size, m + 1)), m)
 
 
-def validate_config(cfg: dict) -> list[str]:
-    """Diagnostics for a resolved configuration; empty means runnable."""
+def _validate(cfg: dict) -> tuple[list[str], Optional[CircuitArchitecture]]:
+    """Diagnostics for a resolved configuration, and the circuit it describes, if any."""
     diags: list[str] = []
     experiment = cfg.get("experiment")
     if experiment not in EXPERIMENTS:
-        return [f"unknown experiment {experiment!r}"]
+        return [f"unknown experiment {experiment!r}"], None
     for flag in _COMMON + EXPERIMENTS[experiment]["flags"]:
-        allowed, value = _FLAGS[flag][1], cfg.get(flag.replace("-", "_"))
-        if allowed is not None and value is not None and not allowed[1](value):
-            diags.append(f"--{flag} must be {allowed[0]}, got {value!r}")
+        key = flag.replace("-", "_")
+        if cfg.get(key) is not None and _setting(cfg, key) is None:
+            diags.append(f"--{flag} must be {_FLAGS[flag][1][0]}, got {cfg[key]!r}")
     _need(cfg, "seed", diags)
     _need(cfg, "out", diags)
-    if experiment in ("arch-info", "permitted-count") and cfg.get("format") == "csv":
+    nested = experiment in ("arch-info", "permitted-count")
+    if nested and cfg.get("format") == "csv":
         diags.append(f"{experiment} emits a nested report; use --format json")
+    if nested and cfg.get("ensemble") == "haar":
+        diags.append(f"{experiment} needs a gate architecture; the haar ensemble has none")
 
-    if experiment == "arch-info":
-        _validate_ensemble(cfg, diags, require_arch=True)
-    elif experiment == "permitted-count":
-        _validate_ensemble(cfg, diags, require_arch=True)
-        _validate_count_inputs(cfg, diags)
-        if cfg.get("effective"):
-            if cfg.get("ensemble") == "nlhs":
-                diags.append("effective clipping requires the local-parallel ensemble")
-            for key in ("lambda", "beta"):
-                _need(cfg, key, diags)
+    arch = _validate_ensemble(cfg, diags) if "ensemble" in EXPERIMENTS[experiment]["flags"] else None
+    if experiment == "permitted-count":
+        _validate_count(cfg, diags, arch)
     elif experiment == "thresholds":
         if _need(cfg, "photons", diags) and cfg.get("pairs") is None and cfg["photons"] >= 2:
             cfg["pairs"] = cfg["photons"] // 2
         for key in ("pairs", "gamma", "c_const", "lambda", "beta"):
             _need(cfg, key, diags)
     elif experiment in ("density-fbs", "density-gbs"):
-        _validate_ensemble(cfg, diags, require_arch=False)
         if _need(cfg, "photons", diags):
             if experiment == "density-gbs" and cfg["photons"] % 2 != 0:
                 diags.append(f"density-gbs needs an even photon number, got {cfg['photons']}")
-            if cfg.get("modes") is not None and cfg["photons"] > cfg["modes"]:
+            if _setting(cfg, "modes") is not None and cfg["photons"] > cfg["modes"]:
                 diags.append("photon number exceeds mode count for collision-free patterns")
-        if cfg.get("samples") is not None and cfg.get("buckets") is not None:
+        if _setting(cfg, "samples") is not None and _setting(cfg, "buckets") is not None:
             if cfg["buckets"] > cfg["samples"]:
                 diags.append("more buckets than samples")
     elif experiment in ("page-curve", "frame-potential"):
-        _validate_ensemble(cfg, diags, require_arch=False)
-        if experiment == "page-curve" and cfg.get("modes") is not None and cfg["modes"] < 2:
+        if experiment == "page-curve" and _setting(cfg, "modes") is not None and cfg["modes"] < 2:
             diags.append("page-curve needs at least two modes")
-        if cfg.get("samples") is not None and cfg["samples"] < 2:
+        if _setting(cfg, "samples") is not None and cfg["samples"] < 2:
             diags.append(f"{experiment} needs at least two --samples, got {cfg['samples']}")
     elif experiment == "hiding":
         _need(cfg, "kind", diags)
         _need(cfg, "modes", diags)
         if _need(cfg, "photons", diags) and cfg.get("kind") == "gbs" and cfg["photons"] % 2 != 0:
             diags.append(f"gbs hiding needs an even photon number, got {cfg['photons']}")
-    return diags
+    return diags, arch
 
 
-def _build_arch(cfg: dict) -> CircuitArchitecture:
-    if cfg["ensemble"] == "nlhs":
-        p = cfg["modes"].bit_length() - 1
-        return build_nlhs(p, cfg["rounds"])
-    return build_local_parallel(cfg["dim"], cfg["sides"], cfg["depth"])
+def validate_config(cfg: dict) -> list[str]:
+    """Diagnostics for a resolved configuration; empty means runnable."""
+    return _validate(cfg)[0]
 
 
-def _build_sampler(cfg: dict) -> tuple[str, Callable[[np.random.Generator], np.ndarray]]:
-    m = cfg["modes"]
-    if cfg["ensemble"] == "haar":
+def _build_sampler(
+    cfg: dict, arch: Optional[CircuitArchitecture]
+) -> tuple[str, Callable[[np.random.Generator], np.ndarray]]:
+    if arch is None:
+        m = cfg["modes"]
         return f"haar(m={m})", lambda gen: haar_unitary(m, gen)
-    arch = _build_arch(cfg)
-    if cfg["ensemble"] == "nlhs":
+    if arch.family == "nlhs":
         tag = f"nlhs(p={arch.log2_modes},rounds={arch.rounds})"
     else:
         sides = "x".join(str(s) for s in arch.side_lengths)
@@ -381,42 +383,24 @@ def _build_sampler(cfg: dict) -> tuple[str, Callable[[np.random.Generator], np.n
     return tag, lambda gen: realize(arch, gen)
 
 
-def _run_arch_info(cfg: dict, master: RngStream) -> dict:
-    arch = _build_arch(cfg)
-    info = arch_to_dict(arch)
-    info["depth"] = arch.depth
-    info["gate_count"] = arch.gate_count
-    return {"json": info}
+def _run_arch_info(cfg: dict, arch: CircuitArchitecture, master: RngStream) -> dict:
+    return {"json": {**arch_to_dict(arch), "depth": arch.depth, "gate_count": arch.gate_count}}
 
 
-def _run_permitted_count(cfg: dict, master: RngStream) -> dict:
-    arch = _build_arch(cfg)
-    depth = arch.depth
-    if cfg["ensemble"] == "nlhs" and cfg.get("depth") is not None:
-        depth = cfg["depth"]
-    if cfg["scheme"] == "fbs":
-        pattern = cfg.get("input") or list(range(cfg["photons"]))
-        if cfg["effective"]:
-            report = count_permitted_fbs_effective(
-                arch, pattern, depth, cfg["lambda"], cfg["beta"]
-            )
-        else:
-            report = count_permitted_fbs(arch, pattern, depth)
-    else:
-        pattern = cfg.get("input") or list(range(cfg.get("k_inputs") or arch.mode_count))
+def _run_permitted_count(cfg: dict, arch: CircuitArchitecture, master: RngStream) -> dict:
+    pattern, depth = cfg["input"], cfg["depth"]
+    if cfg["scheme"] == "gbs":
         report = count_permitted_gbs(arch, pattern, cfg["pairs"], depth)
-    out = report.to_dict()
-    out.update(
-        scheme=cfg["scheme"],
-        depth=depth,
-        input=list(pattern),
-        modes=arch.mode_count,
-        effective=bool(cfg.get("effective")),
-    )
+    elif cfg["effective"]:
+        report = count_permitted_fbs_effective(arch, pattern, depth, cfg["lambda"], cfg["beta"])
+    else:
+        report = count_permitted_fbs(arch, pattern, depth)
+    out = dict(report.to_dict(), scheme=cfg["scheme"], depth=depth, input=list(pattern),
+               modes=arch.mode_count, effective=bool(cfg.get("effective")))
     return {"json": out}
 
 
-def _run_thresholds(cfg: dict, master: RngStream) -> dict:
+def _run_thresholds(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStream) -> dict:
     fbs = fbs_depth_thresholds(
         cfg["photons"], cfg["gamma"], cfg["c_const"], cfg["dim"], cfg["lambda"], cfg["beta"]
     )
@@ -428,8 +412,8 @@ def _run_thresholds(cfg: dict, master: RngStream) -> dict:
     return {"json": {"fbs": fbs.to_dict(), "gbs": gbs.to_dict()}}
 
 
-def _run_density(cfg: dict, master: RngStream) -> dict:
-    tag, sampler = _build_sampler(cfg)
+def _run_density(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStream) -> dict:
+    tag, sampler = _build_sampler(cfg, arch)
     fbs = cfg["experiment"] == "density-fbs"
     driver = fbs_probability_samples if fbs else gbs_probability_samples
     values = driver(sampler, cfg["modes"], cfg["photons"], cfg["samples"], master)
@@ -438,8 +422,8 @@ def _run_density(cfg: dict, master: RngStream) -> dict:
     return {"rows": [{**row, **extra} for row in curve.to_rows()]}
 
 
-def _run_page_curve(cfg: dict, master: RngStream) -> dict:
-    tag, sampler = _build_sampler(cfg)
+def _run_page_curve(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStream) -> dict:
+    tag, sampler = _build_sampler(cfg, arch)
     rows_raw = page_curve(sampler, cfg["modes"], cfg["squeeze"], cfg["samples"], master)
     rows = [
         {
@@ -457,15 +441,15 @@ def _run_page_curve(cfg: dict, master: RngStream) -> dict:
     return {"rows": rows}
 
 
-def _run_frame_potential(cfg: dict, master: RngStream) -> dict:
-    tag, sampler = _build_sampler(cfg)
+def _run_frame_potential(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStream) -> dict:
+    tag, sampler = _build_sampler(cfg, arch)
     est = frame_potential(sampler, cfg["k_moment"], cfg["samples"], master)
     row = est.to_dict()
     row.update(ensemble=tag, modes=cfg["modes"], seed=cfg["seed"])
     return {"rows": [row]}
 
 
-def _run_hiding(cfg: dict, master: RngStream) -> dict:
+def _run_hiding(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStream) -> dict:
     values = hiding_samples(cfg["kind"], cfg["modes"], cfg["photons"], cfg["samples"], master)
     rows = [
         {
@@ -529,7 +513,7 @@ def _write_files(files: list[tuple[str, str]]) -> None:
 
 def run(cfg: dict) -> int:
     """Validate and execute one resolved configuration.  Returns an exit code."""
-    diags = validate_config(cfg)
+    diags, arch = _validate(cfg)
     if diags:
         json.dump({"error": "invalid-config", "diagnostics": diags}, sys.stderr, indent=2)
         sys.stderr.write("\n")
@@ -537,7 +521,7 @@ def run(cfg: dict) -> int:
     master = RngStream(cfg["seed"], 0)
     started = time.monotonic()
     try:
-        result = _RUNNERS[cfg["experiment"]](cfg, master)
+        result = _RUNNERS[cfg["experiment"]](cfg, arch, master)
     except GuardError as exc:
         json.dump({"error": "resource-guard", "detail": str(exc)}, sys.stderr, indent=2)
         sys.stderr.write("\n")

@@ -252,6 +252,11 @@ def count_permitted_fbs(
     return _count_cones(arch.mode_count, cones, bound, guard)
 
 
+def _check_lattice(arch: CircuitArchitecture) -> None:
+    if arch.side_lengths is None:
+        raise ValueError("effective clipping requires the local-parallel ensemble")
+
+
 def count_permitted_fbs_effective(
     arch: CircuitArchitecture,
     input_modes: Iterable[int],
@@ -271,8 +276,7 @@ def count_permitted_fbs_effective(
     clipped box is wider than the size the formula assumes, so only
     ``exact_count`` is authoritative here.
     """
-    if arch.side_lengths is None:
-        raise ValueError("effective counting requires a local-parallel lattice")
+    _check_lattice(arch)
     t, cones = _input_cones(arch, input_modes, depth)
     d = len(arch.side_lengths)
     photons = len(t)

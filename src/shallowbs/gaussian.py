@@ -255,6 +255,11 @@ def is_permitted_gbs(
     return hafnian(shared.reshape(len(s), len(s))) != 0
 
 
+def _check_pairs(pairs: int, sources: int) -> None:
+    if not 0 <= pairs <= sources:
+        raise ValueError(f"need 0 <= pairs <= {sources} squeezed inputs, got pairs={pairs}")
+
+
 def count_permitted_gbs(
     arch: CircuitArchitecture,
     input_modes: Iterable[int],
@@ -282,8 +287,7 @@ def count_permitted_gbs(
     """
     m = arch.mode_count
     t = _source_pattern(input_modes, m)
-    if not 0 <= pairs <= len(t):
-        raise ValueError(f"need 0 <= pairs <= {len(t)} squeezed inputs, got pairs={pairs}")
+    _check_pairs(pairs, len(t))
     n = pairs
     back, sources = _source_masks(arch, t, depth)
     fed = sum(1 for mask in sources if mask)

@@ -149,14 +149,18 @@ def frame_potential(
     )
 
 
+def _check_placeable(m: int, photons: int) -> None:
+    if photons > m:
+        raise ValueError(f"cannot place {photons} collision-free photons in {m} modes")
+
+
 def random_collision_free_pattern(
     m: int, photons: int, rng: RngStream | np.random.Generator
 ) -> tuple[int, ...]:
     """Uniformly random sorted pattern of distinct modes."""
     if photons < 0:
         raise ValueError(f"photon number must be non-negative, got {photons}")
-    if photons > m:
-        raise ValueError(f"cannot place {photons} collision-free photons in {m} modes")
+    _check_placeable(m, photons)
     picks = as_generator(rng).choice(m, size=photons, replace=False)
     return tuple(int(x) for x in np.sort(picks))
 
@@ -171,6 +175,7 @@ def fbs_probability_samples(
     """|perm|^2 samples of random circuits at random collision-free in/out patterns."""
     if photons < 1:
         raise ValueError(f"photon number must be positive, got {photons}")
+    _check_placeable(m, photons)
 
     def one(i: int) -> float:
         gen = rng.derive(i).generator()
@@ -195,6 +200,7 @@ def gbs_probability_samples(
     """
     if photons < 2 or photons % 2 != 0:
         raise ValueError(f"photon number must be even and positive, got {photons}")
+    _check_placeable(m, photons)
     t = _input_pattern(range(m), m)
 
     def one(i: int) -> float:

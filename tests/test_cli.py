@@ -1,5 +1,6 @@
 import errno
 import json
+import random
 import subprocess
 import sys
 
@@ -189,24 +190,38 @@ _NLHS = ["--ensemble", "nlhs", "--modes", "8", "--rounds", "1"]
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (_CHAIN + ["--photons", "2", "--input", "0,8"], "strictly increasing"),
-        (_CHAIN + ["--photons", "2", "--input", "5,1"], "strictly increasing"),
-        (_CHAIN + ["--photons", "2", "--input", "3,3"], "strictly increasing"),
+        # the library's refusal is the diagnostic; each id names the case as before
+        pytest.param(_CHAIN + ["--photons", "2", "--input", "0,8"],
+                     "input pattern (0, 8) out of range for 8 modes",
+                     id="argv0-strictly increasing"),
+        pytest.param(_CHAIN + ["--photons", "2", "--input", "5,1"],
+                     "input pattern must be sorted, got (5, 1)", id="argv1-strictly increasing"),
+        pytest.param(_CHAIN + ["--photons", "2", "--input", "3,3"],
+                     "input pattern must be collision-free, got (3, 3)",
+                     id="argv2-strictly increasing"),
         (_CHAIN + ["--photons", "3", "--input", "0,7"], "--photons is 3"),
-        (_CHAIN + ["--photons", "9"], "--photons 9 exceeds the 8 modes"),
-        (_CHAIN + ["--scheme", "gbs", "--pairs", "3", "--k-inputs", "2"], "--pairs 3 exceeds"),
-        (_CHAIN + ["--scheme", "gbs", "--pairs", "1", "--k-inputs", "9"], "--k-inputs 9 exceeds"),
+        pytest.param(_CHAIN + ["--photons", "9"], "out of range for 8 modes",
+                     id="argv4---photons 9 exceeds the 8 modes"),
+        pytest.param(_CHAIN + ["--scheme", "gbs", "--pairs", "3", "--k-inputs", "2"],
+                     "need 0 <= pairs <= 2 squeezed inputs, got pairs=3",
+                     id="argv5---pairs 3 exceeds"),
+        pytest.param(_CHAIN + ["--scheme", "gbs", "--pairs", "1", "--k-inputs", "9"],
+                     "out of range for 8 modes", id="argv6---k-inputs 9 exceeds"),
         (_CHAIN + ["--scheme", "gbs", "--pairs", "1", "--k-inputs", "2", "--input", "0,1,2"],
          "--k-inputs is 2"),
         (_CHAIN + ["--scheme", "gbs", "--pairs", "1", "--squeeze", "0"],
          "unrecognized arguments: --squeeze"),
-        (_NLHS + ["--photons", "2", "--depth", "4"], "--depth must lie in [0, 3]"),
+        pytest.param(_NLHS + ["--photons", "2", "--depth", "4"], "depth 4 outside [0, 3]",
+                     id="argv9---depth must lie in [0, 3]"),
         (_CHAIN + ["--photons", "2", "--format", "csv"], "use --format json"),
         (_CHAIN + ["--photons", "2", "--dim", "0"], "--dim must be positive, got 0"),
         (_CHAIN + ["--photons", "2", "--threads", "0"], "--threads must be positive, got 0"),
         (_CHAIN + ["--scheme", "gbs", "--pairs", "1", "--photons", "0"],
          "--photons must be positive, got 0"),
         (_NLHS + ["--photons", "2", "--dim", "0"], "--dim must be positive, got 0"),
+        # --k-inputs defaults to --modes, so three inputs on 8 modes are refused
+        (_CHAIN + ["--scheme", "gbs", "--pairs", "1", "--input", "0,1,2"],
+         "--input holds 3 modes but --modes is 8"),
     ],
 )
 def test_permitted_count_bad_input_exit_code(tmp_path, capsys, argv, message):
@@ -223,6 +238,26 @@ def test_permitted_count_bad_input_exit_code(tmp_path, capsys, argv, message):
         assert any(message in d for d in err["diagnostics"]), err["diagnostics"]
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["permitted-count"] + _CHAIN + ["--photons", "2"], ["arch-info"] + _CHAIN,
+     ["density-fbs", "--photons", "2"] + _CHAIN],
+    ids=["permitted-count", "arch-info", "density-fbs"],
+)
+def test_refused_value_gives_one_diagnostic(tmp_path, capsys, argv):
+    assert main(argv + ["--dim", "0", "--seed", "1", "--out", str(tmp_path / "x.out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["diagnostics"] == ["--dim must be positive, got 0"]
+
+
+def test_library_and_cli_refusals_reported_together(tmp_path, capsys):
+    argv = ["permitted-count", "--seed", "1", "--out", str(tmp_path / "x.json")]
+    assert main(argv + _CHAIN + ["--photons", "2", "--input", "5,1", "--format", "csv"]) == 2
+    diags = json.loads(capsys.readouterr().err)["diagnostics"]
+    assert any("input pattern must be sorted, got (5, 1)" in d for d in diags), diags
+    assert any("use --format json" in d for d in diags), diags
 
 
 def test_nlhs_depth_checked_only_where_read(tmp_path):
@@ -295,6 +330,7 @@ def test_invalid_config_diagnostics_exit_2(tmp_path, capsys, argv, config, messa
 
 _HIDING = ["hiding", "--seed", "1", "--kind", "fbs", "--modes", "4", "--photons", "2"]
 _COUNT = ["permitted-count", "--seed", "1"] + _CHAIN + ["--photons", "2"]
+_PAGE = ["page-curve", "--seed", "1", "--ensemble", "haar", "--modes", "4", "--samples", "2"]
 
 
 @pytest.mark.parametrize(
@@ -308,6 +344,15 @@ _COUNT = ["permitted-count", "--seed", "1"] + _CHAIN + ["--photons", "2"]
         (None, _HIDING + ["--samples", "abc"], "--samples"),
         (None, ["frame-potential", "--seed", "1", "--ensemble", "haar", "--modes", "4",
                 "--samples", "1"], "--samples"),
+        (None, _PAGE + ["--squeeze", "inf"], "--squeeze expects a finite number, got 'inf'"),
+        ({"squeeze": float("inf")}, _PAGE, "--squeeze expects a finite number, got inf"),
+        ({"squeeze": float("nan")}, _PAGE, "--squeeze expects a finite number, got nan"),
+        (None, ["thresholds", "--seed", "1", "--photons", "4", "--c-const", "1", "--lambda", "1",
+                "--beta", "0.5", "--gamma", "inf"], "--gamma expects a finite number"),
+        (None, _COUNT + ["--effective", "--lambda", "inf", "--beta", "0.5"],
+         "--lambda expects a finite number"),
+        (None, _COUNT + ["--effective", "--lambda", "1e400", "--beta", "0.5"],
+         "--lambda expects a finite number"),
     ],
 )
 def test_bad_setting_values_exit_2(tmp_path, capsys, file_cfg, argv, flag):
@@ -403,3 +448,90 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, failing):
     monkeypatch.undo()
     assert main(_HIDING + ["--out", str(out)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.csv.manifest.json"]
+
+
+_SWEEP_BASES = {
+    "arch-info": [_CHAIN, _NLHS, ["--ensemble", "local-parallel", "--modes", "8", "--dim", "2",
+                                  "--sides", "2,4", "--depth", "3"]],
+    "permitted-count": [
+        _CHAIN + ["--photons", "2", "--input", "0,4"],
+        _NLHS + ["--scheme", "gbs", "--pairs", "1", "--k-inputs", "4", "--depth", "2"],
+        _CHAIN + ["--photons", "2", "--effective", "--lambda", "0.5", "--beta", "0.5"],
+        ["--ensemble", "local-parallel", "--modes", "8", "--dim", "2", "--sides", "2,4",
+         "--depth", "2", "--photons", "2", "--effective", "--lambda", "1", "--beta", "0.5"],
+    ],
+    "density-fbs": [["--ensemble", "haar", "--modes", "4", "--photons", "2", "--samples", "6",
+                     "--buckets", "3"], _NLHS + ["--photons", "2", "--samples", "4", "--buckets", "2"]],
+    "density-gbs": [["--ensemble", "haar", "--modes", "4", "--photons", "2", "--samples", "6",
+                     "--buckets", "3"], _CHAIN + ["--photons", "2", "--samples", "4", "--buckets", "2"]],
+    "page-curve": [["--ensemble", "haar", "--modes", "4", "--samples", "3"],
+                   ["--ensemble", "nlhs", "--modes", "4", "--rounds", "1", "--samples", "2"]],
+    "frame-potential": [["--ensemble", "haar", "--modes", "3", "--samples", "4"],
+                        _CHAIN + ["--samples", "3", "--k-moment", "1"]],
+}
+# None drops the setting; --samples is never dropped, since its defaults take seconds
+_SWEEP_VALUES = {
+    "ensemble": ["local-parallel", "nlhs", "haar", None],
+    "modes": ["1", "2", "4", "6", "8", None],
+    "dim": ["0", "1", "2", None],
+    "sides": ["2,2", "2,4", "4,2", "1,8", "8", "2,3", "", None],
+    "depth": ["-1", "0", "1", "2", "3", "9", None],
+    "rounds": ["0", "1", "2", None],
+    "photons": ["0", "1", "2", "3", "9", None],
+    "pairs": ["0", "1", "2", "5", None],
+    "k-inputs": ["0", "1", "2", "4", "9", None],
+    "input": ["0,1", "0,7", "1,0", "3,3", "0,9", "0,2,5", "", None],
+    "scheme": ["fbs", "gbs", "bs", None],
+    "effective": [True, None],
+    "samples": ["1", "2", "6"],
+    "buckets": ["1", "3", "8", None],
+    "k-moment": ["0", "1", "2", None],
+    "format": ["json", "csv", None],
+    "threads": ["0", "1", None],
+    "squeeze": ["0.3", "inf", "-inf", "nan", "0", None],
+    "lambda": ["0.5", "inf", "-inf", "nan", "0", None],
+    "beta": ["0.5", "inf", "nan", "1", None],
+}
+
+
+def sweep_argv(gen):
+    """A random small configuration near a runnable one, as an argv for ``main``."""
+    experiment = gen.choice(sorted(_SWEEP_BASES))
+    base = gen.choice(_SWEEP_BASES[experiment])
+    settings, i = {}, 0
+    while i < len(base):
+        if base[i] == "--effective":
+            settings["effective"], i = True, i + 1
+        else:
+            settings[base[i][2:]], i = base[i + 1], i + 2
+    takes = [f for f in EXPERIMENTS[experiment]["flags"] + ("format", "threads") if f in _SWEEP_VALUES]
+    for flag in gen.sample(takes, gen.choice([0, 1, 1, 2])):
+        settings[flag] = gen.choice(_SWEEP_VALUES[flag])
+    for flag in ("squeeze", "lambda"):
+        if flag in takes and gen.random() < 0.5:
+            settings[flag] = gen.choice(["inf", settings.get(flag)])
+    argv = [experiment]
+    for flag, value in settings.items():
+        if value is True:
+            argv.append(f"--{flag}")
+        elif value is not None:
+            argv.append(f"--{flag}={value}")
+    return argv
+
+
+def test_random_settings_end_in_a_known_exit_code(tmp_path, capsys):
+    gen = random.Random(2026)
+    failures = []
+    for i in range(300):
+        out = tmp_path / f"run{i}.out"
+        argv = sweep_argv(gen) + ["--seed", "1", "--out", str(out)]
+        try:
+            code = main(argv)
+        except Exception as exc:  # every escape is a failure to report
+            failures.append((argv, repr(exc)))
+            continue
+        written = out.exists() or (tmp_path / f"run{i}.out.manifest.json").exists()
+        if code not in (0, 2, 3) or (code == 2 and written):
+            failures.append((argv, code, written))
+    capsys.readouterr()
+    assert failures == []

@@ -153,6 +153,19 @@ def test_gbs_probability_samples_shape():
         gbs_probability_samples(sampler, 6, 3, 100, rng)
 
 
+@pytest.mark.parametrize("driver", [fbs_probability_samples, gbs_probability_samples])
+def test_probability_samples_refuse_photons_over_modes_before_sampling(driver):
+    calls = []
+
+    def sampler(gen):
+        calls.append(gen)
+        return haar_unitary(4, gen)
+
+    with pytest.raises(ValueError, match="cannot place 6 collision-free photons in 4 modes"):
+        driver(sampler, 4, 6, 10, RngStream(0, 0))
+    assert calls == []
+
+
 def test_hiding_samples_scales_and_validation():
     rng = RngStream(27, 0)
     values = hiding_samples("fbs", 16, 2, 4000, rng)
