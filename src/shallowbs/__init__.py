@@ -49,7 +49,7 @@ from .gaussian import (
     renyi2_entropy,
     smsv_covariance,
 )
-from .linalg import RngStream, embed_two_mode, frobenius_norm_sq, ginibre, haar_u2, haar_unitary
+from .linalg import RngStream, ginibre, haar_u2, haar_unitary
 from .matfn import (
     GuardError,
     hafnian,

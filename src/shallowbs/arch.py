@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import index
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .linalg import RngStream, _haar_u2_batch, as_generator
+from .linalg import RngStream, _check_dense, _haar_u2_batch, as_generator
 
 __all__ = [
     "GateSlot",
@@ -44,6 +44,11 @@ __all__ = [
 
 
 _FAMILIES = ("local-parallel", "nlhs", "custom")
+
+
+def _check_positive(value: float, what: str) -> None:
+    if not value > 0:
+        raise ValueError(f"{what} must be positive, got {value}")
 
 
 class GateSlot(NamedTuple):
@@ -85,8 +90,7 @@ class CircuitArchitecture:
             if any(s < 2 for s in sides):
                 raise ValueError(f"every side length must be at least 2, got {sides}")
             object.__setattr__(self, "side_lengths", sides)
-        if self.mode_count < 1:
-            raise ValueError(f"mode count must be positive, got {self.mode_count}")
+        _check_positive(self.mode_count, "mode count")
         for li, layer in enumerate(self.layers):
             seen: set[int] = set()
             for slot in layer.slots:
@@ -149,8 +153,7 @@ def build_local_parallel(
     odd-offset step.  ``depth`` may stop anywhere inside the cycle.  Boundaries
     are open; a coordinate with no +1 neighbour simply idles.
     """
-    if dimension < 1:
-        raise ValueError(f"lattice dimension must be positive, got {dimension}")
+    _check_positive(dimension, "lattice dimension")
     if len(side_lengths) != dimension:
         raise ValueError(
             f"expected {dimension} side lengths, got {len(side_lengths)}"
@@ -187,24 +190,16 @@ def build_nlhs(log2_modes: int, rounds: int) -> CircuitArchitecture:
     so each layer couples every mode exactly once and one sweep of p layers
     connects every input to every output through a single path.
     """
-    if log2_modes < 1:
-        raise ValueError(f"log2 of the mode count must be positive, got {log2_modes}")
+    _check_positive(log2_modes, "log2 of the mode count")
     if rounds < 0:
         raise ValueError(f"round count must be non-negative, got {rounds}")
-    p = log2_modes
-    m = 1 << p
-    layers = []
-    for _ in range(rounds):
-        for step in range(1, p + 1):
-            half = 1 << (step - 1)
-            slots = []
-            for j in range(1 << (p - step)):
-                base = j << step
-                for k in range(half):
-                    slots.append(GateSlot(base + k, base + k + half))
-            slots.sort()
-            layers.append(Layer(tuple(slots)))
-    return CircuitArchitecture(mode_count=m, layers=tuple(layers), family="nlhs")
+    m = 1 << log2_modes
+    # layer D pairs each mode whose bit D-1 is clear with the mode that sets it
+    sweep = tuple(
+        Layer(tuple(GateSlot(a, a | half) for a in range(m) if not a & half))
+        for half in (1 << step for step in range(log2_modes))
+    )
+    return CircuitArchitecture(mode_count=m, layers=sweep * rounds, family="nlhs")
 
 
 def realize(
@@ -218,6 +213,7 @@ def realize(
     """
     gen = as_generator(rng)
     m = arch.mode_count
+    _check_dense(m, m)
     u = np.eye(m, dtype=complex)
     for a_idx, b_idx in zip(arch._a_arrays, arch._b_arrays):  # type: ignore[attr-defined]
         k = len(a_idx)
@@ -295,6 +291,35 @@ def mode_coordinates(side_lengths: Sequence[int]) -> np.ndarray:
     return np.stack(np.unravel_index(np.arange(m), sides), axis=1)
 
 
+def _check_cone_params(lam: float, beta: float, dimension: int) -> None:
+    """The lightcone exponent, leakage exponent and lattice dimension of the easy regime."""
+    _check_positive(lam, "lightcone exponent")
+    if not 0 < beta < 1:
+        raise ValueError(f"leakage exponent must lie in (0, 1), got {beta}")
+    _check_positive(dimension, "lattice dimension")
+
+
+def _closed_form(what: str, formula: Callable[[], Any]) -> Any:
+    """``formula()``, a float or a tuple of floats; ValueError when any of them overflows."""
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+        raise ValueError(f"{what} overflows a float")
+    return value
+
+
+def _effective_cone(photons: int, depth: int, lam: float, beta: float, dimension: int) -> float:
+    """The squared effective radius 2 n^lam * depth / (beta d), refused when it overflows."""
+    _check_positive(photons, "photon number")
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
+    _check_cone_params(lam, beta, dimension)
+    what = f"effective lightcone 2*n^lambda*depth/(beta*d) at n={photons}, lambda={lam}"
+    return _closed_form(what, lambda: 2.0 * photons**lam * depth / (beta * dimension))
+
+
 def effective_lightcone_radius(
     photons: int, depth: int, lam: float, beta: float, dimension: int
 ) -> int:
@@ -304,17 +329,7 @@ def effective_lightcone_radius(
     circuit is small enough that truncating the unitary there perturbs output
     probabilities by at most the additive-error budget of the easy regime.
     """
-    if photons < 1:
-        raise ValueError(f"photon number must be positive, got {photons}")
-    if depth < 0:
-        raise ValueError(f"depth must be non-negative, got {depth}")
-    if lam <= 0:
-        raise ValueError(f"lightcone exponent must be positive, got {lam}")
-    if not 0 < beta < 1:
-        raise ValueError(f"leakage exponent must lie in (0, 1), got {beta}")
-    if dimension < 1:
-        raise ValueError(f"lattice dimension must be positive, got {dimension}")
-    return math.ceil(math.sqrt(2.0 * photons**lam * depth / (beta * dimension)))
+    return math.ceil(math.sqrt(_effective_cone(photons, depth, lam, beta, dimension)))
 
 
 def _far_mask(side_lengths: Sequence[int], radius: int, modes: Sequence[int]) -> np.ndarray:
@@ -325,18 +340,24 @@ def _far_mask(side_lengths: Sequence[int], radius: int, modes: Sequence[int]) ->
     return (diff > radius).any(axis=2)
 
 
-def leakage_rate(
-    u: np.ndarray, side_lengths: Sequence[int], input_mode: int, radius: int
-) -> float:
-    """Column weight of ``input_mode`` outside the box of the given radius."""
+def _lattice_matrix(u: np.ndarray, side_lengths: Sequence[int], radius: int) -> np.ndarray:
+    """``u`` as an array, checked square over the lattice modes, with a non-negative radius."""
     u = np.asarray(u)
     m = math.prod(side_lengths)
     if u.shape != (m, m):
         raise ValueError(f"matrix shape {u.shape} does not match {m} lattice modes")
-    if not 0 <= input_mode < m:
-        raise IndexError(f"mode {input_mode} out of range for {m} modes")
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
+    return u
+
+
+def leakage_rate(
+    u: np.ndarray, side_lengths: Sequence[int], input_mode: int, radius: int
+) -> float:
+    """Column weight of ``input_mode`` outside the box of the given radius."""
+    u = _lattice_matrix(u, side_lengths, radius)
+    if not 0 <= input_mode < len(u):
+        raise IndexError(f"mode {input_mode} out of range for {len(u)} modes")
     far = _far_mask(side_lengths, radius, [input_mode])[0]
     return float(np.sum(np.abs(u[far, input_mode]) ** 2))
 
@@ -347,14 +368,8 @@ def truncate_unitary(u: np.ndarray, side_lengths: Sequence[int], radius: int) ->
     The result is generally not unitary; its squared Frobenius distance from
     ``u`` equals the summed leakage rates of all columns.
     """
-    u = np.asarray(u)
-    m = math.prod(side_lengths)
-    if u.shape != (m, m):
-        raise ValueError(f"matrix shape {u.shape} does not match {m} lattice modes")
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    out = u.copy()
-    out[_far_mask(side_lengths, radius, range(m))] = 0
+    out = _lattice_matrix(u, side_lengths, radius).copy()
+    out[_far_mask(side_lengths, radius, range(len(out)))] = 0
     return out
 
 

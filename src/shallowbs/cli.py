@@ -47,15 +47,27 @@ from .arch import (
 )
 from .fock import (
     _check_lattice,
+    _effective_cones,
     _input_pattern,
     count_permitted_fbs,
     count_permitted_fbs_effective,
     fbs_depth_thresholds,
 )
-from .gaussian import _check_pairs, count_permitted_gbs, gbs_depth_thresholds, page_curve
+from .gaussian import (
+    _check_bipartition,
+    _check_even,
+    _check_pairs,
+    _check_samples,
+    _check_squeezing,
+    count_permitted_gbs,
+    gbs_depth_thresholds,
+    page_curve,
+)
 from .linalg import RngStream, haar_unitary
 from .matfn import GuardError
 from .stats import (
+    _check_buckets,
+    _check_placeable,
     density_function,
     fbs_probability_samples,
     frame_potential,
@@ -120,6 +132,7 @@ _KINDS: dict[str, tuple[str, Optional[Callable[[str], Any]], tuple[type, ...]]] 
 
 _COMMON = ("seed", "out", "format", "threads")
 _ENSEMBLE = ("ensemble", "modes", "dim", "sides", "depth", "rounds")
+_LAW = ("gamma", "c_const", "dim", "lambda", "beta")  # the depth thresholds' scaling-law settings
 
 # experiment -> flags beyond common, defaults
 EXPERIMENTS: dict[str, dict[str, Any]] = {
@@ -223,13 +236,7 @@ def resolve_config(experiment: str, namespace: argparse.Namespace) -> tuple[dict
             value = file_cfg.get(dest, file_cfg.get(flag))
         if value is None:
             value = info["defaults"].get(flag)
-        if value is not None:
-            try:
-                value = _convert(flag, value)
-            except ValueError as exc:
-                diags.append(str(exc))
-                value = None
-        resolved[dest] = value
+        resolved[dest] = None if value is None else _check(diags, _convert, flag, value)
     return resolved, diags
 
 
@@ -247,11 +254,19 @@ def _need(cfg: dict, key: str, diags: list[str]) -> bool:
 
 
 def _check(diags: list[str], rule: Callable[..., Any], *args: Any) -> Any:
-    """``rule(*args)``, or None with the library's refusal added to ``diags``."""
+    """``rule(*args)``, or None with the library's refusal added to ``diags``; guards propagate."""
     try:
         return rule(*args)
+    except GuardError:
+        raise
     except (ValueError, IndexError, TypeError) as exc:
         diags.append(str(exc))
+
+
+def _check_settings(cfg: dict, diags: list[str], rule: Callable[..., Any], *keys: str) -> Any:
+    """``_check`` of ``rule`` on the named settings; None unless each is set and in its range."""
+    values = [_setting(cfg, key) for key in keys]
+    return None if None in values else _check(diags, rule, *values)
 
 
 def _validate_ensemble(cfg: dict, diags: list[str]) -> Optional[CircuitArchitecture]:
@@ -259,12 +274,12 @@ def _validate_ensemble(cfg: dict, diags: list[str]) -> Optional[CircuitArchitect
     ensemble = cfg.get("ensemble")
     if not _need(cfg, "ensemble", diags) or not _need(cfg, "modes", diags) or ensemble == "haar":
         return None
+    # the builders derive the mode count, so the empty circuit of the family on --modes
+    # checks it: a power of two for nlhs, filled by the side lengths on a lattice
     m = cfg["modes"]
     if ensemble == "nlhs":
         rounds = _need(cfg, "rounds", diags)
-        if m < 2 or m & (m - 1) != 0:
-            diags.append(f"nlhs ensemble requires a power-of-two mode count, got {m}")
-        elif rounds:
+        if _check(diags, CircuitArchitecture, m, (), "nlhs") and rounds:
             return _check(diags, build_nlhs, m.bit_length() - 1, cfg["rounds"])
         return None
     if not _need(cfg, "depth", diags):
@@ -279,24 +294,21 @@ def _validate_ensemble(cfg: dict, diags: list[str]) -> Optional[CircuitArchitect
         diags.append("--sides is required for lattices with dim > 1")
         return None
     sides = cfg["sides"] = [m] if sides is None else sides
-    # build_local_parallel derives the mode count from the sides, so --modes is compared here
-    if math.prod(sides) != m:
-        diags.append(f"side lengths {sides} do not fill {m} modes")
-    elif cfg["depth"] >= 1:
+    if _check(diags, CircuitArchitecture, m, (), "local-parallel", sides) and cfg["depth"] >= 1:
         return _check(diags, build_local_parallel, dim, sides, cfg["depth"])
     return None
 
 
 def _validate_count(cfg: dict, diags: list[str], arch: Optional[CircuitArchitecture]) -> None:
     """Check the counting settings of permitted-count and resolve its depth and input pattern."""
-    scheme = cfg.get("scheme")
+    scheme, lattice = cfg.get("scheme"), None
     if cfg.get("effective"):
         if scheme == "gbs":
             diags.append("effective clipping applies to the fbs scheme only")
         for key in ("lambda", "beta"):
             _need(cfg, key, diags)
         if arch is not None:
-            _check(diags, _check_lattice, arch)
+            lattice = _check(diags, _check_lattice, arch)
     if arch is not None and arch.family == "nlhs":
         cfg["depth"] = arch.depth if cfg.get("depth") is None else cfg["depth"]
         _check(diags, _check_depth, arch, cfg["depth"])
@@ -313,7 +325,12 @@ def _validate_count(cfg: dict, diags: list[str], arch: Optional[CircuitArchitect
     if pattern and len(pattern) != size:
         diags.append(f"--input holds {len(pattern)} modes but --{what.replace('_', '-')} is {size}")
     # a default pattern longer than m + 1 modes is refused just as that one is
-    cfg["input"] = _check(diags, _input_pattern, pattern or range(min(size, m + 1)), m)
+    t = cfg["input"] = _check(diags, _input_pattern, pattern or range(min(size, m + 1)), m)
+    if lattice is not None and scheme == "fbs" and t:
+        clip = functools.partial(_effective_cones, arch, t, cfg["depth"])
+        # a count its guard refuses is left to the run, which exits 3 before any output
+        with contextlib.suppress(GuardError):
+            _check_settings(cfg, diags, clip, "lambda", "beta")
 
 
 def _validate(cfg: dict) -> tuple[list[str], Optional[CircuitArchitecture]]:
@@ -342,25 +359,25 @@ def _validate(cfg: dict) -> tuple[list[str], Optional[CircuitArchitecture]]:
             cfg["pairs"] = cfg["photons"] // 2
         for key in ("pairs", "gamma", "c_const", "lambda", "beta"):
             _need(cfg, key, diags)
+        # the gbs thresholds are checked only once the fbs ones pass: one bad value, one diagnostic
+        if _check_settings(cfg, diags, fbs_depth_thresholds, "photons", *_LAW) is not None:
+            _check_settings(cfg, diags, gbs_depth_thresholds, "pairs", *_LAW)
     elif experiment in ("density-fbs", "density-gbs"):
-        if _need(cfg, "photons", diags):
-            if experiment == "density-gbs" and cfg["photons"] % 2 != 0:
-                diags.append(f"density-gbs needs an even photon number, got {cfg['photons']}")
-            if _setting(cfg, "modes") is not None and cfg["photons"] > cfg["modes"]:
-                diags.append("photon number exceeds mode count for collision-free patterns")
-        if _setting(cfg, "samples") is not None and _setting(cfg, "buckets") is not None:
-            if cfg["buckets"] > cfg["samples"]:
-                diags.append("more buckets than samples")
+        _need(cfg, "photons", diags)
+        if experiment == "density-gbs":
+            _check_settings(cfg, diags, _check_even, "photons")
+        _check_settings(cfg, diags, _check_placeable, "modes", "photons")
+        _check_settings(cfg, diags, _check_buckets, "buckets", "samples")
     elif experiment in ("page-curve", "frame-potential"):
-        if experiment == "page-curve" and _setting(cfg, "modes") is not None and cfg["modes"] < 2:
-            diags.append("page-curve needs at least two modes")
-        if _setting(cfg, "samples") is not None and cfg["samples"] < 2:
-            diags.append(f"{experiment} needs at least two --samples, got {cfg['samples']}")
+        if experiment == "page-curve":
+            _check_settings(cfg, diags, _check_bipartition, "modes")
+            _check_settings(cfg, diags, _check_squeezing, "squeeze")
+        _check_settings(cfg, diags, _check_samples, "samples")
     elif experiment == "hiding":
-        _need(cfg, "kind", diags)
-        _need(cfg, "modes", diags)
-        if _need(cfg, "photons", diags) and cfg.get("kind") == "gbs" and cfg["photons"] % 2 != 0:
-            diags.append(f"gbs hiding needs an even photon number, got {cfg['photons']}")
+        for key in ("kind", "modes", "photons"):
+            _need(cfg, key, diags)
+        if cfg.get("kind") == "gbs":
+            _check_settings(cfg, diags, _check_even, "photons")
     return diags, arch
 
 
@@ -401,12 +418,8 @@ def _run_permitted_count(cfg: dict, arch: CircuitArchitecture, master: RngStream
 
 
 def _run_thresholds(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStream) -> dict:
-    fbs = fbs_depth_thresholds(
-        cfg["photons"], cfg["gamma"], cfg["c_const"], cfg["dim"], cfg["lambda"], cfg["beta"]
-    )
-    gbs = gbs_depth_thresholds(
-        cfg["pairs"], cfg["gamma"], cfg["c_const"], cfg["dim"], cfg["lambda"], cfg["beta"]
-    )
+    law = [cfg[key] for key in _LAW]
+    fbs, gbs = fbs_depth_thresholds(cfg["photons"], *law), gbs_depth_thresholds(cfg["pairs"], *law)
     if cfg["format"] == "csv":
         return {"rows": [fbs.to_dict(), gbs.to_dict()]}
     return {"json": {"fbs": fbs.to_dict(), "gbs": gbs.to_dict()}}
@@ -424,44 +437,23 @@ def _run_density(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStre
 
 def _run_page_curve(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStream) -> dict:
     tag, sampler = _build_sampler(cfg, arch)
-    rows_raw = page_curve(sampler, cfg["modes"], cfg["squeeze"], cfg["samples"], master)
-    rows = [
-        {
-            "k": k,
-            "mean_S2": mean,
-            "stderr": err,
-            "ensemble": tag,
-            "M": cfg["modes"],
-            "r": cfg["squeeze"],
-            "samples": cfg["samples"],
-            "seed": cfg["seed"],
-        }
-        for k, mean, err in rows_raw
-    ]
-    return {"rows": rows}
+    rows = page_curve(sampler, cfg["modes"], cfg["squeeze"], cfg["samples"], master)
+    extra = {"ensemble": tag, "M": cfg["modes"], "r": cfg["squeeze"],
+             "samples": cfg["samples"], "seed": cfg["seed"]}
+    return {"rows": [{"k": k, "mean_S2": mean, "stderr": err, **extra} for k, mean, err in rows]}
 
 
 def _run_frame_potential(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStream) -> dict:
     tag, sampler = _build_sampler(cfg, arch)
     est = frame_potential(sampler, cfg["k_moment"], cfg["samples"], master)
-    row = est.to_dict()
-    row.update(ensemble=tag, modes=cfg["modes"], seed=cfg["seed"])
-    return {"rows": [row]}
+    extra = {"ensemble": tag, "modes": cfg["modes"], "seed": cfg["seed"]}
+    return {"rows": [{**est.to_dict(), **extra}]}
 
 
 def _run_hiding(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStream) -> dict:
     values = hiding_samples(cfg["kind"], cfg["modes"], cfg["photons"], cfg["samples"], master)
-    rows = [
-        {
-            "value": float(v),
-            "kind": cfg["kind"],
-            "modes": cfg["modes"],
-            "photons": cfg["photons"],
-            "seed": cfg["seed"],
-        }
-        for v in values
-    ]
-    return {"rows": rows}
+    extra = {k: cfg[k] for k in ("kind", "modes", "photons", "seed")}
+    return {"rows": [{"value": float(v), **extra} for v in values]}
 
 
 _RUNNERS = {

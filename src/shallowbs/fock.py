@@ -21,13 +21,17 @@ import math
 from dataclasses import dataclass, asdict
 from itertools import accumulate, combinations_with_replacement
 from operator import index, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .arch import (
     CircuitArchitecture,
+    _check_cone_params,
+    _check_positive,
+    _closed_form,
     _cone_masks,
+    _effective_cone,
     _far_mask,
     _mask_modes,
     effective_lightcone_radius,
@@ -64,11 +68,13 @@ def _as_pattern(modes: Iterable[int], m: int, name: str) -> Pattern:
     return pat
 
 
-def _input_pattern(modes: Iterable[int], m: int) -> Pattern:
-    """A sorted, in-range, collision-free input pattern."""
+def _input_pattern(modes: Iterable[int], m: int, holds: str = "") -> Pattern:
+    """A sorted, in-range, collision-free input pattern, nonempty when it ``holds`` something."""
     t = _as_pattern(modes, m, "input")
     if len(set(t)) != len(t):
         raise ValueError(f"input pattern must be collision-free, got {t}")
+    if holds and not t:
+        raise ValueError(f"input pattern must hold at least one {holds}")
     return t
 
 
@@ -109,21 +115,21 @@ def fbs_probability(
     return float(abs(permanent(sub)) ** 2 / pattern_factorial(s))
 
 
-def outcome_count(m: int, photons: int) -> int:
-    """Number of photon-number outcomes of ``photons`` photons over ``m`` modes."""
-    if m < 1:
-        raise ValueError(f"mode count must be positive, got {m}")
+def _check_outcome_space(m: int, photons: int) -> None:
+    _check_positive(m, "mode count")
     if photons < 0:
         raise ValueError(f"photon number must be non-negative, got {photons}")
+
+
+def outcome_count(m: int, photons: int) -> int:
+    """Number of photon-number outcomes of ``photons`` photons over ``m`` modes."""
+    _check_outcome_space(m, photons)
     return math.comb(m + photons - 1, photons)
 
 
 def enumerate_outcomes(m: int, photons: int) -> Iterator[Pattern]:
     """Lazily yield all sorted outcomes of ``photons`` photons over ``m`` modes."""
-    if m < 1:
-        raise ValueError(f"mode count must be positive, got {m}")
-    if photons < 0:
-        raise ValueError(f"photon number must be non-negative, got {photons}")
+    _check_outcome_space(m, photons)
     return combinations_with_replacement(range(m), photons)
 
 
@@ -213,16 +219,13 @@ def _input_cones(
     arch: CircuitArchitecture, input_modes: Iterable[int], depth: int
 ) -> tuple[Pattern, list[int]]:
     """A nonempty input pattern and the forward lightcone bitmask of each of its photons."""
-    t = _input_pattern(input_modes, arch.mode_count)
-    if not t:
-        raise ValueError("input pattern must contain at least one photon")
+    t = _input_pattern(input_modes, arch.mode_count, "photon")
     forward = _cone_masks(arch, depth, forward=True)
     return t, [forward[mode] for mode in t]
 
 
-def _count_cones(
-    m: int, cones: Sequence[int], upper_bound: float, guard: int
-) -> PermittedCountReport:
+def _admit_cones(cones: Sequence[int], upper_bound: Callable[[], float], guard: int) -> float:
+    """The product bound of a count of ``cones``, evaluated only once the guard admits the count."""
     # after k cones the sums are k-photon outcomes over the modes reached
     reached = accumulate(cones, or_)
     _check_build(
@@ -232,8 +235,11 @@ def _count_cones(
         ),
         guard,
     )
-    choices = ([(x,) for x in _mask_modes(c)] for c in cones)
-    return _count_sums(m, len(cones), choices, upper_bound)
+    return _closed_form("upper bound on the permitted count", upper_bound)
+
+
+def _count_cones(m: int, cones: Sequence[int], bound: float) -> PermittedCountReport:
+    return _count_sums(m, len(cones), ([(x,) for x in _mask_modes(c)] for c in cones), bound)
 
 
 def count_permitted_fbs(
@@ -248,13 +254,30 @@ def count_permitted_fbs(
     one cone at a time; the guard bounds the partial sums that build visits.
     """
     _, cones = _input_cones(arch, input_modes, depth)
-    bound = float(math.prod(c.bit_count() for c in cones))
-    return _count_cones(arch.mode_count, cones, bound, guard)
+    bound = _admit_cones(cones, lambda: float(math.prod(c.bit_count() for c in cones)), guard)
+    return _count_cones(arch.mode_count, cones, bound)
 
 
-def _check_lattice(arch: CircuitArchitecture) -> None:
+def _check_lattice(arch: CircuitArchitecture) -> int:
+    """The lattice dimension of a circuit that effective clipping can act on."""
     if arch.side_lengths is None:
         raise ValueError("effective clipping requires the local-parallel ensemble")
+    return len(arch.side_lengths)
+
+
+def _effective_cones(
+    arch: CircuitArchitecture, input_modes: Iterable[int], depth: int, lam: float, beta: float,
+    guard: int = ENUMERATION_GUARD,
+) -> tuple[list[int], float]:
+    """Clipped forward cones and product bound of an effective count, with all of its refusals."""
+    d = _check_lattice(arch)
+    t, cones = _input_cones(arch, input_modes, depth)
+    photons = len(t)
+    radius = effective_lightcone_radius(photons, depth, lam, beta, d)
+    far = _far_mask(arch.side_lengths, radius, t)
+    cones = [cone & sum(1 << int(i) for i in np.flatnonzero(~row)) for cone, row in zip(cones, far)]
+    cone = _effective_cone(photons, depth, lam, beta, d)
+    return cones, _admit_cones(cones, lambda: (cone ** (d / 2.0)) ** photons, guard)
 
 
 def count_permitted_fbs_effective(
@@ -276,28 +299,24 @@ def count_permitted_fbs_effective(
     clipped box is wider than the size the formula assumes, so only
     ``exact_count`` is authoritative here.
     """
-    _check_lattice(arch)
-    t, cones = _input_cones(arch, input_modes, depth)
-    d = len(arch.side_lengths)
-    photons = len(t)
-    radius = effective_lightcone_radius(photons, depth, lam, beta, d)
-    far = _far_mask(arch.side_lengths, radius, t)
-    cones = [cone & sum(1 << int(i) for i in np.flatnonzero(~row)) for cone, row in zip(cones, far)]
-    per_cone = (2.0 * photons**lam * depth / (beta * d)) ** (d / 2.0)
-    return _count_cones(arch.mode_count, cones, per_cone**photons, guard)
+    cones, bound = _effective_cones(arch, input_modes, depth, lam, beta, guard)
+    return _count_cones(arch.mode_count, cones, bound)
+
+
+def _scaling_modes(n: int, noun: str, gamma: float, c: float, d: int) -> float:
+    """The mode count ``c * n**gamma`` of a d-dimensional lattice, refused when it overflows."""
+    _check_positive(n, f"{noun} number")
+    _check_positive(d, "lattice dimension")
+    _check_positive(c, "mode-scaling constant")
+    return _closed_form(f"mode count c*n^gamma at n={n}, gamma={gamma}, c={c}",
+                        lambda: c * n**gamma)
 
 
 def _check_scaling_curve(
     m: int, n: int, noun: str, gamma: float, c: float, c_name: str, d: int
 ) -> None:
     """Reject ratio-bound arguments off the lattice scaling curve ``m = c * n**gamma``."""
-    if n < 1:
-        raise ValueError(f"{noun} number must be positive, got {n}")
-    if d < 1:
-        raise ValueError(f"lattice dimension must be positive, got {d}")
-    if c <= 0:
-        raise ValueError(f"mode-scaling constant must be positive, got {c}")
-    expected = c * n**gamma
+    expected = _scaling_modes(n, noun, gamma, c, d)
     if abs(m - expected) > 0.5 + 1e-9 * expected:
         raise ValueError(
             f"mode count {m} is not {c_name}*n^gamma = {expected:.3f} within rounding"
@@ -314,9 +333,8 @@ def fbs_permitted_ratio_bound(
     """
     _check_scaling_curve(m, photons, "photon", gamma, c0, "c0", d)
     n = photons
-    return 3.0 * math.sqrt(n) * (
-        (2.0**d * depth**d * n ** (1.0 - gamma)) / (math.e * d**d * c0)
-    ) ** n
+    return _closed_form("fbs permitted-ratio bound", lambda: 3.0 * math.sqrt(n) * (
+        (2.0**d * depth**d * n ** (1.0 - gamma)) / (math.e * d**d * c0)) ** n)
 
 
 @dataclass(frozen=True)
@@ -348,37 +366,35 @@ class DepthThresholds:
         return asdict(self)
 
 
-def _check_threshold_params(gamma: float, c: float, d: int, lam: float, beta: float) -> None:
-    if gamma < 1:
-        raise ValueError(f"mode-scaling exponent must be >= 1, got {gamma}")
-    if c <= 0:
-        raise ValueError(f"mode-scaling constant must be positive, got {c}")
-    if d < 1:
-        raise ValueError(f"lattice dimension must be positive, got {d}")
-    if lam <= 0:
-        raise ValueError(f"lightcone exponent must be positive, got {lam}")
-    if not 0 < beta < 1:
-        raise ValueError(f"leakage exponent must lie in (0, 1), got {beta}")
-
-
 def _depth_thresholds(
-    scheme: str, n: int, photons: int, gamma: float, c: float, d: int,
-    lam: float, beta: float, kappa_div: float, alpha_div: float,
+    n: int, gamma: float, c: float, d: int, lam: float, beta: float, gaussian: bool
 ) -> DepthThresholds:
-    """Regime-boundary depths at ``m = c * n**gamma`` from the scheme's divisors.
+    """Regime-boundary depths at ``m = c * n**gamma``, refused outside their domain.
 
     ``n`` counts photons for Fock-state and pairs for Gaussian sampling.
     """
-    m = c * n**gamma
-    kappa = math.e ** (1.0 / d) * c ** (1.0 / d) * d / kappa_div
-    alpha = math.e ** (2.0 / d) * c ** (2.0 / d) * beta * d / alpha_div
-    eps = math.exp(math.lgamma(photons + 1) - photons * math.log(m))
+    scheme, noun, photons = ("gbs", "pair", 2 * n) if gaussian else ("fbs", "photon", n)
+    if gamma < 1:
+        raise ValueError(f"mode-scaling exponent must be >= 1, got {gamma}")
+    _check_cone_params(lam, beta, d)
+    m = _scaling_modes(n, noun, gamma, c, d)
+
+    def depths() -> tuple[float, ...]:
+        gbs_divs = 2.0 ** (1.0 / d + 2.0), 2.0 ** (2.0 / d + 3.0)
+        kappa_div, alpha_div = gbs_divs if gaussian else (2.0, 2.0)
+        kappa = math.e ** (1.0 / d) * c ** (1.0 / d) * d / kappa_div
+        alpha = math.e ** (2.0 / d) * c ** (2.0 / d) * beta * d / alpha_div
+        eps = math.exp(math.lgamma(photons + 1) - photons * math.log(m))
+        return (kappa, kappa * n ** ((gamma - 1.0) / d),
+                alpha, alpha * n ** (2.0 * (gamma - 1.0) / d - lam), eps)
+
+    kappa, forbidden, alpha, concentration, eps = _closed_form(f"{scheme} depth thresholds", depths)
     return DepthThresholds(
         scheme=scheme,
         forbidden_constant=kappa,
-        forbidden_depth=kappa * n ** ((gamma - 1.0) / d),
+        forbidden_depth=forbidden,
         concentration_constant=alpha,
-        concentration_depth=alpha * n ** (2.0 * (gamma - 1.0) / d - lam),
+        concentration_depth=concentration,
         additive_error=eps,
         photons=photons,
         modes=m,
@@ -394,7 +410,4 @@ def fbs_depth_thresholds(
     photons: int, gamma: float, c0: float, d: int, lam: float, beta: float
 ) -> DepthThresholds:
     """Regime-boundary depths for Fock-state sampling at ``m = c0 * photons**gamma``."""
-    if photons < 1:
-        raise ValueError(f"photon number must be positive, got {photons}")
-    _check_threshold_params(gamma, c0, d, lam, beta)
-    return _depth_thresholds("fbs", photons, photons, gamma, c0, d, lam, beta, 2.0, 2.0)
+    return _depth_thresholds(photons, gamma, c0, d, lam, beta, gaussian=False)

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arch import CircuitArchitecture, _cone_masks
+from .arch import CircuitArchitecture, _check_positive, _closed_form, _cone_masks
 from .fock import (
     DepthThresholds,
     ENUMERATION_GUARD,
@@ -34,15 +34,14 @@ from .fock import (
     Pattern,
     _as_pattern,
     _check_scaling_curve,
-    _check_threshold_params,
     _check_build,
     _count_sums,
     _depth_thresholds,
     _input_pattern,
     pattern_factorial,
 )
-from .linalg import RngStream
-from .matfn import HAFNIAN_MAX_DIM, GuardError, hafnian
+from .linalg import RngStream, _check_dense
+from .matfn import _require_square, hafnian
 
 __all__ = [
     "smsv_covariance",
@@ -61,23 +60,33 @@ __all__ = [
 ]
 
 
-def _source_pattern(input_modes: Iterable[int], m: int) -> Pattern:
-    """A nonempty collision-free pattern of squeezed input modes on ``m`` modes."""
-    t = _input_pattern(input_modes, m)
-    if not t:
-        raise ValueError("input pattern must hold at least one squeezed mode")
-    return t
-
-
 def _check_squeezing(squeeze_r: float) -> None:
-    if squeeze_r <= 0:
-        raise ValueError(f"squeezing must be positive, got {squeeze_r}")
+    """A positive squeezing whose p-variance exp(2r) is a finite float."""
+    _check_positive(squeeze_r, "squeezing")
+    _closed_form(f"squeezed variance exp(2r) at r={squeeze_r}", lambda: math.exp(2.0 * squeeze_r))
+
+
+def _check_even(photons: int) -> None:
+    if photons % 2 != 0:
+        raise ValueError(f"outcome must hold an even photon number, got {photons}")
+
+
+def _check_bipartition(modes: int) -> None:
+    if modes < 2:
+        raise ValueError(f"need at least two modes for a bipartition, got {modes}")
+
+
+def _check_samples(samples: int) -> None:
+    """At least the two samples a standard error needs."""
+    if samples < 2:
+        raise ValueError(f"need at least two samples, got {samples}")
 
 
 def smsv_covariance(modes: int, input_modes: Iterable[int], squeeze_r: float) -> np.ndarray:
     """Covariance of identical squeezed vacua on ``input_modes``, vacuum elsewhere."""
-    idx = np.array(_source_pattern(input_modes, modes), dtype=int)
+    idx = np.array(_input_pattern(input_modes, modes, "squeezed mode"), dtype=int)
     _check_squeezing(squeeze_r)
+    _check_dense(2 * modes, 2 * modes)
     diag = np.ones(2 * modes)
     diag[idx] = math.exp(-2.0 * squeeze_r)
     diag[idx + modes] = math.exp(2.0 * squeeze_r)
@@ -87,9 +96,7 @@ def smsv_covariance(modes: int, input_modes: Iterable[int], squeeze_r: float) ->
 def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
     """Orthogonal symplectic action of a passive circuit on (x, p) quadratures."""
     u = np.asarray(u)
-    m = u.shape[0]
-    if u.shape != (m, m):
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    m = _require_square(u, "symplectic_from_unitary")
     re, im = u.real, u.imag
     o = np.empty((2 * m, 2 * m), dtype=re.dtype)
     o[:m, :m] = o[m:, m:] = re
@@ -116,9 +123,7 @@ def evolve_covariance(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
 def reduced_covariance(sigma: np.ndarray, modes: Iterable[int]) -> np.ndarray:
     """Covariance of the state restricted to a proper nonempty mode subset."""
     sigma = np.asarray(sigma)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2 != 0:
-        raise ValueError(f"covariance must be square even-dimensional, got {sigma.shape}")
-    m = sigma.shape[0] // 2
+    m = _require_square(sigma, "covariance", even=True) // 2
     keep = sorted(set(map(index, modes)))
     if not keep:
         raise ValueError("mode subset must be nonempty")
@@ -169,11 +174,9 @@ def page_curve(
     subset are drawn from a per-trial derived stream; the rows returned are
     ``(k, mean entropy, standard error)``.
     """
-    if modes < 2:
-        raise ValueError(f"need at least two modes for a bipartition, got {modes}")
+    _check_bipartition(modes)
     sigma0 = smsv_covariance(modes, range(modes), squeeze_r)
-    if samples < 2:
-        raise ValueError(f"need at least two samples, got {samples}")
+    _check_samples(samples)
     sizes = list(range(1, modes)) if subsystem_sizes is None else [index(k) for k in subsystem_sizes]
     if any(not 1 <= k <= modes - 1 for k in sizes):
         raise ValueError(f"subsystem sizes must lie in [1, {modes - 1}], got {sizes}")
@@ -202,6 +205,16 @@ def _hafnian_weight(u: np.ndarray, input_modes: Pattern, output_modes: Pattern) 
     return float(abs(hafnian(b_s)) ** 2 / pattern_factorial(output_modes))
 
 
+def _even_outcome(
+    m: int, input_modes: Iterable[int], output_modes: Iterable[int]
+) -> tuple[Pattern, Pattern]:
+    """Squeezed input pattern and even output pattern of one Gaussian outcome."""
+    t = _input_pattern(input_modes, m, "squeezed mode")
+    s = _as_pattern(output_modes, m, "output")
+    _check_even(len(s))
+    return t, s
+
+
 def gbs_unnormalized_probability(
     u: np.ndarray, input_modes: Iterable[int], output_modes: Iterable[int]
 ) -> float:
@@ -211,14 +224,8 @@ def gbs_unnormalized_probability(
     outcome with the same photon number) is deliberately omitted.
     """
     u = np.asarray(u)
-    m = u.shape[0]
-    if u.shape != (m, m):
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    t = _source_pattern(input_modes, m)
-    s = _as_pattern(output_modes, m, "output")
-    if len(s) % 2 != 0:
-        raise ValueError(f"outcome must hold an even photon number, got {len(s)}")
-    return _hafnian_weight(u, t, s)
+    m = _require_square(u, "gbs_unnormalized_probability")
+    return _hafnian_weight(u, *_even_outcome(m, input_modes, output_modes))
 
 
 def _source_masks(
@@ -244,12 +251,7 @@ def is_permitted_gbs(
     those pairings, so the outcome is permitted when it is nonzero.  The
     hafnian's dimension guard caps the outcome at ``HAFNIAN_MAX_DIM`` photons.
     """
-    t = _source_pattern(input_modes, arch.mode_count)
-    s = _as_pattern(output_modes, arch.mode_count, "output")
-    if len(s) % 2 != 0:
-        raise ValueError(f"outcome must hold an even photon number, got {len(s)}")
-    if len(s) > HAFNIAN_MAX_DIM:
-        raise GuardError(f"pairing guard: {len(s)} photons exceed {HAFNIAN_MAX_DIM}")
+    t, s = _even_outcome(arch.mode_count, input_modes, output_modes)
     _, sources = _source_masks(arch, t, depth)
     shared = np.array([[bool(sources[a] & sources[b]) for b in s] for a in s], dtype=float)
     return hafnian(shared.reshape(len(s), len(s))) != 0
@@ -286,7 +288,7 @@ def count_permitted_gbs(
     sources on every mode and so stays valid, if loose, for restricted inputs.
     """
     m = arch.mode_count
-    t = _source_pattern(input_modes, m)
+    t = _input_pattern(input_modes, m, "squeezed mode")
     _check_pairs(pairs, len(t))
     n = pairs
     back, sources = _source_masks(arch, t, depth)
@@ -315,13 +317,7 @@ def gbs_depth_thresholds(
     pairs: int, gamma: float, c1: float, d: int, lam: float, beta: float
 ) -> DepthThresholds:
     """Regime-boundary depths for Gaussian sampling at ``m = c1 * pairs**gamma``."""
-    if pairs < 1:
-        raise ValueError(f"pair number must be positive, got {pairs}")
-    _check_threshold_params(gamma, c1, d, lam, beta)
-    return _depth_thresholds(
-        "gbs", pairs, 2 * pairs, gamma, c1, d, lam, beta,
-        2.0 ** (1.0 / d + 2.0), 2.0 ** (2.0 / d + 3.0),
-    )
+    return _depth_thresholds(pairs, gamma, c1, d, lam, beta, gaussian=True)
 
 
 def gbs_permitted_ratio_bound(
@@ -330,9 +326,8 @@ def gbs_permitted_ratio_bound(
     """Closed-form bound on the permitted fraction of even outcomes, lattice case."""
     _check_scaling_curve(m, pairs, "pair", gamma, c1, "c1", d)
     n = pairs
-    return 2.0 * (
-        (2.0 ** (2 * d + 1) / (math.e * d**d * c1)) * depth**d * n ** (1.0 - gamma)
-    ) ** n
+    return _closed_form("gbs permitted-ratio bound", lambda: 2.0 * (
+        (2.0 ** (2 * d + 1) / (math.e * d**d * c1)) * depth**d * n ** (1.0 - gamma)) ** n)
 
 
 def photon_pair_marginal(k_inputs: int, squeeze_r: float, pairs: int) -> float:

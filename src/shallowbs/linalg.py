@@ -15,17 +15,20 @@ from typing import Union
 
 import numpy as np
 
+from .matfn import GuardError
+
 __all__ = [
     "RngStream",
     "as_generator",
     "haar_u2",
     "haar_unitary",
     "ginibre",
-    "embed_two_mode",
-    "frobenius_norm_sq",
 ]
 
 _MAX_CHILD = 1 << 32
+
+# Entries of the largest dense matrix drawn or built: 1 GiB of complex128.
+_DENSE_ENTRIES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,12 @@ def as_generator(rng: Union[RngStream, np.random.Generator]) -> np.random.Genera
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
 
 
+def _check_dense(rows: int, cols: int) -> None:
+    """Refuse a dense matrix of more than ``_DENSE_ENTRIES`` entries before allocating it."""
+    if rows * cols > _DENSE_ENTRIES:
+        raise GuardError(f"dense guard: a {rows} x {cols} matrix exceeds {_DENSE_ENTRIES} entries")
+
+
 def _haar_u2_batch(gen: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` independent Haar 2x2 unitaries, shape (count, 2, 2).
 
@@ -92,10 +101,7 @@ def haar_unitary(m: int, rng: Union[RngStream, np.random.Generator]) -> np.ndarr
     The QR decomposition alone is not Haar distributed; multiplying each column
     of Q by the phase of the matching diagonal entry of R fixes the measure.
     """
-    if m < 1:
-        raise ValueError(f"matrix dimension must be positive, got {m}")
-    gen = as_generator(rng)
-    z = ginibre(m, m, gen)
+    z = ginibre(m, m, as_generator(rng))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
@@ -106,28 +112,7 @@ def ginibre(rows: int, cols: int, rng: Union[RngStream, np.random.Generator]) ->
     """Complex Ginibre matrix: i.i.d. entries with E[|X|^2] = 1."""
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows} x {cols}")
+    _check_dense(rows, cols)
     gen = as_generator(rng)
     z = gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))
     return z / np.sqrt(2.0)
-
-
-def embed_two_mode(gate: np.ndarray, mode_a: int, mode_b: int, m: int) -> np.ndarray:
-    """Embed a 2x2 gate acting on (mode_a, mode_b) into an m x m identity."""
-    gate = np.asarray(gate)
-    if gate.shape != (2, 2):
-        raise ValueError(f"gate must be 2x2, got shape {gate.shape}")
-    if mode_a == mode_b:
-        raise ValueError(f"gate modes must differ, got {mode_a} twice")
-    for mode in (mode_a, mode_b):
-        if not 0 <= mode < m:
-            raise IndexError(f"mode {mode} out of range for {m} modes")
-    u = np.eye(m, dtype=complex)
-    idx = np.array([mode_a, mode_b])
-    u[np.ix_(idx, idx)] = gate
-    return u
-
-
-def frobenius_norm_sq(a: np.ndarray) -> float:
-    """Squared Frobenius norm, sum of |a_ij|^2."""
-    a = np.asarray(a)
-    return float(np.vdot(a, a).real)

@@ -10,7 +10,7 @@ memoization on the bitmask of unmatched vertices.
 from __future__ import annotations
 
 from itertools import permutations, product
-from math import prod
+from math import inf, prod
 from operator import index
 from typing import Sequence
 
@@ -48,10 +48,16 @@ class GuardError(ValueError):
     """An input exceeds a hard resource guard (matrix size or enumeration count)."""
 
 
-def _require_square(a: np.ndarray, name: str) -> int:
+def _require_square(a: np.ndarray, name: str, max_dim: float = inf, even: bool = False) -> int:
+    """The dimension of a square (and, if ``even``, even-dimensional) matrix within ``max_dim``."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} requires a square matrix, got shape {a.shape}")
-    return a.shape[0]
+    n = a.shape[0]
+    if even and n % 2 != 0:
+        raise ValueError(f"{name} requires even dimension, got {n}")
+    if n > max_dim:
+        raise GuardError(f"{name} guard: dimension {n} exceeds {max_dim}")
+    return n
 
 
 def permanent(a: np.ndarray) -> complex:
@@ -64,9 +70,7 @@ def permanent(a: np.ndarray) -> complex:
     rows.  Cost is O(2^n * n) arithmetic.
     """
     a = np.asarray(a)
-    n = _require_square(a, "permanent")
-    if n > PERMANENT_MAX_DIM:
-        raise GuardError(f"permanent guard: dimension {n} exceeds {PERMANENT_MAX_DIM}")
+    n = _require_square(a, "permanent", PERMANENT_MAX_DIM)
     if n == 0:
         return complex(1.0)
     a = a.astype(complex, copy=False)
@@ -92,21 +96,10 @@ def permanent(a: np.ndarray) -> complex:
 def permanent_oracle(a: np.ndarray) -> complex:
     """Permanent by direct summation over all n! permutations (n <= 8)."""
     a = np.asarray(a)
-    n = _require_square(a, "permanent_oracle")
-    if n > PERMANENT_ORACLE_MAX_DIM:
-        raise GuardError(
-            f"permanent oracle guard: dimension {n} exceeds {PERMANENT_ORACLE_MAX_DIM}"
-        )
-    if n == 0:
-        return complex(1.0)
+    n = _require_square(a, "permanent oracle", PERMANENT_ORACLE_MAX_DIM)
     rows = a.astype(complex, copy=False).tolist()
-    total = 0.0 + 0.0j
-    for perm in permutations(range(n)):
-        prod = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            prod *= rows[i][j]
-        total += prod
-    return total
+    terms = (prod(rows[i][j] for i, j in enumerate(perm)) for perm in permutations(range(n)))
+    return complex(sum(terms))
 
 
 def hafnian(a: np.ndarray) -> complex:
@@ -117,11 +110,7 @@ def hafnian(a: np.ndarray) -> complex:
     naive (2n-1)!! matching tree to at most O(2^(2n)) distinct states.
     """
     a = np.asarray(a)
-    n2 = _require_square(a, "hafnian")
-    if n2 % 2 != 0:
-        raise ValueError(f"hafnian requires even dimension, got {n2}")
-    if n2 > HAFNIAN_MAX_DIM:
-        raise GuardError(f"hafnian guard: dimension {n2} exceeds {HAFNIAN_MAX_DIM}")
+    n2 = _require_square(a, "hafnian", HAFNIAN_MAX_DIM, even=True)
     if n2 == 0:
         return complex(1.0)
     a = a.astype(complex, copy=False)
@@ -174,23 +163,10 @@ def _pairings(items: tuple[int, ...]):
 def hafnian_oracle(a: np.ndarray) -> complex:
     """Hafnian by explicit enumeration of all (2n-1)!! perfect matchings (2n <= 12)."""
     a = np.asarray(a)
-    n2 = _require_square(a, "hafnian_oracle")
-    if n2 % 2 != 0:
-        raise ValueError(f"hafnian oracle requires even dimension, got {n2}")
-    if n2 > HAFNIAN_ORACLE_MAX_DIM:
-        raise GuardError(
-            f"hafnian oracle guard: dimension {n2} exceeds {HAFNIAN_ORACLE_MAX_DIM}"
-        )
-    if n2 == 0:
-        return complex(1.0)
+    n2 = _require_square(a, "hafnian oracle", HAFNIAN_ORACLE_MAX_DIM, even=True)
     rows = a.astype(complex, copy=False).tolist()
-    total = 0.0 + 0.0j
-    for matching in _pairings(tuple(range(n2))):
-        prod = 1.0 + 0.0j
-        for i, j in matching:
-            prod *= rows[i][j]
-        total += prod
-    return total
+    terms = (prod(rows[i][j] for i, j in pairs) for pairs in _pairings(tuple(range(n2))))
+    return complex(sum(terms))
 
 
 def select_submatrix(

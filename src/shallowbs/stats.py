@@ -15,8 +15,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fock import _input_pattern, fbs_probability
-from .gaussian import _hafnian_weight
+from .arch import _check_positive
+from .fock import _check_outcome_space, _input_pattern, fbs_probability
+from .gaussian import _check_even, _check_samples, _hafnian_weight
 from .linalg import RngStream, as_generator, ginibre
 
 __all__ = [
@@ -59,6 +60,13 @@ class DensityCurve:
         return [asdict(b) for b in self.buckets]
 
 
+def _check_buckets(n_buckets: int, samples: int) -> None:
+    if not 1 <= n_buckets <= samples:
+        raise ValueError(
+            f"bucket count must lie in [1, {samples}] for {samples} samples, got {n_buckets}"
+        )
+
+
 def density_function(samples: Sequence[float], n_buckets: int) -> DensityCurve:
     """Empirical density from sorted samples split into equal-count buckets.
 
@@ -69,10 +77,7 @@ def density_function(samples: Sequence[float], n_buckets: int) -> DensityCurve:
     total = values.size
     if total == 0:
         raise ValueError("need at least one sample")
-    if not 1 <= n_buckets <= total:
-        raise ValueError(
-            f"bucket count must lie in [1, {total}] for {total} samples, got {n_buckets}"
-        )
+    _check_buckets(n_buckets, total)
     buckets = []
     for chunk in np.array_split(values, n_buckets):
         size = chunk.size
@@ -88,8 +93,7 @@ def bootstrap_std(
 ) -> float:
     """Bootstrap standard deviation of the sample mean."""
     values = np.asarray(samples, dtype=float)
-    if values.size < 2:
-        raise ValueError(f"need at least two samples, got {values.size}")
+    _check_samples(values.size)
     if resamples < 100:
         raise ValueError(f"need at least 100 resamples, got {resamples}")
     gen = rng.generator()
@@ -126,10 +130,8 @@ def frame_potential(
     as the ensemble approaches a unitary k-design.  ``bootstrap_std`` is
     reported on the normalized scale.
     """
-    if k_moment < 1:
-        raise ValueError(f"moment order must be positive, got {k_moment}")
-    if n_sam < 2:
-        raise ValueError(f"need at least two sample pairs, got {n_sam}")
+    _check_positive(k_moment, "moment order")
+    _check_samples(n_sam)
 
     def one(i: int) -> float:
         u = sample_unitary(rng.derive(2 * i).generator())
@@ -158,8 +160,7 @@ def random_collision_free_pattern(
     m: int, photons: int, rng: RngStream | np.random.Generator
 ) -> tuple[int, ...]:
     """Uniformly random sorted pattern of distinct modes."""
-    if photons < 0:
-        raise ValueError(f"photon number must be non-negative, got {photons}")
+    _check_outcome_space(m, photons)
     _check_placeable(m, photons)
     picks = as_generator(rng).choice(m, size=photons, replace=False)
     return tuple(int(x) for x in np.sort(picks))
@@ -173,8 +174,7 @@ def fbs_probability_samples(
     rng: RngStream,
 ) -> np.ndarray:
     """|perm|^2 samples of random circuits at random collision-free in/out patterns."""
-    if photons < 1:
-        raise ValueError(f"photon number must be positive, got {photons}")
+    _check_positive(photons, "photon number")
     _check_placeable(m, photons)
 
     def one(i: int) -> float:
@@ -198,8 +198,8 @@ def gbs_probability_samples(
 
     ``photons`` counts output photons and must be even.
     """
-    if photons < 2 or photons % 2 != 0:
-        raise ValueError(f"photon number must be even and positive, got {photons}")
+    _check_positive(photons, "photon number")
+    _check_even(photons)
     _check_placeable(m, photons)
     t = _input_pattern(range(m), m)
 
@@ -227,12 +227,10 @@ def hiding_samples(
     """
     if kind not in ("fbs", "gbs"):
         raise ValueError(f"kind must be 'fbs' or 'gbs', got {kind!r}")
-    if m < 1:
-        raise ValueError(f"mode count must be positive, got {m}")
-    if photons < 1:
-        raise ValueError(f"photon number must be positive, got {photons}")
-    if kind == "gbs" and photons % 2 != 0:
-        raise ValueError(f"gbs photon number must be even, got {photons}")
+    _check_outcome_space(m, photons)
+    _check_positive(photons, "photon number")
+    if kind == "gbs":
+        _check_even(photons)
     scale = float(m) ** photons
     p = tuple(range(photons))
 

@@ -17,7 +17,52 @@ from shallowbs.arch import (
     truncate_unitary,
     _cone_masks,
 )
-from shallowbs.linalg import RngStream, _haar_u2_batch, embed_two_mode, frobenius_norm_sq
+from shallowbs.linalg import RngStream, _haar_u2_batch
+
+
+def embed_two_mode(gate, mode_a, mode_b, m):
+    """Embed a 2x2 gate acting on (mode_a, mode_b) into an m x m identity."""
+    gate = np.asarray(gate)
+    if gate.shape != (2, 2):
+        raise ValueError(f"gate must be 2x2, got shape {gate.shape}")
+    if mode_a == mode_b:
+        raise ValueError(f"gate modes must differ, got {mode_a} twice")
+    for mode in (mode_a, mode_b):
+        if not 0 <= mode < m:
+            raise IndexError(f"mode {mode} out of range for {m} modes")
+    u = np.eye(m, dtype=complex)
+    idx = np.array([mode_a, mode_b])
+    u[np.ix_(idx, idx)] = gate
+    return u
+
+
+def frobenius_norm_sq(a):
+    """Squared Frobenius norm, sum of |a_ij|^2."""
+    a = np.asarray(a)
+    return float(np.vdot(a, a).real)
+
+
+def test_embed_two_mode_places_block():
+    gate = np.array([[1, 2], [3, 4]], dtype=complex)
+    u = embed_two_mode(gate, 1, 3, 5)
+    expect = np.eye(5, dtype=complex)
+    expect[1, 1], expect[1, 3] = 1, 2
+    expect[3, 1], expect[3, 3] = 3, 4
+    np.testing.assert_array_equal(u, expect)
+
+
+def test_embed_two_mode_rejects_bad_modes():
+    gate = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError):
+        embed_two_mode(gate, 2, 2, 5)
+    with pytest.raises(IndexError):
+        embed_two_mode(gate, 0, 5, 5)
+
+
+def test_frobenius_norm_sq_matches_numpy():
+    gen = np.random.default_rng(2)
+    a = gen.normal(size=(6, 6)) + 1j * gen.normal(size=(6, 6))
+    np.testing.assert_allclose(frobenius_norm_sq(a), np.linalg.norm(a) ** 2, rtol=1e-12)
 
 
 def layer_pairs(arch):
@@ -273,6 +318,8 @@ def test_effective_lightcone_radius_domain():
         effective_lightcone_radius(16, 8, 0.5, 1.0, 1)
     with pytest.raises(ValueError):
         effective_lightcone_radius(16, 8, -0.1, 0.5, 1)
+    with pytest.raises(ValueError, match="overflows a float"):
+        effective_lightcone_radius(3, 2, 1000.0, 0.5, 1)
 
 
 def test_leakage_zero_radius_is_offdiagonal_weight():

@@ -162,6 +162,30 @@ def test_resource_guard_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, guard",
+    [
+        # the count's guard runs before its product bound, which would overflow a float
+        (["permitted-count", "--ensemble", "local-parallel", "--modes", "1000", "--depth", "100",
+          "--photons", "200"], "enumeration guard"),
+        (["permitted-count", "--ensemble", "local-parallel", "--modes", "1000", "--depth", "100",
+          "--photons", "200", "--effective", "--lambda", "1", "--beta", "0.5"],
+         "enumeration guard"),
+        # a 100000 x 100000 Ginibre draw would need about 150 GiB
+        (["density-fbs", "--ensemble", "haar", "--modes", "100000", "--photons", "2",
+          "--samples", "2", "--buckets", "1"], "dense guard: a 100000 x 100000 matrix"),
+    ],
+    ids=["fbs-count", "effective-count", "haar-draw"],
+)
+def test_oversized_work_exits_3(tmp_path, capsys, argv, guard):
+    out = tmp_path / "x.out"
+    assert main(argv + ["--seed", "1", "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "resource-guard"
+    assert guard in err["detail"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "launch",
     [["-c", "import sys; from shallowbs.cli import main; sys.exit(main())"],
      ["-m", "shallowbs.cli"]],
@@ -292,15 +316,16 @@ _MISSING = object()
                                          "--lambda", "0.5", "--beta", "0.5"], None,
          "effective clipping applies to the fbs scheme only"),
         (["density-gbs", "--ensemble", "haar", "--modes", "6", "--photons", "3"], None,
-         "density-gbs needs an even photon number, got 3"),
+         "outcome must hold an even photon number, got 3"),
         (["density-fbs", "--ensemble", "haar", "--modes", "4", "--photons", "5"], None,
-         "photon number exceeds mode count for collision-free patterns"),
+         "cannot place 5 collision-free photons in 4 modes"),
         (["density-fbs", "--ensemble", "haar", "--modes", "6", "--photons", "2",
-          "--samples", "5", "--buckets", "6"], None, "more buckets than samples"),
+          "--samples", "5", "--buckets", "6"], None,
+         "bucket count must lie in [1, 5] for 5 samples, got 6"),
         (["page-curve", "--ensemble", "haar", "--modes", "1"], None,
-         "page-curve needs at least two modes"),
+         "need at least two modes for a bipartition, got 1"),
         (["hiding", "--kind", "gbs", "--modes", "8", "--photons", "3"], None,
-         "gbs hiding needs an even photon number, got 3"),
+         "outcome must hold an even photon number, got 3"),
         (["arch-info", "--ensemble", "local-parallel", "--modes", "8", "--dim", "2",
           "--depth", "2"], None, "--sides is required for lattices with dim > 1"),
         (["arch-info", "--ensemble", "local-parallel", "--modes", "8", "--depth", "0"], None,
@@ -342,8 +367,9 @@ _PAGE = ["page-curve", "--seed", "1", "--ensemble", "haar", "--modes", "4", "--s
         ({"effective": "no"}, _COUNT, "--effective"),
         ({"input": [0, "x"]}, _COUNT, "--input"),
         (None, _HIDING + ["--samples", "abc"], "--samples"),
-        (None, ["frame-potential", "--seed", "1", "--ensemble", "haar", "--modes", "4",
-                "--samples", "1"], "--samples"),
+        pytest.param(None, ["frame-potential", "--seed", "1", "--ensemble", "haar", "--modes",
+                            "4", "--samples", "1"], "need at least two samples, got 1",
+                     id="None-argv6---samples"),
         (None, _PAGE + ["--squeeze", "inf"], "--squeeze expects a finite number, got 'inf'"),
         ({"squeeze": float("inf")}, _PAGE, "--squeeze expects a finite number, got inf"),
         ({"squeeze": float("nan")}, _PAGE, "--squeeze expects a finite number, got nan"),
@@ -353,6 +379,22 @@ _PAGE = ["page-curve", "--seed", "1", "--ensemble", "haar", "--modes", "4", "--s
          "--lambda expects a finite number"),
         (None, _COUNT + ["--effective", "--lambda", "1e400", "--beta", "0.5"],
          "--lambda expects a finite number"),
+        # finite settings whose closed forms overflow a float
+        (None, ["permitted-count", "--seed", "1", "--ensemble", "local-parallel", "--modes", "8",
+                "--depth", "2", "--photons", "3", "--effective", "--lambda", "1000",
+                "--beta", "0.5"],
+         "effective lightcone 2*n^lambda*depth/(beta*d) at n=3, lambda=1000.0 overflows a float"),
+        (None, ["thresholds", "--seed", "1", "--photons", "4", "--gamma", "1e300", "--c-const",
+                "1", "--lambda", "1", "--beta", "0.5"],
+         "mode count c*n^gamma at n=4, gamma=1e+300, c=1.0 overflows a float"),
+        (None, ["page-curve", "--seed", "1", "--ensemble", "nlhs", "--modes", "4", "--rounds",
+                "1", "--samples", "2", "--squeeze", "400"],
+         "squeezed variance exp(2r) at r=400.0 overflows a float"),
+        # a count its guard admits whose closed-form product bound overflows
+        (None, ["permitted-count", "--seed", "1", "--ensemble", "local-parallel", "--modes", "8",
+                "--dim", "2", "--sides", "2,4", "--depth", "2", "--photons", "2", "--effective",
+                "--lambda", "1000", "--beta", "0.5"],
+         "upper bound on the permitted count overflows a float"),
     ],
 )
 def test_bad_setting_values_exit_2(tmp_path, capsys, file_cfg, argv, flag):
@@ -468,6 +510,12 @@ _SWEEP_BASES = {
                    ["--ensemble", "nlhs", "--modes", "4", "--rounds", "1", "--samples", "2"]],
     "frame-potential": [["--ensemble", "haar", "--modes", "3", "--samples", "4"],
                         _CHAIN + ["--samples", "3", "--k-moment", "1"]],
+    "thresholds": [["--photons", "4", "--gamma", "1.5", "--c-const", "1", "--lambda", "0.5",
+                    "--beta", "0.5"],
+                   ["--photons", "3", "--pairs", "2", "--gamma", "1", "--c-const", "2",
+                    "--dim", "2", "--lambda", "1", "--beta", "0.25"]],
+    "hiding": [["--kind", "fbs", "--modes", "4", "--photons", "2", "--samples", "3"],
+               ["--kind", "gbs", "--modes", "6", "--photons", "2", "--samples", "2"]],
 }
 # None drops the setting; --samples is never dropped, since its defaults take seconds
 _SWEEP_VALUES = {
@@ -488,9 +536,12 @@ _SWEEP_VALUES = {
     "k-moment": ["0", "1", "2", None],
     "format": ["json", "csv", None],
     "threads": ["0", "1", None],
-    "squeeze": ["0.3", "inf", "-inf", "nan", "0", None],
-    "lambda": ["0.5", "inf", "-inf", "nan", "0", None],
-    "beta": ["0.5", "inf", "nan", "1", None],
+    "squeeze": ["0.3", "inf", "-inf", "nan", "0", "400", None],
+    "lambda": ["0.5", "inf", "-inf", "nan", "0", "1000", "1e300", None],
+    "beta": ["0.5", "inf", "nan", "1", "1e-300", None],
+    "gamma": ["1", "2.5", "0.5", "1e300", "inf", None],
+    "c-const": ["1", "0", "1e-300", "1e300", None],
+    "kind": ["fbs", "gbs", "bs", None],
 }
 
 

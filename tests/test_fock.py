@@ -222,6 +222,24 @@ def test_dense_fbs_count_refused_before_building():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("effective", [False, True], ids=["plain", "effective"])
+def test_count_guard_runs_before_the_product_bound(effective):
+    # 200 photons on a 100-layer chain: the product bound overflows a float, and the guard
+    # refuses the count before the bound is evaluated
+    arch = build_local_parallel(1, [1000], 100)
+    args = (0.5, 0.5) if effective else ()
+    count = count_permitted_fbs_effective if effective else count_permitted_fbs
+    with pytest.raises(GuardError):
+        count(arch, range(200), 100, *args)
+
+
+def test_effective_count_refuses_an_overflowing_bound():
+    # the clipped cones are small, but the closed-form cone size 2^1000 squared overflows
+    arch = build_local_parallel(2, [2, 4], 2)
+    with pytest.raises(ValueError, match="upper bound on the permitted count overflows a float"):
+        count_permitted_fbs_effective(arch, (0, 1), 2, 1000.0, 0.5)
+
+
 def test_is_permitted_fbs_many_photons():
     # depth-2 cones are disjoint 4-mode blocks holding two inputs each, so an
     # outcome is permitted exactly when every block holds two photons
@@ -280,6 +298,8 @@ def test_ratio_bound_formula_and_domain():
     )
     with pytest.raises(ValueError):
         fbs_permitted_ratio_bound(m, n, gamma, c0 * 1.5, d, depth)
+    with pytest.raises(ValueError, match="overflows a float"):
+        fbs_permitted_ratio_bound(16, 4, 1e300, 1.0, 1, 2)
 
 
 def test_fbs_depth_thresholds_unit_constants():

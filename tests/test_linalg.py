@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from shallowbs.arch import build_nlhs, realize
+from shallowbs.gaussian import smsv_covariance
+from shallowbs.matfn import GuardError
 from shallowbs.linalg import (
     RngStream,
     as_generator,
-    embed_two_mode,
-    frobenius_norm_sq,
     ginibre,
     haar_u2,
     haar_unitary,
@@ -97,31 +98,20 @@ def test_haar_unitary_entry_variance():
     np.testing.assert_allclose(acc / reps, np.full((m, m), 1 / m), atol=0.02)
 
 
+def test_dense_draws_are_guarded():
+    # one entry over the cap; the guard refuses before numpy allocates anything
+    with pytest.raises(GuardError, match="dense guard: a 8192 x 8193 matrix"):
+        ginibre(1 << 13, (1 << 13) + 1, RngStream(0))
+    with pytest.raises(GuardError, match="dense guard"):
+        haar_unitary(100_000, RngStream(0))
+    with pytest.raises(GuardError, match="dense guard"):
+        realize(build_nlhs(14, 1), RngStream(0))
+    with pytest.raises(GuardError, match="dense guard"):
+        smsv_covariance(5000, range(5000), 0.4)
+
+
 def test_ginibre_moments():
     x = ginibre(200, 200, RngStream(13, 0))
     assert x.dtype == np.complex128
     assert abs(x.mean()) < 5e-3
     assert abs((np.abs(x) ** 2).mean() - 1.0) < 5e-3
-
-
-def test_embed_two_mode_places_block():
-    gate = np.array([[1, 2], [3, 4]], dtype=complex)
-    u = embed_two_mode(gate, 1, 3, 5)
-    expect = np.eye(5, dtype=complex)
-    expect[1, 1], expect[1, 3] = 1, 2
-    expect[3, 1], expect[3, 3] = 3, 4
-    np.testing.assert_array_equal(u, expect)
-
-
-def test_embed_two_mode_rejects_bad_modes():
-    gate = np.eye(2, dtype=complex)
-    with pytest.raises(ValueError):
-        embed_two_mode(gate, 2, 2, 5)
-    with pytest.raises(IndexError):
-        embed_two_mode(gate, 0, 5, 5)
-
-
-def test_frobenius_norm_sq_matches_numpy():
-    gen = np.random.default_rng(2)
-    a = gen.normal(size=(6, 6)) + 1j * gen.normal(size=(6, 6))
-    np.testing.assert_allclose(frobenius_norm_sq(a), np.linalg.norm(a) ** 2, rtol=1e-12)
