@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 # Output-probability density of shallow hypercubic circuits against Haar.
-# One sweep leaves visible structure; three sweeps are statistically
-# indistinguishable at this sample size.  Writes density_curves.png if
-# matplotlib is around.
+# The sampler takes the ensemble itself: a circuit, or the mode count M for
+# Haar on U(M).  One sweep leaves visible structure; three sweeps are
+# statistically indistinguishable at this sample size.  Writes
+# density_curves.png if matplotlib is around.
 import math
 
 from scipy.stats import ks_2samp
@@ -12,18 +13,15 @@ from shallowbs import (
     build_nlhs,
     density_function,
     fbs_probability_samples,
-    haar_unitary,
-    realize,
 )
 
 M, N, SAMPLES, BUCKETS = 16, 3, 2000, 25
 
-haar = fbs_probability_samples(lambda g: haar_unitary(M, g), M, N, SAMPLES, RngStream(31))
+haar = fbs_probability_samples(M, N, SAMPLES, RngStream(31))
 curves = {"haar": haar}
 for rounds in (1, 3):
-    arch = build_nlhs(4, rounds)
     curves[f"{rounds} sweep(s)"] = fbs_probability_samples(
-        lambda g: realize(arch, g), M, N, SAMPLES, RngStream(32 + rounds))
+        build_nlhs(4, rounds), N, SAMPLES, RngStream(32 + rounds))
 
 crit = 1.6276 * math.sqrt(2.0 / SAMPLES)
 print(f"two-sample KS against Haar ({SAMPLES} samples, 1% critical value {crit:.4f}):")

@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
 """Subsystem entropy against subsystem size for squeezed light in random circuits.
 
-A Haar circuit produces the symmetric tent-shaped curve; a single hypercubic
-sweep falls short of it and a second sweep closes the gap.  Writes
-page_curve.png when matplotlib is available.
+``page_curve`` takes the ensemble itself: a circuit, or the mode count M for
+Haar on U(M).  A Haar circuit produces the symmetric tent-shaped curve; a
+single hypercubic sweep falls short of it and a second sweep closes the gap.
+Writes page_curve.png when matplotlib is available.
 """
-from shallowbs import RngStream, build_nlhs, haar_unitary, page_curve, realize
+from shallowbs import RngStream, build_nlhs, page_curve
 
 M, R, SAMPLES = 8, 0.4, 400
 
 curves = {}
-curves["haar"] = page_curve(lambda g: haar_unitary(M, g), M, R, SAMPLES, RngStream(41))
+curves["haar"] = page_curve(M, R, SAMPLES, RngStream(41))
 for rounds in (1, 2):
-    arch = build_nlhs(3, rounds)
     curves[f"{rounds} sweep(s)"] = page_curve(
-        lambda g: realize(arch, g), M, R, SAMPLES, RngStream(41 + rounds))
+        build_nlhs(3, rounds), R, SAMPLES, RngStream(41 + rounds))
 
 print(f"mean Renyi-2 entropy, {M} modes, r = {R}, {SAMPLES} samples per size:")
 header = "".join(f"{label:>14}" for label in curves)

@@ -23,7 +23,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .linalg import RngStream, _check_dense, _haar_u2_batch, as_generator
+from .linalg import RngStream, _check_dense, _haar_u2_batch, as_generator, haar_unitary
 
 __all__ = [
     "GateSlot",
@@ -225,6 +225,27 @@ def realize(
         u[a_idx] = g[:, 0, 0, None] * rows_a + g[:, 0, 1, None] * rows_b
         u[b_idx] = g[:, 1, 0, None] * rows_a + g[:, 1, 1, None] * rows_b
     return u
+
+
+def _unitary_sampler(
+    ensemble: Union[CircuitArchitecture, int]
+) -> tuple[int, Callable[[np.random.Generator], np.ndarray]]:
+    """Mode count M of an ensemble, and a draw of one unitary from a generator.
+
+    A circuit is drawn with ``realize``; an integer M means Haar on U(M).  Both
+    are looked up when a draw is made, so wrappers installed on this module see
+    every draw.  Anything else is refused here, before any draw.
+    """
+    if isinstance(ensemble, CircuitArchitecture):
+        return ensemble.mode_count, lambda gen: realize(ensemble, gen)
+    try:
+        m = index(ensemble)
+    except TypeError:
+        raise TypeError(
+            f"ensemble must be a CircuitArchitecture or an integer mode count, got {ensemble!r}"
+        ) from None
+    _check_positive(m, "mode count")
+    return m, lambda gen: haar_unitary(m, gen)
 
 
 def _check_depth(arch: CircuitArchitecture, depth: int) -> None:

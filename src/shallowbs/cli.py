@@ -32,9 +32,7 @@ import math
 import os
 import sys
 import time
-from typing import Any, Callable, Optional
-
-import numpy as np
+from typing import Any, Callable, Optional, Union
 
 from ._version import __version__
 from .arch import (
@@ -43,7 +41,6 @@ from .arch import (
     arch_to_dict,
     build_local_parallel,
     build_nlhs,
-    realize,
 )
 from .fock import (
     _check_lattice,
@@ -55,19 +52,20 @@ from .fock import (
 )
 from .gaussian import (
     _check_bipartition,
+    _check_entropy_squeezing,
     _check_even,
     _check_pairs,
     _check_samples,
-    _check_squeezing,
     count_permitted_gbs,
     gbs_depth_thresholds,
     page_curve,
 )
-from .linalg import RngStream, haar_unitary
+from .linalg import RngStream
 from .matfn import GuardError
 from .stats import (
     _check_buckets,
     _check_placeable,
+    _hiding_scale,
     density_function,
     fbs_probability_samples,
     frame_potential,
@@ -371,13 +369,14 @@ def _validate(cfg: dict) -> tuple[list[str], Optional[CircuitArchitecture]]:
     elif experiment in ("page-curve", "frame-potential"):
         if experiment == "page-curve":
             _check_settings(cfg, diags, _check_bipartition, "modes")
-            _check_settings(cfg, diags, _check_squeezing, "squeeze")
+            _check_settings(cfg, diags, _check_entropy_squeezing, "squeeze")
         _check_settings(cfg, diags, _check_samples, "samples")
     elif experiment == "hiding":
         for key in ("kind", "modes", "photons"):
             _need(cfg, key, diags)
         if cfg.get("kind") == "gbs":
             _check_settings(cfg, diags, _check_even, "photons")
+        _check_settings(cfg, diags, _hiding_scale, "modes", "photons")
     return diags, arch
 
 
@@ -386,18 +385,16 @@ def validate_config(cfg: dict) -> list[str]:
     return _validate(cfg)[0]
 
 
-def _build_sampler(
+def _ensemble(
     cfg: dict, arch: Optional[CircuitArchitecture]
-) -> tuple[str, Callable[[np.random.Generator], np.ndarray]]:
+) -> tuple[str, Union[CircuitArchitecture, int]]:
+    """The result-file tag of the run's ensemble, and the ensemble the drivers take."""
     if arch is None:
-        m = cfg["modes"]
-        return f"haar(m={m})", lambda gen: haar_unitary(m, gen)
+        return f"haar(m={cfg['modes']})", cfg["modes"]
     if arch.family == "nlhs":
-        tag = f"nlhs(p={arch.log2_modes},rounds={arch.rounds})"
-    else:
-        sides = "x".join(str(s) for s in arch.side_lengths)
-        tag = f"local-parallel(d={arch.dimension},sides={sides},depth={arch.depth})"
-    return tag, lambda gen: realize(arch, gen)
+        return f"nlhs(p={arch.log2_modes},rounds={arch.rounds})", arch
+    sides = "x".join(str(s) for s in arch.side_lengths)
+    return f"local-parallel(d={arch.dimension},sides={sides},depth={arch.depth})", arch
 
 
 def _run_arch_info(cfg: dict, arch: CircuitArchitecture, master: RngStream) -> dict:
@@ -426,26 +423,26 @@ def _run_thresholds(cfg: dict, arch: Optional[CircuitArchitecture], master: RngS
 
 
 def _run_density(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStream) -> dict:
-    tag, sampler = _build_sampler(cfg, arch)
+    tag, ensemble = _ensemble(cfg, arch)
     fbs = cfg["experiment"] == "density-fbs"
     driver = fbs_probability_samples if fbs else gbs_probability_samples
-    values = driver(sampler, cfg["modes"], cfg["photons"], cfg["samples"], master)
+    values = driver(ensemble, cfg["photons"], cfg["samples"], master)
     curve = density_function(values, cfg["buckets"])
     extra = {"ensemble": tag, **{k: cfg[k] for k in ("modes", "photons", "samples", "seed")}}
     return {"rows": [{**row, **extra} for row in curve.to_rows()]}
 
 
 def _run_page_curve(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStream) -> dict:
-    tag, sampler = _build_sampler(cfg, arch)
-    rows = page_curve(sampler, cfg["modes"], cfg["squeeze"], cfg["samples"], master)
+    tag, ensemble = _ensemble(cfg, arch)
+    rows = page_curve(ensemble, cfg["squeeze"], cfg["samples"], master)
     extra = {"ensemble": tag, "M": cfg["modes"], "r": cfg["squeeze"],
              "samples": cfg["samples"], "seed": cfg["seed"]}
     return {"rows": [{"k": k, "mean_S2": mean, "stderr": err, **extra} for k, mean, err in rows]}
 
 
 def _run_frame_potential(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStream) -> dict:
-    tag, sampler = _build_sampler(cfg, arch)
-    est = frame_potential(sampler, cfg["k_moment"], cfg["samples"], master)
+    tag, ensemble = _ensemble(cfg, arch)
+    est = frame_potential(ensemble, cfg["k_moment"], cfg["samples"], master)
     extra = {"ensemble": tag, "modes": cfg["modes"], "seed": cfg["seed"]}
     return {"rows": [{**est.to_dict(), **extra}]}
 

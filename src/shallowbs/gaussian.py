@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 import warnings
 from operator import index
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Union
 
 import numpy as np
 
-from .arch import CircuitArchitecture, _check_positive, _closed_form, _cone_masks
+from .arch import CircuitArchitecture, _check_positive, _closed_form, _cone_masks, _unitary_sampler
 from .fock import (
     DepthThresholds,
     ENUMERATION_GUARD,
@@ -64,6 +64,23 @@ def _check_squeezing(squeeze_r: float) -> None:
     """A positive squeezing whose p-variance exp(2r) is a finite float."""
     _check_positive(squeeze_r, "squeezing")
     _closed_form(f"squeezed variance exp(2r) at r={squeeze_r}", lambda: math.exp(2.0 * squeeze_r))
+
+
+# An evolved covariance mixes variances exp(-2r) and exp(+2r); as their ratio
+# exp(4r) nears 2^52, float64 rounding loses the smallest eigenvalue.  Circuits
+# of 32 to 128 modes already lost it for some seeds at r = 9.0 (exp(4r) ~ 2^52),
+# and none did below exp(4r) = 2^50, the limit kept here.
+_ENTROPY_SQUEEZING_LIMIT = 12.5 * math.log(2)
+
+
+def _check_entropy_squeezing(squeeze_r: float) -> None:
+    """A squeezing whose evolved covariance keeps its determinant in float64."""
+    _check_squeezing(squeeze_r)
+    if squeeze_r >= _ENTROPY_SQUEEZING_LIMIT:
+        raise ValueError(
+            f"squeezing r={squeeze_r} reaches exp(4r) >= 2^50, past float64 precision for "
+            f"entropies; need r < 12.5 ln 2 = {_ENTROPY_SQUEEZING_LIMIT:.4f}"
+        )
 
 
 def _check_even(photons: int) -> None:
@@ -112,7 +129,8 @@ def evolve_covariance(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
     m = u.shape[0]
     if sigma.shape != (2 * m, 2 * m):
         raise ValueError(
-            f"covariance shape {sigma.shape} does not match {m}-mode circuit"
+            f"covariance shape {sigma.shape} does not match the {(2 * m, 2 * m)} "
+            f"of a {m}-mode circuit"
         )
     if np.max(np.abs(u.conj().T @ u - np.eye(m))) > 1e-8:
         raise ValueError("circuit matrix is not unitary within 1e-8")
@@ -160,37 +178,34 @@ def is_valid_covariance(sigma: np.ndarray, tol: float = 1e-8) -> bool:
 
 
 def page_curve(
-    sample_unitary: Callable[[np.random.Generator], np.ndarray],
-    modes: int,
+    ensemble: Union[CircuitArchitecture, int],
     squeeze_r: float,
     samples: int,
     rng: RngStream,
-    subsystem_sizes: Optional[Sequence[int]] = None,
 ) -> list[tuple[int, float, float]]:
     """Mean subsystem entropy against subsystem size for a circuit ensemble.
 
-    All modes carry identical squeezing ``squeeze_r``.  For every subsystem
-    size k and every sample, a fresh circuit and a uniformly random k-mode
-    subset are drawn from a per-trial derived stream; the rows returned are
-    ``(k, mean entropy, standard error)``.
+    The ensemble is a circuit, drawn with ``realize``, or an integer M for Haar
+    on U(M).  All M modes carry identical squeezing ``squeeze_r``, which must
+    stay below 12.5 ln 2 for the entropies to survive float64 rounding.  For
+    every subsystem size k from 1 to M - 1 and every sample, a fresh circuit
+    and a uniformly random k-mode subset are drawn from a per-trial derived
+    stream; the rows returned are ``(k, mean entropy, standard error)``.
     """
+    modes, draw = _unitary_sampler(ensemble)
     _check_bipartition(modes)
+    _check_entropy_squeezing(squeeze_r)
     sigma0 = smsv_covariance(modes, range(modes), squeeze_r)
     _check_samples(samples)
-    sizes = list(range(1, modes)) if subsystem_sizes is None else [index(k) for k in subsystem_sizes]
-    if any(not 1 <= k <= modes - 1 for k in sizes):
-        raise ValueError(f"subsystem sizes must lie in [1, {modes - 1}], got {sizes}")
 
     def one(k: int, trial: int) -> float:
-        # streams keyed by subsystem size, so a subset of sizes reproduces
-        # the matching rows of a full run
         gen = rng.derive((k - 1) * samples + trial).generator()
-        u = sample_unitary(gen)
+        u = draw(gen)
         subset = gen.choice(modes, size=k, replace=False)
         return renyi2_entropy(reduced_covariance(evolve_covariance(sigma0, u), subset))
 
     rows = []
-    for k in sizes:
+    for k in range(1, modes):
         chunk = np.array([one(k, trial) for trial in range(samples)])
         rows.append(
             (k, float(chunk.mean()), float(chunk.std(ddof=1) / math.sqrt(samples)))

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .arch import _check_positive
+from .arch import CircuitArchitecture, _check_positive, _closed_form, _unitary_sampler
 from .fock import _check_outcome_space, _input_pattern, fbs_probability
 from .gaussian import _check_even, _check_samples, _hafnian_weight
 from .linalg import RngStream, as_generator, ginibre
@@ -119,23 +119,25 @@ class FramePotentialEstimate:
 
 
 def frame_potential(
-    sample_unitary: Callable[[np.random.Generator], np.ndarray],
+    ensemble: Union[CircuitArchitecture, int],
     k_moment: int,
     n_sam: int,
     rng: RngStream,
 ) -> FramePotentialEstimate:
     """Estimate the k-th frame potential E |Tr(U^dag V)|^(2k) over ensemble pairs.
 
-    Haar over the full group gives k!, so ``normalized`` tends to 1 from above
-    as the ensemble approaches a unitary k-design.  ``bootstrap_std`` is
-    reported on the normalized scale.
+    The ensemble is a circuit, drawn with ``realize``, or an integer M for Haar
+    on U(M).  Haar over the full group gives k!, so ``normalized`` tends to 1
+    from above as the ensemble approaches a unitary k-design.
+    ``bootstrap_std`` is reported on the normalized scale.
     """
+    _, draw = _unitary_sampler(ensemble)
     _check_positive(k_moment, "moment order")
     _check_samples(n_sam)
 
     def one(i: int) -> float:
-        u = sample_unitary(rng.derive(2 * i).generator())
-        v = sample_unitary(rng.derive(2 * i + 1).generator())
+        u = draw(rng.derive(2 * i).generator())
+        v = draw(rng.derive(2 * i + 1).generator())
         return float(abs(np.vdot(u, v)) ** (2 * k_moment))
 
     values = np.array([one(i) for i in range(n_sam)])
@@ -167,19 +169,23 @@ def random_collision_free_pattern(
 
 
 def fbs_probability_samples(
-    sample_unitary: Callable[[np.random.Generator], np.ndarray],
-    m: int,
+    ensemble: Union[CircuitArchitecture, int],
     photons: int,
     n_sam: int,
     rng: RngStream,
 ) -> np.ndarray:
-    """|perm|^2 samples of random circuits at random collision-free in/out patterns."""
+    """|perm|^2 samples of random circuits at random collision-free in/out patterns.
+
+    The ensemble is a circuit, drawn with ``realize``, or an integer M for Haar
+    on U(M); the patterns range over all of its M modes.
+    """
+    m, draw = _unitary_sampler(ensemble)
     _check_positive(photons, "photon number")
     _check_placeable(m, photons)
 
     def one(i: int) -> float:
         gen = rng.derive(i).generator()
-        u = sample_unitary(gen)
+        u = draw(gen)
         t = random_collision_free_pattern(m, photons, gen)
         s = random_collision_free_pattern(m, photons, gen)
         return fbs_probability(u, t, s)
@@ -188,16 +194,18 @@ def fbs_probability_samples(
 
 
 def gbs_probability_samples(
-    sample_unitary: Callable[[np.random.Generator], np.ndarray],
-    m: int,
+    ensemble: Union[CircuitArchitecture, int],
     photons: int,
     n_sam: int,
     rng: RngStream,
 ) -> np.ndarray:
     """|Haf((U U^T)_s)|^2 samples with squeezed sources on every mode.
 
-    ``photons`` counts output photons and must be even.
+    The ensemble is a circuit, drawn with ``realize``, or an integer M for Haar
+    on U(M).  ``photons`` counts output photons over its M modes and must be
+    even.
     """
+    m, draw = _unitary_sampler(ensemble)
     _check_positive(photons, "photon number")
     _check_even(photons)
     _check_placeable(m, photons)
@@ -205,11 +213,16 @@ def gbs_probability_samples(
 
     def one(i: int) -> float:
         gen = rng.derive(i).generator()
-        u = sample_unitary(gen)
+        u = draw(gen)
         s = random_collision_free_pattern(m, photons, gen)
         return _hafnian_weight(u, t, s)
 
     return np.array([one(i) for i in range(n_sam)])
+
+
+def _hiding_scale(m: int, photons: int) -> float:
+    """The normalization m^n of a hiding draw; ValueError when it overflows a float."""
+    return _closed_form(f"hiding scale m^n at m={m}, n={photons}", lambda: float(m) ** photons)
 
 
 def hiding_samples(
@@ -231,7 +244,7 @@ def hiding_samples(
     _check_positive(photons, "photon number")
     if kind == "gbs":
         _check_even(photons)
-    scale = float(m) ** photons
+    scale = _hiding_scale(m, photons)
     p = tuple(range(photons))
 
     def one(i: int) -> float:

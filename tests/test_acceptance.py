@@ -223,14 +223,14 @@ def test_07_frame_potential(criterion):
     fails: list[str] = []
     n_sam = 20_000
     for k in (2, 3):
-        est = frame_potential(lambda gen: haar_unitary(8, gen), k, n_sam, RngStream(2000, k))
+        est = frame_potential(8, k, n_sam, RngStream(2000, k))
         if abs(est.normalized - 1.0) > 3.0 * est.bootstrap_std:
             fails.append(f"Haar k={k}: {est.normalized:.4f} +- {est.bootstrap_std:.4f} misses 1")
     norms: dict[int, float] = {}
     stds: dict[int, float] = {}
     for rounds in (1, 2, 3):
         arch = build_nlhs(4, rounds)
-        est = frame_potential(lambda gen: realize(arch, gen), 2, n_sam, RngStream(2001, rounds))
+        est = frame_potential(arch, 2, n_sam, RngStream(2001, rounds))
         norms[rounds], stds[rounds] = est.normalized, est.bootstrap_std
     if not norms[1] > norms[2] > norms[3]:
         fails.append(f"estimates not strictly decreasing: {norms}")
@@ -250,11 +250,11 @@ def test_08_page_curve(criterion):
     fails: list[str] = []
     m, r, samples = 16, 0.4, 2000
 
-    def curve(sampler, rng):
-        rows = page_curve(sampler, m, r, samples, rng)
+    def curve(ensemble, rng):
+        rows = page_curve(ensemble, r, samples, rng)
         return {k: (mean, se) for k, mean, se in rows}
 
-    haar = curve(lambda gen: haar_unitary(m, gen), RngStream(3000))
+    haar = curve(m, RngStream(3000))
     for k in range(1, m):
         a, sa = haar[k]
         b, sb = haar[m - k]
@@ -262,13 +262,13 @@ def test_08_page_curve(criterion):
             fails.append(f"Haar curve asymmetric at k={k}: {a:.4f} vs {b:.4f}")
 
     arch2 = build_nlhs(4, 2)
-    two = curve(lambda gen: realize(arch2, gen), RngStream(3007))
+    two = curve(arch2, RngStream(3007))
     worst2 = max(abs(two[k][0] - haar[k][0]) / math.hypot(two[k][1], haar[k][1]) for k in haar)
     if worst2 >= 3.0:
         fails.append(f"two-sweep curve deviates from Haar by {worst2:.2f} sigma")
 
     arch1 = build_nlhs(4, 1)
-    one = curve(lambda gen: realize(arch1, gen), RngStream(3002))
+    one = curve(arch1, RngStream(3002))
     worst1 = max(abs(one[k][0] - haar[k][0]) / math.hypot(one[k][1], haar[k][1]) for k in haar)
     if worst1 <= 3.0:
         fails.append(f"one-sweep curve stays within {worst1:.2f} sigma of Haar")
@@ -281,14 +281,11 @@ def test_09_density_convergence(criterion):
     t0 = time.perf_counter()
     fails: list[str] = []
     m, photons, n_sam = 16, 3, 5000
-    haar = fbs_probability_samples(lambda gen: haar_unitary(m, gen), m, photons, n_sam,
-                                   RngStream(4000))
+    haar = fbs_probability_samples(m, photons, n_sam, RngStream(4000))
     arch3 = build_nlhs(4, 3)
-    deep = fbs_probability_samples(lambda gen: realize(arch3, gen), m, photons, n_sam,
-                                   RngStream(4001))
+    deep = fbs_probability_samples(arch3, photons, n_sam, RngStream(4001))
     arch1 = build_nlhs(4, 1)
-    shallow = fbs_probability_samples(lambda gen: realize(arch1, gen), m, photons, n_sam,
-                                      RngStream(4002))
+    shallow = fbs_probability_samples(arch1, photons, n_sam, RngStream(4002))
     crit = 1.6276 * math.sqrt(2.0 / n_sam)
     ks_deep = ks_2samp(deep, haar).statistic
     ks_shallow = ks_2samp(shallow, haar).statistic
@@ -353,8 +350,7 @@ def test_11_hiding(criterion):
     fails: list[str] = []
     m, photons, n_sam = 64, 4, 5000
     scale = float(m) ** photons
-    sub = fbs_probability_samples(lambda gen: haar_unitary(m, gen), m, photons, n_sam,
-                                  RngStream(5000)) * scale
+    sub = fbs_probability_samples(m, photons, n_sam, RngStream(5000)) * scale
     gin = hiding_samples("fbs", m, photons, n_sam, RngStream(5001)) * scale
     crit = 1.6276 * math.sqrt(2.0 / n_sam)
     ks = ks_2samp(sub, gin).statistic

@@ -395,6 +395,14 @@ _PAGE = ["page-curve", "--seed", "1", "--ensemble", "haar", "--modes", "4", "--s
                 "--dim", "2", "--sides", "2,4", "--depth", "2", "--photons", "2", "--effective",
                 "--lambda", "1000", "--beta", "0.5"],
          "upper bound on the permitted count overflows a float"),
+        # squeezing whose evolved covariance loses its determinant to float64 rounding
+        (None, ["page-curve", "--seed", "1", "--ensemble", "nlhs", "--modes", "4", "--rounds",
+                "1", "--samples", "2", "--squeeze", "10"], "past float64 precision"),
+        (None, ["page-curve", "--seed", "1", "--ensemble", "nlhs", "--modes", "4", "--rounds",
+                "1", "--samples", "2", "--squeeze", "300"], "past float64 precision"),
+        (None, ["hiding", "--seed", "1", "--kind", "fbs", "--modes", "100000000000", "--photons",
+                "30", "--samples", "2"],
+         "hiding scale m^n at m=100000000000, n=30 overflows a float"),
     ],
 )
 def test_bad_setting_values_exit_2(tmp_path, capsys, file_cfg, argv, flag):

@@ -13,6 +13,7 @@ from shallowbs.arch import (
 )
 from shallowbs.fock import GuardError, enumerate_outcomes
 from shallowbs.gaussian import (
+    _ENTROPY_SQUEEZING_LIMIT,
     count_permitted_gbs,
     evolve_covariance,
     gbs_depth_thresholds,
@@ -95,6 +96,8 @@ def test_evolve_covariance_keeps_vacuum_and_purity():
     assert is_valid_covariance(sigma)
     with pytest.raises(ValueError):
         evolve_covariance(sigma, u * 1.01)
+    with pytest.raises(ValueError, match=r"shape \(4, 4\) does not match the \(8, 8\) of a 4-mode"):
+        evolve_covariance(np.eye(4), u)
 
 
 def test_reduced_covariance_picks_blocks():
@@ -161,32 +164,31 @@ def test_is_valid_covariance_rejects_subvacuum():
 
 
 def test_page_curve_rows_and_determinism():
-    def sampler(gen):
-        return haar_unitary(4, gen)
-
-    rows = page_curve(sampler, 4, 0.4, 10, RngStream(42, 0))
+    rows = page_curve(4, 0.4, 10, RngStream(42, 0))
     assert [r[0] for r in rows] == [1, 2, 3]
     assert all(mean > -1e-9 and err >= 0 for _, mean, err in rows)
-    again = page_curve(sampler, 4, 0.4, 10, RngStream(42, 0))
+    again = page_curve(4, 0.4, 10, RngStream(42, 0))
     assert rows == again
-    subset = page_curve(sampler, 4, 0.4, 10, RngStream(42, 0), subsystem_sizes=[2])
-    assert subset[0] == rows[1]
 
 
 def test_page_curve_validation():
-    def sampler(gen):
-        return haar_unitary(4, gen)
-
     with pytest.raises(ValueError):
-        page_curve(sampler, 1, 0.4, 10, RngStream(0, 0))
+        page_curve(1, 0.4, 10, RngStream(0, 0))
     with pytest.raises(ValueError):
-        page_curve(sampler, 4, 0.4, 1, RngStream(0, 0))
-    with pytest.raises(ValueError):
-        page_curve(sampler, 4, 0.4, 10, RngStream(0, 0), subsystem_sizes=[4])
-    with pytest.raises(TypeError):
-        page_curve(sampler, 4, 0.4, 10, RngStream(0, 0), subsystem_sizes=[1.7])
+        page_curve(4, 0.4, 1, RngStream(0, 0))
     with pytest.raises(ValueError, match="squeezing must be positive, got 0.0"):
-        page_curve(sampler, 4, 0.0, 10, RngStream(0, 0))
+        page_curve(4, 0.0, 10, RngStream(0, 0))
+    with pytest.raises(ValueError, match="float64 precision"):
+        page_curve(4, _ENTROPY_SQUEEZING_LIMIT, 10, RngStream(0, 0))
+
+
+def test_page_curve_at_the_largest_admitted_squeezing():
+    """Just below the limit every entropy of a one-sweep circuit keeps a positive determinant."""
+    r = math.nextafter(_ENTROPY_SQUEEZING_LIMIT, 0.0)
+    for p in (2, 3, 4, 5, 6):
+        arch = build_nlhs(p, 1)
+        for seed in range(20):
+            assert len(page_curve(arch, r, 2, RngStream(seed))) == 2**p - 1
 
 
 def test_gbs_probability_single_source_identity_circuit():

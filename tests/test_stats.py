@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import shallowbs.arch
 from shallowbs.arch import build_local_parallel, build_nlhs, realize
 from shallowbs.fock import fbs_probability
 from shallowbs.gaussian import (
@@ -82,35 +84,25 @@ def test_bootstrap_std_basics():
 
 def test_frame_potential_single_mode_is_exact():
     """Phases always satisfy |<u, v>| = 1, so the raw moment is exactly one."""
-
-    def sampler(gen):
-        return haar_unitary(1, gen)
-
-    est = frame_potential(sampler, 3, 50, RngStream(9, 0))
+    est = frame_potential(1, 3, 50, RngStream(9, 0))
     np.testing.assert_allclose(est.raw_mean, 1.0, rtol=1e-12)
     np.testing.assert_allclose(est.normalized, 1.0 / 6.0, rtol=1e-12)
 
 
 def test_frame_potential_haar_first_moment():
-    def sampler(gen):
-        return haar_unitary(3, gen)
-
-    est = frame_potential(sampler, 1, 3000, RngStream(14, 0))
+    est = frame_potential(3, 1, 3000, RngStream(14, 0))
     assert est.k_moment == 1
     assert est.n_sam == 3000
     assert abs(est.normalized - 1.0) < 3 * est.bootstrap_std
-    again = frame_potential(sampler, 1, 3000, RngStream(14, 0))
+    again = frame_potential(3, 1, 3000, RngStream(14, 0))
     assert est == again
 
 
 def test_frame_potential_validation():
-    def sampler(gen):
-        return haar_unitary(2, gen)
-
     with pytest.raises(ValueError):
-        frame_potential(sampler, 0, 100, RngStream(0, 0))
+        frame_potential(2, 0, 100, RngStream(0, 0))
     with pytest.raises(ValueError):
-        frame_potential(sampler, 2, 1, RngStream(0, 0))
+        frame_potential(2, 2, 1, RngStream(0, 0))
 
 
 def test_random_collision_free_pattern():
@@ -128,42 +120,80 @@ def test_random_collision_free_pattern():
 
 
 def test_fbs_probability_samples_scale():
-    def sampler(gen):
-        return haar_unitary(6, gen)
-
     rng = RngStream(25, 0)
-    values = fbs_probability_samples(sampler, 6, 2, 2000, rng)
+    values = fbs_probability_samples(6, 2, 2000, rng)
     assert values.shape == (2000,)
     assert (values >= 0).all()
-    np.testing.assert_array_equal(values, fbs_probability_samples(sampler, 6, 2, 2000, rng))
+    np.testing.assert_array_equal(values, fbs_probability_samples(6, 2, 2000, rng))
     # Haar minors sit near the Ginibre scale n!/m^n
     assert 0.5 * 2 / 36 < values.mean() < 2.0 * 2 / 36
 
 
 def test_gbs_probability_samples_shape():
-    def sampler(gen):
-        return haar_unitary(6, gen)
-
     rng = RngStream(26, 0)
-    values = gbs_probability_samples(sampler, 6, 2, 500, rng)
+    values = gbs_probability_samples(6, 2, 500, rng)
     assert values.shape == (500,)
     assert (values >= 0).all()
-    np.testing.assert_array_equal(values, gbs_probability_samples(sampler, 6, 2, 500, rng))
+    np.testing.assert_array_equal(values, gbs_probability_samples(6, 2, 500, rng))
     with pytest.raises(ValueError):
-        gbs_probability_samples(sampler, 6, 3, 100, rng)
+        gbs_probability_samples(6, 3, 100, rng)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Every circuit draw and generator made while the test runs."""
+    calls = []
+
+    def record(name, fn):
+        def spy(*args):
+            calls.append(name)
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(shallowbs.arch, "realize", record("realize", shallowbs.arch.realize))
+    monkeypatch.setattr(shallowbs.arch, "haar_unitary", record("haar", haar_unitary))
+    monkeypatch.setattr(RngStream, "generator", record("generator", RngStream.generator))
+    return calls
 
 
 @pytest.mark.parametrize("driver", [fbs_probability_samples, gbs_probability_samples])
-def test_probability_samples_refuse_photons_over_modes_before_sampling(driver):
-    calls = []
-
-    def sampler(gen):
-        calls.append(gen)
-        return haar_unitary(4, gen)
-
+def test_probability_samples_refuse_photons_over_modes_before_sampling(driver, draws):
     with pytest.raises(ValueError, match="cannot place 6 collision-free photons in 4 modes"):
-        driver(sampler, 4, 6, 10, RngStream(0, 0))
-    assert calls == []
+        driver(4, 6, 10, RngStream(0, 0))
+    assert draws == []
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [
+        functools.partial(fbs_probability_samples, photons=2, n_sam=4),
+        functools.partial(gbs_probability_samples, photons=2, n_sam=4),
+        functools.partial(page_curve, squeeze_r=0.4, samples=2),
+        functools.partial(frame_potential, k_moment=2, n_sam=2),
+    ],
+    ids=["fbs", "gbs", "page_curve", "frame_potential"],
+)
+@pytest.mark.parametrize(
+    "ensemble, error, message",
+    [
+        (1.5, TypeError, "got 1.5"),
+        ("nlhs", TypeError, "got 'nlhs'"),
+        (0, ValueError, "mode count must be positive, got 0"),
+    ],
+    ids=["float", "name", "zero"],
+)
+def test_drivers_refuse_a_bad_ensemble_before_drawing(driver, ensemble, error, message, draws):
+    with pytest.raises(error, match=message):
+        driver(ensemble, rng=RngStream(0, 0))
+    assert draws == []
+
+
+def test_drivers_draw_through_module_globals(draws):
+    """A wrapper on ``arch.realize`` or ``arch.haar_unitary`` sees every draw."""
+    fbs_probability_samples(build_nlhs(2, 1), 2, 3, RngStream(0, 0))
+    assert draws.count("realize") == 3
+    frame_potential(4, 1, 2, RngStream(0, 0))
+    assert draws.count("haar") == 4
 
 
 def test_hiding_samples_scales_and_validation():
@@ -184,19 +214,21 @@ def test_hiding_samples_scales_and_validation():
         hiding_samples("fbs", 0, 2, 3, rng)
     with pytest.raises(ValueError, match="mode count must be positive"):
         hiding_samples("fbs", -2, 3, 3, rng)
+    with pytest.raises(ValueError, match="hiding scale m\\^n at m=100000000000, n=30 overflows"):
+        hiding_samples("fbs", 10**11, 30, 2, rng)
 
 
 @pytest.mark.parametrize(
     "arch", [build_nlhs(3, 1), build_local_parallel(2, [2, 4], 3)], ids=["nlhs", "lattice"]
 )
 def test_drivers_compute_through_library_rules(arch):
-    """Each trial of a driver equals the public rule applied to that trial's own draws."""
+    """Each trial of a driver equals the public rule applied to that trial's own draws.
+
+    The drivers read the mode count from the circuit, so the patterns of the
+    trials range over all of its modes.
+    """
     m, n_sam, rng = arch.mode_count, 25, RngStream(31, 0)
-
-    def sampler(gen):
-        return realize(arch, gen)
-
-    fbs, gbs = [], []
+    fbs, gbs, patterns = [], [], []
     for i in range(n_sam):
         gen = rng.derive(i).generator()
         u = realize(arch, gen)
@@ -205,9 +237,12 @@ def test_drivers_compute_through_library_rules(arch):
         fbs.append(fbs_probability(u, t, s))
         gen = rng.derive(i).generator()
         u = realize(arch, gen)
-        gbs.append(gbs_unnormalized_probability(u, range(m), random_collision_free_pattern(m, 4, gen)))
-    np.testing.assert_array_equal(fbs_probability_samples(sampler, m, 3, n_sam, rng), fbs)
-    np.testing.assert_array_equal(gbs_probability_samples(sampler, m, 4, n_sam, rng), gbs)
+        out = random_collision_free_pattern(m, 4, gen)
+        gbs.append(gbs_unnormalized_probability(u, range(m), out))
+        patterns += [t, s, out]
+    assert set().union(*patterns) == set(range(m))
+    np.testing.assert_array_equal(fbs_probability_samples(arch, 3, n_sam, rng), fbs)
+    np.testing.assert_array_equal(gbs_probability_samples(arch, 4, n_sam, rng), gbs)
 
     sigma0 = smsv_covariance(m, range(m), 0.4)
     rows = []
@@ -222,4 +257,4 @@ def test_drivers_compute_through_library_rules(arch):
             )
         chunk = np.array(entropies)
         rows.append((k, float(chunk.mean()), float(chunk.std(ddof=1) / math.sqrt(n_sam))))
-    assert page_curve(sampler, m, 0.4, n_sam, rng) == rows
+    assert page_curve(arch, 0.4, n_sam, rng) == rows
