@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from operator import index
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -122,6 +124,17 @@ class CircuitArchitecture:
         object.__setattr__(self, "_a_arrays", a_arrays)
         object.__setattr__(self, "_b_arrays", b_arrays)
 
+    @cached_property
+    def _gate_uniforms(self) -> np.ndarray:
+        """(4, G) index whose column g picks gate g's uniforms from a draw of 4 per gate.
+
+        A layer of k gates that starts at gate s reads its block of 4k uniforms
+        as a (4, k) array, so entry c of gate g sits at 4s + c*k + (g - s).
+        """
+        sizes = np.array([len(layer.slots) for layer in self.layers], dtype=np.intp)
+        starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return 3 * starts + np.arange(len(starts)) + np.arange(4)[:, None] * np.repeat(sizes, sizes)
+
     @property
     def depth(self) -> int:
         return len(self.layers)
@@ -203,41 +216,76 @@ def build_nlhs(log2_modes: int, rounds: int) -> CircuitArchitecture:
 
 
 def realize(
-    arch: CircuitArchitecture, rng: Union[RngStream, np.random.Generator]
+    arch: CircuitArchitecture,
+    rng: Union[RngStream, np.random.Generator, Sequence[Union[RngStream, np.random.Generator]]],
 ) -> np.ndarray:
-    """Draw one random instance of the architecture as an M x M unitary.
+    """Draw random instances of the architecture as M x M unitaries.
 
     Layers act in order with later layers multiplying on the left, and every
-    slot receives an independent Haar 2x2 gate.  Gates of one layer are drawn
-    as a single batch, in slot order.
+    slot receives an independent Haar 2x2 gate.  Each instance takes its
+    uniforms in one draw, 4 per gate: layer by layer, the mixing variables of
+    the layer's gates in slot order and then their phases.
+
+    One stream or generator gives one (M, M) unitary.  A sequence of B of them
+    gives a (B, M, M) stack whose slice b equals ``realize(arch, rng[b])`` bit
+    for bit and leaves generator b where that call would: the row updates of
+    each layer run across the whole stack.  A single draw is the B = 1 case.
     """
-    gen = as_generator(rng)
+    single = not isinstance(rng, Sequence)
+    gens = [as_generator(r) for r in ((rng,) if single else rng)]
     m = arch.mode_count
-    _check_dense(m, m)
-    u = np.eye(m, dtype=complex)
+    _check_dense(len(gens) * m, m)  # the stack as one (B*M) x M array
+    uniforms = np.empty((len(gens), 4 * arch.gate_count))
+    for row, gen in zip(uniforms, gens):
+        gen.random(out=row)
+    gates = _haar_u2_batch(uniforms[:, arch._gate_uniforms])
+    u = np.zeros((len(gens), m, m), dtype=complex)
+    u[:, range(m), range(m)] = 1.0
+    start = 0
     for a_idx, b_idx in zip(arch._a_arrays, arch._b_arrays):  # type: ignore[attr-defined]
-        k = len(a_idx)
-        if k == 0:
-            continue
-        g = _haar_u2_batch(gen, k)
-        rows_a = u[a_idx]
-        rows_b = u[b_idx]
-        u[a_idx] = g[:, 0, 0, None] * rows_a + g[:, 0, 1, None] * rows_b
-        u[b_idx] = g[:, 1, 0, None] * rows_a + g[:, 1, 1, None] * rows_b
-    return u
+        g = gates[:, start : start + len(a_idx), :, :, None]
+        start += len(a_idx)
+        rows_a = u[:, a_idx]
+        rows_b = u[:, b_idx]
+        # gate entry times row, in this operand order: numpy's complex
+        # multiply can round differently with the operands swapped
+        u[:, a_idx] = g[:, :, 0, 0] * rows_a + g[:, :, 0, 1] * rows_b
+        u[:, b_idx] = g[:, :, 1, 0] * rows_a + g[:, :, 1, 1] * rows_b
+    return u[0] if single else u
 
 
-def _unitary_sampler(
-    ensemble: Union[CircuitArchitecture, int]
-) -> tuple[int, Callable[[np.random.Generator], np.ndarray]]:
-    """Mode count M of an ensemble, and a draw of one unitary from a generator.
+# Bytes of the largest stack of unitaries a sampler realizes at once, B*M^2*16.
+# 64 KiB holds 16 trials at M = 16.  Larger stacks ran no faster and their
+# temporaries raised peak memory; see README "Performance" for the sweep.
+_REALIZE_CHUNK_BYTES = 1 << 16
 
-    A circuit is drawn with ``realize``; an integer M means Haar on U(M).  Both
-    are looked up when a draw is made, so wrappers installed on this module see
-    every draw.  Anything else is refused here, before any draw.
+
+def _unitary_sampler(ensemble: Union[CircuitArchitecture, int]) -> tuple[
+    int, Callable[[Iterable[np.random.Generator]], Iterator[tuple[np.random.Generator, np.ndarray]]]
+]:
+    """Mode count M of an ensemble, and a map from trial generators to ``(gen, u)`` pairs.
+
+    The map takes each trial's generator, lazily and in order, and yields it
+    with the unitary drawn from it, leaving the generator free for the trial's
+    further draws.  A circuit realizes its trials in chunks of at most
+    ``_REALIZE_CHUNK_BYTES`` with one stacked ``realize`` per chunk, which gives
+    the same unitaries as one call per trial.  An integer M means Haar on U(M),
+    one ``haar_unitary`` per trial.  Both are looked up when a chunk or trial is
+    drawn, so wrappers installed on this module see every draw.  Anything else
+    is refused here, before any draw.
     """
     if isinstance(ensemble, CircuitArchitecture):
-        return ensemble.mode_count, lambda gen: realize(ensemble, gen)
+        m = ensemble.mode_count
+        chunk = max(1, _REALIZE_CHUNK_BYTES // (16 * m * m))
+
+        def realized(
+            gens: Iterable[np.random.Generator],
+        ) -> Iterator[tuple[np.random.Generator, np.ndarray]]:
+            trials = iter(gens)
+            while batch := list(islice(trials, chunk)):
+                yield from zip(batch, realize(ensemble, batch))
+
+        return m, realized
     try:
         m = index(ensemble)
     except TypeError:
@@ -245,7 +293,7 @@ def _unitary_sampler(
             f"ensemble must be a CircuitArchitecture or an integer mode count, got {ensemble!r}"
         ) from None
     _check_positive(m, "mode count")
-    return m, lambda gen: haar_unitary(m, gen)
+    return m, lambda gens: ((gen, haar_unitary(m, gen)) for gen in gens)
 
 
 def _check_depth(arch: CircuitArchitecture, depth: int) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import islice
 from operator import index
 from typing import Iterable, Union
 
@@ -192,21 +193,21 @@ def page_curve(
     and a uniformly random k-mode subset are drawn from a per-trial derived
     stream; the rows returned are ``(k, mean entropy, standard error)``.
     """
-    modes, draw = _unitary_sampler(ensemble)
+    modes, draws = _unitary_sampler(ensemble)
     _check_bipartition(modes)
     _check_entropy_squeezing(squeeze_r)
     sigma0 = smsv_covariance(modes, range(modes), squeeze_r)
     _check_samples(samples)
-
-    def one(k: int, trial: int) -> float:
-        gen = rng.derive((k - 1) * samples + trial).generator()
-        u = draw(gen)
-        subset = gen.choice(modes, size=k, replace=False)
-        return renyi2_entropy(reduced_covariance(evolve_covariance(sigma0, u), subset))
-
+    # trial j of size k draws from stream (k - 1) * samples + j
+    trials = draws(rng.derive(i).generator() for i in range((modes - 1) * samples))
     rows = []
     for k in range(1, modes):
-        chunk = np.array([one(k, trial) for trial in range(samples)])
+        chunk = np.array([
+            renyi2_entropy(reduced_covariance(
+                evolve_covariance(sigma0, u), gen.choice(modes, size=k, replace=False)
+            ))
+            for gen, u in islice(trials, samples)
+        ])
         rows.append(
             (k, float(chunk.mean()), float(chunk.std(ddof=1) / math.sqrt(samples)))
         )

@@ -71,28 +71,28 @@ def _check_dense(rows: int, cols: int) -> None:
         raise GuardError(f"dense guard: a {rows} x {cols} matrix exceeds {_DENSE_ENTRIES} entries")
 
 
-def _haar_u2_batch(gen: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` independent Haar 2x2 unitaries, shape (count, 2, 2).
+def _haar_u2_batch(uniforms: np.ndarray) -> np.ndarray:
+    """Haar 2x2 unitaries built from uniforms on [0, 1): shape (..., 4, k) to (..., k, 2, 2).
 
-    Uses the exact parametrization of the unitary-group measure: three uniform
-    phases and a mixing angle with cos^2(theta) uniform on [0, 1].
+    Uses the exact parametrization of the unitary-group measure: row 0 holds
+    the mixing variables cos^2(theta), rows 1-3 the phases phi, alpha and beta
+    as fractions of a turn.  ``gen.random((4, k))`` therefore draws k gates.
     """
-    xi = gen.random(count)
-    phases = gen.random((3, count)) * (2.0 * np.pi)
-    phi, alpha, beta = phases
+    xi = uniforms[..., 0, :]
+    phi, alpha, beta = np.moveaxis(uniforms[..., 1:, :] * (2.0 * np.pi), -2, 0)
     c = np.sqrt(xi)
     s = np.sqrt(1.0 - xi)
-    g = np.empty((count, 2, 2), dtype=complex)
-    g[:, 0, 0] = c * np.exp(1j * (phi + alpha))
-    g[:, 0, 1] = s * np.exp(1j * (phi + beta))
-    g[:, 1, 0] = -s * np.exp(1j * (phi - beta))
-    g[:, 1, 1] = c * np.exp(1j * (phi - alpha))
+    g = np.empty(xi.shape + (2, 2), dtype=complex)
+    g[..., 0, 0] = c * np.exp(1j * (phi + alpha))
+    g[..., 0, 1] = s * np.exp(1j * (phi + beta))
+    g[..., 1, 0] = -s * np.exp(1j * (phi - beta))
+    g[..., 1, 1] = c * np.exp(1j * (phi - alpha))
     return g
 
 
 def haar_u2(rng: Union[RngStream, np.random.Generator]) -> np.ndarray:
     """One Haar-random 2x2 unitary."""
-    return _haar_u2_batch(as_generator(rng), 1)[0]
+    return _haar_u2_batch(as_generator(rng).random((4, 1)))[0]
 
 
 def haar_unitary(m: int, rng: Union[RngStream, np.random.Generator]) -> np.ndarray:

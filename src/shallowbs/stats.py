@@ -131,16 +131,14 @@ def frame_potential(
     from above as the ensemble approaches a unitary k-design.
     ``bootstrap_std`` is reported on the normalized scale.
     """
-    _, draw = _unitary_sampler(ensemble)
+    _, draws = _unitary_sampler(ensemble)
     _check_positive(k_moment, "moment order")
     _check_samples(n_sam)
-
-    def one(i: int) -> float:
-        u = draw(rng.derive(2 * i).generator())
-        v = draw(rng.derive(2 * i + 1).generator())
-        return float(abs(np.vdot(u, v)) ** (2 * k_moment))
-
-    values = np.array([one(i) for i in range(n_sam)])
+    # trial i pairs the unitaries of streams 2i and 2i + 1
+    pairs = draws(rng.derive(j).generator() for j in range(2 * n_sam))
+    values = np.array(
+        [float(abs(np.vdot(u, v)) ** (2 * k_moment)) for (_, u), (_, v) in zip(pairs, pairs)]
+    )
     raw = float(values.mean())
     k_fact = math.factorial(k_moment)
     boot = bootstrap_std(values, _FRAME_POTENTIAL_RESAMPLES, rng.derive(2 * n_sam)) / k_fact
@@ -179,18 +177,15 @@ def fbs_probability_samples(
     The ensemble is a circuit, drawn with ``realize``, or an integer M for Haar
     on U(M); the patterns range over all of its M modes.
     """
-    m, draw = _unitary_sampler(ensemble)
+    m, draws = _unitary_sampler(ensemble)
     _check_positive(photons, "photon number")
     _check_placeable(m, photons)
-
-    def one(i: int) -> float:
-        gen = rng.derive(i).generator()
-        u = draw(gen)
+    values = []
+    for gen, u in draws(rng.derive(i).generator() for i in range(n_sam)):
         t = random_collision_free_pattern(m, photons, gen)
         s = random_collision_free_pattern(m, photons, gen)
-        return fbs_probability(u, t, s)
-
-    return np.array([one(i) for i in range(n_sam)])
+        values.append(fbs_probability(u, t, s))
+    return np.array(values)
 
 
 def gbs_probability_samples(
@@ -205,19 +200,15 @@ def gbs_probability_samples(
     on U(M).  ``photons`` counts output photons over its M modes and must be
     even.
     """
-    m, draw = _unitary_sampler(ensemble)
+    m, draws = _unitary_sampler(ensemble)
     _check_positive(photons, "photon number")
     _check_even(photons)
     _check_placeable(m, photons)
     t = _input_pattern(range(m), m)
-
-    def one(i: int) -> float:
-        gen = rng.derive(i).generator()
-        u = draw(gen)
-        s = random_collision_free_pattern(m, photons, gen)
-        return _hafnian_weight(u, t, s)
-
-    return np.array([one(i) for i in range(n_sam)])
+    return np.array([
+        _hafnian_weight(u, t, random_collision_free_pattern(m, photons, gen))
+        for gen, u in draws(rng.derive(i).generator() for i in range(n_sam))
+    ])
 
 
 def _hiding_scale(m: int, photons: int) -> float:

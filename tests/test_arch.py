@@ -172,6 +172,9 @@ def test_realize_is_unitary_and_deterministic():
     np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
     np.testing.assert_array_equal(u, realize(arch, RngStream(9, 2)))
     assert not np.array_equal(u, realize(arch, RngStream(9, 3)))
+    for bad in (5, [RngStream(9, 2), 5]):
+        with pytest.raises(TypeError, match="expected RngStream or numpy Generator, got int"):
+            realize(arch, bad)
 
 
 def test_realize_respects_lightcone_zeros():
@@ -199,9 +202,40 @@ def test_realize_matches_product_of_embedded_gates():
         for layer in arch.layers:
             if not layer.slots:
                 continue
-            for gate, slot in zip(_haar_u2_batch(gen, len(layer.slots)), layer.slots):
+            gates = _haar_u2_batch(gen.random((4, len(layer.slots))))
+            for gate, slot in zip(gates, layer.slots):
                 expect = embed_two_mode(gate, slot.a, slot.b, m) @ expect
         np.testing.assert_allclose(realize(arch, RngStream(5, 1)), expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "arch",
+    [
+        build_nlhs(4, 1),
+        build_nlhs(4, 2),
+        build_local_parallel(2, [4, 4], 6),
+        build_nlhs(6, 1),
+        CircuitArchitecture(
+            5, (Layer((GateSlot(0, 3),)), Layer(()), Layer((GateSlot(1, 2), GateSlot(3, 4))))
+        ),
+        build_nlhs(3, 0),
+    ],
+    ids=["nlhs41", "nlhs42", "lattice4x4d6", "nlhs61", "empty-layer", "depth0"],
+)
+@pytest.mark.parametrize("batch", [1, 7, 256])
+def test_realize_stack_matches_per_trial_draws(arch, batch):
+    """Slice b of a stacked draw is the single draw from generator b, byte for byte,
+    and every generator is left where the single draw leaves it."""
+    rng = RngStream(41, batch)
+    gens = [rng.derive(b).generator() for b in range(batch)]
+    stack = realize(arch, gens)
+    assert stack.shape == (batch, arch.mode_count, arch.mode_count)
+    for b, gen in enumerate(gens):
+        alone = rng.derive(b).generator()
+        assert realize(arch, alone).tobytes() == stack[b].tobytes()
+        assert gen.random(3).tobytes() == alone.random(3).tobytes()
+    streams = [rng.derive(b) for b in range(batch)]
+    assert realize(arch, streams).tobytes() == stack.tobytes()
 
 
 def test_lightcone_frozen_chain():

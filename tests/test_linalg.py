@@ -65,17 +65,18 @@ def test_haar_u2_is_unitary():
 
 
 def test_haar_u2_batch_matches_single_draws():
-    gen = RngStream(5, 9).generator()
-    batch = _haar_u2_batch(gen, 6)
+    uniforms = RngStream(5, 9).generator().random((4, 6))
+    batch = _haar_u2_batch(uniforms)
     assert batch.shape == (6, 2, 2)
-    for g in batch:
+    for j, g in enumerate(batch):
         assert unitarity_error(g) < 1e-12
+        assert g.tobytes() == _haar_u2_batch(uniforms[:, j : j + 1])[0].tobytes()
 
 
 def test_haar_u2_entry_moments():
     """For a Haar 2x2 block, |u00|^2 is uniform on [0, 1]."""
     gen = RngStream(17, 0).generator()
-    batch = _haar_u2_batch(gen, 200_000)
+    batch = _haar_u2_batch(gen.random((4, 200_000)))
     w = np.abs(batch[:, 0, 0]) ** 2
     assert abs(w.mean() - 0.5) < 5e-3
     assert abs((w**2).mean() - 1.0 / 3.0) < 5e-3

@@ -141,13 +141,15 @@ def test_gbs_probability_samples_shape():
 
 @pytest.fixture
 def draws(monkeypatch):
-    """Every circuit draw and generator made while the test runs."""
+    """Every circuit draw and generator made while the test runs, as (name, result)."""
     calls = []
 
     def record(name, fn):
         def spy(*args):
-            calls.append(name)
-            return fn(*args)
+            at = len(calls)
+            calls.append((name, None))  # recorded before the call, in case it raises
+            calls[at] = (name, fn(*args))
+            return calls[at][1]
         return spy
 
     monkeypatch.setattr(shallowbs.arch, "realize", record("realize", shallowbs.arch.realize))
@@ -189,11 +191,11 @@ def test_drivers_refuse_a_bad_ensemble_before_drawing(driver, ensemble, error, m
 
 
 def test_drivers_draw_through_module_globals(draws):
-    """A wrapper on ``arch.realize`` or ``arch.haar_unitary`` sees every draw."""
+    """A wrapper on ``arch.realize`` sees every trial; one on ``arch.haar_unitary``, every draw."""
     fbs_probability_samples(build_nlhs(2, 1), 2, 3, RngStream(0, 0))
-    assert draws.count("realize") == 3
+    assert sum(len(stack) for name, stack in draws if name == "realize") == 3
     frame_potential(4, 1, 2, RngStream(0, 0))
-    assert draws.count("haar") == 4
+    assert [name for name, _ in draws].count("haar") == 4
 
 
 def test_hiding_samples_scales_and_validation():
@@ -258,3 +260,43 @@ def test_drivers_compute_through_library_rules(arch):
         chunk = np.array(entropies)
         rows.append((k, float(chunk.mean()), float(chunk.std(ddof=1) / math.sqrt(n_sam))))
     assert page_curve(arch, 0.4, n_sam, rng) == rows
+
+
+def test_drivers_match_per_trial_draws_across_chunks():
+    """Drivers realize circuits in chunks of several trials; on 32 modes a few
+    samples span several chunks, and every trial still equals its own single draw."""
+    arch, n_sam, rng = build_nlhs(5, 1), 13, RngStream(32, 0)
+    m = arch.mode_count
+    per_trial = 16 * m * m
+    assert 2 * per_trial <= shallowbs.arch._REALIZE_CHUNK_BYTES <= n_sam * per_trial / 3
+    fbs, gbs = [], []
+    for i in range(n_sam):
+        gen = rng.derive(i).generator()
+        u = realize(arch, gen)
+        t = random_collision_free_pattern(m, 3, gen)
+        fbs.append(fbs_probability(u, t, random_collision_free_pattern(m, 3, gen)))
+        gen = rng.derive(i).generator()
+        u = realize(arch, gen)
+        out = random_collision_free_pattern(m, 2, gen)
+        gbs.append(gbs_unnormalized_probability(u, range(m), out))
+    np.testing.assert_array_equal(fbs_probability_samples(arch, 3, n_sam, rng), fbs)
+    np.testing.assert_array_equal(gbs_probability_samples(arch, 2, n_sam, rng), gbs)
+
+    overlaps = [
+        abs(np.vdot(realize(arch, rng.derive(2 * i)), realize(arch, rng.derive(2 * i + 1)))) ** 4
+        for i in range(n_sam)
+    ]
+    assert frame_potential(arch, 2, n_sam, rng).raw_mean == float(np.mean(overlaps))
+
+    sigma0 = smsv_covariance(m, range(m), 0.4)
+    # three trials per subsystem size, so chunks straddle the sizes
+    rows = page_curve(arch, 0.4, 3, rng)
+    for k, mean, _ in rows[::10]:
+        entropies = []
+        for trial in range(3):
+            gen = rng.derive((k - 1) * 3 + trial).generator()
+            u = realize(arch, gen)
+            subset = gen.choice(m, size=k, replace=False)
+            sigma = evolve_covariance(sigma0, u)
+            entropies.append(renyi2_entropy(reduced_covariance(sigma, subset)))
+        assert mean == float(np.mean(entropies))
