@@ -10,7 +10,9 @@ exit inside the forward lightcone of t_j.  By Hall's theorem an outcome is
 therefore *permitted* exactly when it is a multiset {c_1, ..., c_n} with each
 c_j in the lightcone of t_j, so the permitted set is the Minkowski sum of the
 input lightcones and is built directly, one cone at a time, without
-enumerating the forbidden outcomes.  Counting permitted outcomes against the
+enumerating the forbidden outcomes.  The build holds the sums as an integer
+array with one sorted pattern per row, and numpy forms, sorts and
+deduplicates the rows of each step.  Counting permitted outcomes against the
 full outcome count gives the support ratio that collapses below the hard/easy
 depth thresholds computed at the bottom of this module.
 """
@@ -133,19 +135,73 @@ def enumerate_outcomes(m: int, photons: int) -> Iterator[Pattern]:
     return combinations_with_replacement(range(m), photons)
 
 
-def _minkowski_sum(choices: Iterable[Sequence[Pattern]]) -> set[Pattern]:
-    """Every sorted pattern formed by taking one tuple from each choice list."""
-    sums: set[Pattern] = {()}
+# Bytes of the largest block of candidate rows one Minkowski-sum step builds
+# at once.  See README "Performance" for the sweep that chose it.
+_SUM_CHUNK_BYTES = 1 << 20
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a C-contiguous 2-D array, ordered by their bytes.
+
+    Each row is viewed as one fixed-width byte string, so rows compare exactly
+    whatever the mode count.  The sort is stable, which numpy runs as a merge
+    of sorted runs: deduplicating a few concatenated distinct sets costs
+    linear time.  ``rows`` is sorted in place.
+    """
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    keys.sort(kind="stable")
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return rows[fresh]
+
+
+def _minkowski_sum(choices: Iterable[np.ndarray], m: int) -> np.ndarray:
+    """Every sorted pattern formed by taking one row from each choice array.
+
+    Each choice is an (L, w) array of L choices of w modes below ``m``.  The
+    sums are held as an (H, k) array whose rows are the distinct sorted
+    patterns, k bytes each up to 256 modes, in the smallest unsigned dtype
+    that holds a mode.  Each step appends every choice to every held row,
+    sorts the new rows and keeps the distinct ones.  Held rows enter in chunks
+    whose candidate block fits in ``_SUM_CHUNK_BYTES``, so a step never holds
+    all of its candidates at once.  Each chunk's distinct rows wait until they
+    outnumber the rows merged so far and are then merged in, so a merge costs
+    at most about twice the rows it takes in, and the rows waiting never pass
+    the rows merged by more than one chunk's.
+    """
+    dtype = np.min_scalar_type(m - 1)
+    held = np.zeros((1, 0), dtype=dtype)
     for choice in choices:
-        sums = {tuple(sorted(p + c)) for p in sums for c in choice}
-    return sums
+        size, w = choice.shape
+        h, k = held.shape
+        per = max(1, _SUM_CHUNK_BYTES // (max(size, 1) * (k + w) * dtype.itemsize))
+        sums = np.zeros((0, k + w), dtype=dtype)
+        waiting: list[np.ndarray] = []
+        for start in range(0, h, per):
+            block = held[start : start + per]
+            candidates = np.empty((len(block), size, k + w), dtype=dtype)
+            candidates[:, :, :k] = block[:, None, :]
+            candidates[:, :, k:] = choice
+            candidates = candidates.reshape(-1, k + w)
+            candidates.sort(axis=1)
+            waiting.append(_distinct_rows(candidates))
+            if sum(map(len, waiting)) >= len(sums):
+                sums = _distinct_rows(np.concatenate([sums, *waiting]))
+                waiting = []
+        held = _distinct_rows(np.concatenate([sums, *waiting]))
+    return held
 
 
 def _check_build(steps: Iterable[tuple[int, int]], guard: int) -> None:
     """Refuse a Minkowski-sum build that could visit more than ``guard`` sums.
 
     Each step gives a choice-list length and a cap on the distinct sums after
-    it; the visits bound both the time and the memory of the build.
+    it; the visits bound both the time and the memory of the build.  A held
+    sum is one row of k bytes after k photons up to 256 modes, candidates are
+    built ``_SUM_CHUNK_BYTES`` at a time, and a merge holds about four to six
+    times the bytes of the rows it keeps: 183 MiB for the 3.3 million rows of
+    a 74.6-million-visit count.  A build at the default cap whose visits are
+    mostly distinct sums can still need several GB.
     """
     work, held = 0, 1
     for size, cap in steps:
@@ -201,11 +257,11 @@ class PermittedCountReport:
 
 
 def _count_sums(
-    m: int, photons: int, choices: Iterable[Sequence[Pattern]], upper_bound: float
+    m: int, photons: int, choices: Iterable[np.ndarray], upper_bound: float
 ) -> PermittedCountReport:
-    """Size of the Minkowski sum of ``choices`` next to the outcome total."""
+    """Number of rows of the Minkowski sum of ``choices`` next to the outcome total."""
     total = outcome_count(m, photons)
-    exact = len(_minkowski_sum(choices))
+    exact = len(_minkowski_sum(choices, m))
     return PermittedCountReport(
         exact_count=exact,
         upper_bound=upper_bound,
@@ -239,7 +295,8 @@ def _admit_cones(cones: Sequence[int], upper_bound: Callable[[], float], guard: 
 
 
 def _count_cones(m: int, cones: Sequence[int], bound: float) -> PermittedCountReport:
-    return _count_sums(m, len(cones), ([(x,) for x in _mask_modes(c)] for c in cones), bound)
+    choices = (np.array(_mask_modes(c), dtype=int).reshape(-1, 1) for c in cones)
+    return _count_sums(m, len(cones), choices, bound)
 
 
 def count_permitted_fbs(

@@ -326,7 +326,7 @@ def count_permitted_gbs(
         # modes whose backward lightcone meets that of j
         per_pair = float(max(sum(1 for x in back if x & y) for y in back))
     bound = math.comb(m + n - 1, n) * per_pair**n / 2**n
-    return _count_sums(m, 2 * n, [allowed] * n, float(bound))
+    return _count_sums(m, 2 * n, [np.array(allowed, dtype=int).reshape(-1, 2)] * n, float(bound))
 
 
 def gbs_depth_thresholds(
