@@ -49,14 +49,13 @@ from .gaussian import (
     renyi2_entropy,
     smsv_covariance,
 )
-from .linalg import RngStream, ginibre, haar_u2, haar_unitary
+from .linalg import RngStream, ginibre, haar_unitary
 from .matfn import (
     GuardError,
     hafnian,
     hafnian_oracle,
     permanent,
     permanent_oracle,
-    select_submatrix,
 )
 from .stats import (
     DensityCurve,

@@ -318,8 +318,13 @@ def _cone_masks(arch: CircuitArchitecture, depth: int, forward: bool) -> list[in
 
 
 def _mask_modes(mask: int) -> list[int]:
-    """The modes set in a bitmask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The modes set in a bitmask, ascending, in one step per set bit."""
+    modes = []
+    while mask:
+        low = mask & -mask
+        modes.append(low.bit_length() - 1)
+        mask ^= low
+    return modes
 
 
 def _lightcone(arch: CircuitArchitecture, mode: int, depth: int, forward: bool) -> frozenset[int]:

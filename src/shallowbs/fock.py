@@ -38,7 +38,7 @@ from .arch import (
     _mask_modes,
     effective_lightcone_radius,
 )
-from .matfn import GuardError, permanent
+from .matfn import _GUARD_BYTES, GuardError, permanent
 
 __all__ = [
     "Pattern",
@@ -139,6 +139,15 @@ def enumerate_outcomes(m: int, photons: int) -> Iterator[Pattern]:
 # at once.  See README "Performance" for the sweep that chose it.
 _SUM_CHUNK_BYTES = 1 << 20
 
+# A step's peak over the bytes of the rows it keeps measured 4.05 to 6.29 by
+# tracemalloc and up to 7.02 by RSS (README "Resource guards").
+_MERGE_FACTOR = 8
+
+
+def _mode_dtype(m: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every mode below ``m``."""
+    return np.min_scalar_type(m - 1)
+
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of a C-contiguous 2-D array, ordered by their bytes.
@@ -160,16 +169,16 @@ def _minkowski_sum(choices: Iterable[np.ndarray], m: int) -> np.ndarray:
 
     Each choice is an (L, w) array of L choices of w modes below ``m``.  The
     sums are held as an (H, k) array whose rows are the distinct sorted
-    patterns, k bytes each up to 256 modes, in the smallest unsigned dtype
-    that holds a mode.  Each step appends every choice to every held row,
-    sorts the new rows and keeps the distinct ones.  Held rows enter in chunks
-    whose candidate block fits in ``_SUM_CHUNK_BYTES``, so a step never holds
-    all of its candidates at once.  Each chunk's distinct rows wait until they
-    outnumber the rows merged so far and are then merged in, so a merge costs
-    at most about twice the rows it takes in, and the rows waiting never pass
-    the rows merged by more than one chunk's.
+    patterns, k bytes each up to 256 modes, in ``_mode_dtype(m)``.  Each step
+    appends every choice to every held row, sorts the new rows and keeps the
+    distinct ones.  Held rows enter in chunks whose candidate block fits in
+    ``_SUM_CHUNK_BYTES``, so a step never holds all of its candidates at once.
+    Each chunk's distinct rows wait until they outnumber the rows merged so
+    far and are then merged in, so a merge costs at most about twice the rows
+    it takes in, and the rows waiting never pass the rows merged by more than
+    one chunk's.
     """
-    dtype = np.min_scalar_type(m - 1)
+    dtype = _mode_dtype(m)
     held = np.zeros((1, 0), dtype=dtype)
     for choice in choices:
         size, w = choice.shape
@@ -192,25 +201,31 @@ def _minkowski_sum(choices: Iterable[np.ndarray], m: int) -> np.ndarray:
     return held
 
 
-def _check_build(steps: Iterable[tuple[int, int]], guard: int) -> None:
-    """Refuse a Minkowski-sum build that could visit more than ``guard`` sums.
+def _check_build(steps: Iterable[tuple[int, int]], m: int, width: int) -> None:
+    """Refuse a Minkowski-sum build by its visits or by its bytes, before it allocates.
 
-    Each step gives a choice-list length and a cap on the distinct sums after
-    it; the visits bound both the time and the memory of the build.  A held
-    sum is one row of k bytes after k photons up to 256 modes, candidates are
-    built ``_SUM_CHUNK_BYTES`` at a time, and a merge holds about four to six
-    times the bytes of the rows it keeps: 183 MiB for the 3.3 million rows of
-    a 74.6-million-visit count.  A build at the default cap whose visits are
-    mostly distinct sums can still need several GB.
+    Each step gives a choice-list length and a cap on the distinct sums held
+    after it, each choice adding ``width`` modes below ``m``.  The build may
+    visit at most ``ENUMERATION_GUARD`` sums, and a step may hold at most
+    ``_GUARD_BYTES``: ``_MERGE_FACTOR`` times its held rows plus one candidate
+    block.  The module constants are read at each call, not bound as defaults.
     """
+    itemsize = _mode_dtype(m).itemsize
     work, held = 0, 1
-    for size, cap in steps:
+    for k, (size, cap) in enumerate(steps, 1):
         work += held * size
         held = min(held * size, cap)
-        if work > guard:
+        if work > ENUMERATION_GUARD:
             raise GuardError(
                 f"enumeration guard: building the permitted set visits over "
-                f"{work} partial outcomes, above the {guard} limit"
+                f"{work} partial outcomes, above the {ENUMERATION_GUARD} limit"
+            )
+        row = k * width * itemsize
+        need = held * row * _MERGE_FACTOR + max(_SUM_CHUNK_BYTES, size * row)
+        if need > _GUARD_BYTES:
+            raise GuardError(
+                f"enumeration guard: building the permitted set needs about "
+                f"{need} bytes, above the {_GUARD_BYTES} byte budget"
             )
 
 
@@ -280,8 +295,10 @@ def _input_cones(
     return t, [forward[mode] for mode in t]
 
 
-def _admit_cones(cones: Sequence[int], upper_bound: Callable[[], float], guard: int) -> float:
-    """The product bound of a count of ``cones``, evaluated only once the guard admits the count."""
+def _admit_cones(
+    arch: CircuitArchitecture, cones: Sequence[int], upper_bound: Callable[[], float]
+) -> float:
+    """The product bound of a count of ``cones``, evaluated only once ``_check_build`` admits it."""
     # after k cones the sums are k-photon outcomes over the modes reached
     reached = accumulate(cones, or_)
     _check_build(
@@ -289,7 +306,8 @@ def _admit_cones(cones: Sequence[int], upper_bound: Callable[[], float], guard: 
             (c.bit_count(), math.comb(r.bit_count() + k - 1, k))
             for k, (c, r) in enumerate(zip(cones, reached), 1)
         ),
-        guard,
+        arch.mode_count,
+        width=1,
     )
     return _closed_form("upper bound on the permitted count", upper_bound)
 
@@ -303,15 +321,16 @@ def count_permitted_fbs(
     arch: CircuitArchitecture,
     input_modes: Iterable[int],
     depth: int,
-    guard: int = ENUMERATION_GUARD,
 ) -> PermittedCountReport:
     """Count permitted outcomes exactly and report the lightcone product bound.
 
     The permitted set is built as the Minkowski sum of the input lightcones,
-    one cone at a time; the guard bounds the partial sums that build visits.
+    one cone at a time.  ``_check_build`` refuses the count with
+    ``GuardError`` before the build when it would visit too many partial sums
+    or hold too many bytes.
     """
     _, cones = _input_cones(arch, input_modes, depth)
-    bound = _admit_cones(cones, lambda: float(math.prod(c.bit_count() for c in cones)), guard)
+    bound = _admit_cones(arch, cones, lambda: float(math.prod(c.bit_count() for c in cones)))
     return _count_cones(arch.mode_count, cones, bound)
 
 
@@ -323,8 +342,7 @@ def _check_lattice(arch: CircuitArchitecture) -> int:
 
 
 def _effective_cones(
-    arch: CircuitArchitecture, input_modes: Iterable[int], depth: int, lam: float, beta: float,
-    guard: int = ENUMERATION_GUARD,
+    arch: CircuitArchitecture, input_modes: Iterable[int], depth: int, lam: float, beta: float
 ) -> tuple[list[int], float]:
     """Clipped forward cones and product bound of an effective count, with all of its refusals."""
     d = _check_lattice(arch)
@@ -334,7 +352,7 @@ def _effective_cones(
     far = _far_mask(arch.side_lengths, radius, t)
     cones = [cone & sum(1 << int(i) for i in np.flatnonzero(~row)) for cone, row in zip(cones, far)]
     cone = _effective_cone(photons, depth, lam, beta, d)
-    return cones, _admit_cones(cones, lambda: (cone ** (d / 2.0)) ** photons, guard)
+    return cones, _admit_cones(arch, cones, lambda: (cone ** (d / 2.0)) ** photons)
 
 
 def count_permitted_fbs_effective(
@@ -343,20 +361,19 @@ def count_permitted_fbs_effective(
     depth: int,
     lam: float,
     beta: float,
-    guard: int = ENUMERATION_GUARD,
 ) -> PermittedCountReport:
     """Permitted-outcome count with lightcones clipped to the effective radius.
 
     Each forward cone is intersected with the box of radius
     ``effective_lightcone_radius`` around its input mode, dimension by
     dimension, and the permitted set is the Minkowski sum of the clipped
-    cones, guarded as in ``count_permitted_fbs``.  ``upper_bound`` is the
+    cones, refused as in ``count_permitted_fbs``.  ``upper_bound`` is the
     closed-form effective-cone size raised to the photon number; unlike the
     plain count, near-boundary configurations can exceed it because the
     clipped box is wider than the size the formula assumes, so only
     ``exact_count`` is authoritative here.
     """
-    cones, bound = _effective_cones(arch, input_modes, depth, lam, beta, guard)
+    cones, bound = _effective_cones(arch, input_modes, depth, lam, beta)
     return _count_cones(arch.mode_count, cones, bound)
 
 

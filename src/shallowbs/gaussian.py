@@ -21,16 +21,18 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import reduce
 from itertools import islice
-from operator import index
+from operator import index, or_
 from typing import Iterable, Union
 
 import numpy as np
 
-from .arch import CircuitArchitecture, _check_positive, _closed_form, _cone_masks, _unitary_sampler
+from .arch import (
+    CircuitArchitecture, _check_positive, _closed_form, _cone_masks, _mask_modes, _unitary_sampler
+)
 from .fock import (
     DepthThresholds,
-    ENUMERATION_GUARD,
     PermittedCountReport,
     Pattern,
     _as_pattern,
@@ -283,25 +285,21 @@ def count_permitted_gbs(
     input_modes: Iterable[int],
     pairs: int,
     depth: int,
-    guard: int = ENUMERATION_GUARD,
 ) -> PermittedCountReport:
     """Count permitted even outcomes and report the pairing-count bound.
 
     A permitted outcome is a sum of ``pairs`` allowed mode pairs (a, b), those
     whose backward lightcones share a squeezed input, so the permitted set is
-    the Minkowski sum of ``pairs`` copies of the allowed-pair list E.  The
-    guard bounds the partial sums that build visits and is checked while E is
-    listed, so a refused count stops early.
+    the Minkowski sum of ``pairs`` copies of the allowed-pair list E.
+    ``_check_build`` runs while E is listed, so a count it refuses for its
+    visits or its bytes stops early with ``GuardError``.
 
-    The bound counts anchor-mode multisets, binom(M + pairs - 1, pairs), times
-    a uniform per-pair partner factor (the round-trip lightcone size bound
-    (4 depth / d)^d on a lattice, the largest actual round-trip cone size
-    otherwise), divided by 2^pairs for the anchor/partner exchange within each
-    pair.  The exchange discount follows the source derivation, which assumes
-    collision pairs are a vanishing fraction (modes >> photons); in heavily
-    collided corners the discounted form can undercut the exact count, so
-    ``exact_count`` is the authoritative figure.  The bound is derived for
-    sources on every mode and so stays valid, if loose, for restricted inputs.
+    The bound is binom(M + pairs - 1, pairs) * R^pairs, where R is the largest
+    round-trip cone: the most modes whose backward lightcones meet that of one
+    mode.  Writing each allowed pair as its lower mode, the anchor, and a
+    partner in the anchor's round-trip cone maps an outcome to a multiset of
+    anchors and one partner per anchor, and every outcome is reached, so the
+    bound holds on every circuit family, at every depth and for any inputs.
     """
     m = arch.mode_count
     t = _input_pattern(input_modes, m, "squeezed mode")
@@ -316,17 +314,15 @@ def count_permitted_gbs(
         # k pairs sum to at most binom(e + k - 1, k) outcomes, and to at most
         # the outcomes of 2k photons over the modes some input reaches
         caps = (min(math.comb(e + k - 1, k), math.comb(fed + 2 * k - 1, 2 * k)) for k in range(1, n + 1))
-        _check_build(((e, cap) for cap in caps), guard)
+        _check_build(((e, cap) for cap in caps), m, width=2)
 
-    if arch.side_lengths is not None:
-        d = len(arch.side_lengths)
-        per_pair = (4.0 * depth / d) ** d
-    else:
-        # largest round-trip cone |L_D(L_D^t(j))| over anchor modes j: the
-        # modes whose backward lightcone meets that of j
-        per_pair = float(max(sum(1 for x in back if x & y) for y in back))
-    bound = math.comb(m + n - 1, n) * per_pair**n / 2**n
-    return _count_sums(m, 2 * n, [np.array(allowed, dtype=int).reshape(-1, 2)] * n, float(bound))
+    # the round-trip cone of a mode, the modes whose backward lightcones meet
+    # its own, joins the forward lightcones of the modes in its backward cone
+    forward = _cone_masks(arch, depth, forward=True)
+    r = max(reduce(or_, (forward[i] for i in _mask_modes(y))).bit_count() for y in set(back))
+    bound = _closed_form("upper bound on the permitted count",
+                         lambda: float(math.comb(m + n - 1, n) * r**n))
+    return _count_sums(m, 2 * n, [np.array(allowed, dtype=int).reshape(-1, 2)] * n, bound)
 
 
 def gbs_depth_thresholds(

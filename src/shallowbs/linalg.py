@@ -15,12 +15,11 @@ from typing import Union
 
 import numpy as np
 
-from .matfn import GuardError
+from .matfn import _GUARD_BYTES, GuardError
 
 __all__ = [
     "RngStream",
     "as_generator",
-    "haar_u2",
     "haar_unitary",
     "ginibre",
 ]
@@ -28,7 +27,7 @@ __all__ = [
 _MAX_CHILD = 1 << 32
 
 # Entries of the largest dense matrix drawn or built: 1 GiB of complex128.
-_DENSE_ENTRIES = 1 << 26
+_DENSE_ENTRIES = _GUARD_BYTES // np.dtype(complex).itemsize
 
 
 @dataclass(frozen=True)
@@ -88,11 +87,6 @@ def _haar_u2_batch(uniforms: np.ndarray) -> np.ndarray:
     g[..., 1, 0] = -s * np.exp(1j * (phi - beta))
     g[..., 1, 1] = c * np.exp(1j * (phi - alpha))
     return g
-
-
-def haar_u2(rng: Union[RngStream, np.random.Generator]) -> np.ndarray:
-    """One Haar-random 2x2 unitary."""
-    return _haar_u2_batch(as_generator(rng).random((4, 1)))[0]
 
 
 def haar_unitary(m: int, rng: Union[RngStream, np.random.Generator]) -> np.ndarray:

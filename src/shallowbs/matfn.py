@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from itertools import permutations, product
 from math import inf, prod
-from operator import index
-from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +20,6 @@ __all__ = [
     "permanent_oracle",
     "hafnian",
     "hafnian_oracle",
-    "select_submatrix",
     "PERMANENT_MAX_DIM",
     "PERMANENT_ORACLE_MAX_DIM",
     "HAFNIAN_MAX_DIM",
@@ -46,6 +43,11 @@ _PARITY = (
 
 class GuardError(ValueError):
     """An input exceeds a hard resource guard (matrix size or enumeration count)."""
+
+
+# Bytes of the largest array a guarded routine may allocate: dense draws and
+# the permitted-set build are refused before they pass it.
+_GUARD_BYTES = 1 << 30
 
 
 def _require_square(a: np.ndarray, name: str, max_dim: float = inf, even: bool = False) -> int:
@@ -167,19 +169,3 @@ def hafnian_oracle(a: np.ndarray) -> complex:
     rows = a.astype(complex, copy=False).tolist()
     terms = (prod(rows[i][j] for i, j in pairs) for pairs in _pairings(tuple(range(n2))))
     return complex(sum(terms))
-
-
-def select_submatrix(
-    u: np.ndarray, rows: Sequence[int], cols: Sequence[int]
-) -> np.ndarray:
-    """Submatrix with the given row and column indices; repeats duplicate lines."""
-    u = np.asarray(u)
-    if u.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {u.shape}")
-    rows = np.asarray(list(map(index, rows)), dtype=int)
-    cols = np.asarray(list(map(index, cols)), dtype=int)
-    if rows.size and (rows.min() < 0 or rows.max() >= u.shape[0]):
-        raise IndexError(f"row selection out of range for shape {u.shape}")
-    if cols.size and (cols.min() < 0 or cols.max() >= u.shape[1]):
-        raise IndexError(f"column selection out of range for shape {u.shape}")
-    return u[np.ix_(rows, cols)]

@@ -173,8 +173,12 @@ def test_resource_guard_exit_code(tmp_path, capsys):
         # a 100000 x 100000 Ginibre draw would need about 150 GiB
         (["density-fbs", "--ensemble", "haar", "--modes", "100000", "--photons", "2",
           "--samples", "2", "--buckets", "1"], "dense guard: a 100000 x 100000 matrix"),
+        # 25 disjoint 2-mode cones: under the visit cap, but 2^25 rows of 25 bytes
+        (["permitted-count", "--ensemble", "local-parallel", "--modes", "50", "--dim", "1",
+          "--depth", "1", "--scheme", "fbs", "--photons", "25",
+          "--input", ",".join(map(str, range(0, 50, 2)))], "byte budget"),
     ],
-    ids=["fbs-count", "effective-count", "haar-draw"],
+    ids=["fbs-count", "effective-count", "haar-draw", "fbs-count-bytes"],
 )
 def test_oversized_work_exits_3(tmp_path, capsys, argv, guard):
     out = tmp_path / "x.out"

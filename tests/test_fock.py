@@ -226,16 +226,17 @@ def test_count_past_a_base_m_code():
     assert report.exact_count == math.prod(len(forward_lightcone(arch, mode, 1)) for mode in t) == 2**16
 
 
-def test_lattice_count_memory_and_time():
+def test_lattice_count_memory_and_time(monkeypatch):
     # 949,440 permitted 8-photon outcomes on a 6x6 lattice at depth 3.  The
     # build that held each pattern as a tuple in a Python set peaked at
     # 161.3 MiB under tracemalloc on this count and took 11.8-12.3 s traced
     # (2.0-3.6 s untraced) on a shared 2-core Xeon, Python 3.11, numpy 2.4
     arch = build_local_parallel(2, [6, 6], 3)
+    t = (0, 10, 15, 17, 19, 22, 24, 25)
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        report = count_permitted_fbs(arch, (0, 10, 15, 17, 19, 22, 24, 25), 3)
+        report = count_permitted_fbs(arch, t, 3)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -243,6 +244,11 @@ def test_lattice_count_memory_and_time():
     assert report.exact_count == 949440
     assert peak <= 161 * 2**20
     assert elapsed < 5.0
+    # the byte rule predicts more than the count really took, so a budget of
+    # exactly the measured peak refuses it
+    monkeypatch.setattr(fock, "_GUARD_BYTES", peak)
+    with pytest.raises(GuardError, match="byte budget"):
+        count_permitted_fbs(arch, t, 3)
 
 
 def test_is_permitted_fbs_frozen_chain():
@@ -289,10 +295,11 @@ def test_count_permitted_fbs_full_connectivity():
     assert report.exact_count == report.total_outcomes == outcome_count(8, 2)
 
 
-def test_count_permitted_fbs_guard():
+def test_count_permitted_fbs_guard(monkeypatch):
     arch = build_nlhs(7, 1)
+    monkeypatch.setattr(fock, "ENUMERATION_GUARD", 10**6)
     with pytest.raises(GuardError):
-        count_permitted_fbs(arch, tuple(range(8)), arch.depth, guard=10**6)
+        count_permitted_fbs(arch, tuple(range(8)), arch.depth)
 
 
 def test_count_permitted_fbs_guard_bounds_permitted_set():
@@ -304,14 +311,35 @@ def test_count_permitted_fbs_guard_bounds_permitted_set():
     assert report.exact_count == 3 * 4**7 == 49152
 
 
-def test_count_permitted_fbs_guard_bounds_build_visits():
+def test_count_permitted_fbs_guard_bounds_build_visits(monkeypatch):
     # full connectivity: the build visits 16 + 16*16 + 136*16 + 816*16 partial
     # sums for the 3876 outcomes, and the guard counts those visits
     arch = build_nlhs(4, 1)
-    report = count_permitted_fbs(arch, range(4), arch.depth, guard=15504)
+    monkeypatch.setattr(fock, "ENUMERATION_GUARD", 15504)
+    report = count_permitted_fbs(arch, range(4), arch.depth)
     assert report.exact_count == report.total_outcomes == 3876
+    monkeypatch.setattr(fock, "ENUMERATION_GUARD", 15503)
     with pytest.raises(GuardError, match="15504 partial outcomes"):
-        count_permitted_fbs(arch, range(4), arch.depth, guard=15503)
+        count_permitted_fbs(arch, range(4), arch.depth)
+
+
+def test_count_refused_by_its_bytes_quickly():
+    # 25 photons in disjoint 2-mode cones visit 2^26 - 2 sums, under the visit
+    # cap, but would keep 2^25 rows of 25 bytes: the byte rule refuses the
+    # count before anything is built
+    arch = build_local_parallel(1, [50], 1)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(GuardError, match="byte budget"):
+            count_permitted_fbs(arch, range(0, 50, 2), 1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2**26 - 2 < fock.ENUMERATION_GUARD
+    assert elapsed < 1.0
+    assert peak < 10 * 2**20
 
 
 def test_dense_fbs_count_refused_before_building():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from shallowbs import fock
 from shallowbs.arch import (
     backward_lightcone,
     build_local_parallel,
@@ -363,7 +364,7 @@ def test_forbidden_gbs_outcomes_carry_no_probability():
 def test_count_permitted_gbs_frozen_and_support():
     """Exact counts cross-checked against the nonzero-probability support."""
     t = tuple(range(8))
-    expected = {1: (74, 144.0), 2: (219, 576.0), 3: (314, 1296.0)}
+    expected = {1: (74, 144.0), 2: (219, 1296.0), 3: (314, 2304.0)}
     for depth, (count, bound) in expected.items():
         arch = build_local_parallel(1, [8], depth)
         report = count_permitted_gbs(arch, t, 2, depth)
@@ -384,22 +385,59 @@ def test_count_permitted_gbs_nlhs_fallback_bound():
     arch = build_nlhs(3, 1)
     report = count_permitted_gbs(arch, tuple(range(8)), 2, arch.depth)
     assert report.exact_count == report.total_outcomes == 330
-    assert report.exact_count <= report.upper_bound == 576.0
+    assert report.exact_count <= report.upper_bound == 2304.0
 
 
-def test_count_permitted_gbs_guard():
+@pytest.mark.parametrize(
+    "arch",
+    [build_local_parallel(1, [m], 6) for m in (4, 6, 8, 10, 12)]
+    + [build_local_parallel(2, sides, 6) for sides in ([2, 2], [2, 3], [3, 3], [3, 4])]
+    + [build_nlhs(2, 2), build_nlhs(3, 2)],
+    ids=lambda arch: f"{arch.family}-{'x'.join(map(str, arch.side_lengths or [arch.mode_count]))}",
+)
+def test_count_permitted_gbs_bound_holds(arch):
+    # every mode squeezed, every depth from 0 and 1 to 4 pairs; the pairing
+    # bound that divided by 2^pairs fell below the exact count at depth 0 and
+    # on nlhs circuits
+    for depth in range(arch.depth + 1):
+        for pairs in range(1, 5):
+            report = count_permitted_gbs(arch, range(arch.mode_count), pairs, depth)
+            assert report.exact_count <= report.upper_bound, (depth, pairs)
+
+
+def test_count_permitted_gbs_guard(monkeypatch):
     arch = build_nlhs(7, 1)
+    monkeypatch.setattr(fock, "ENUMERATION_GUARD", 10**6)
     with pytest.raises(GuardError):
-        count_permitted_gbs(arch, tuple(range(128)), 4, arch.depth, guard=10**6)
+        count_permitted_gbs(arch, tuple(range(128)), 4, arch.depth)
 
 
-def test_count_permitted_gbs_guard_bounds_build_visits():
+def test_count_permitted_gbs_guard_bounds_build_visits(monkeypatch):
     # full connectivity: the 36 allowed pairs give 36 + 36*36 visits
     arch = build_nlhs(3, 1)
-    report = count_permitted_gbs(arch, range(8), 2, arch.depth, guard=1332)
+    monkeypatch.setattr(fock, "ENUMERATION_GUARD", 1332)
+    report = count_permitted_gbs(arch, range(8), 2, arch.depth)
     assert report.exact_count == report.total_outcomes == 330
+    monkeypatch.setattr(fock, "ENUMERATION_GUARD", 1331)
     with pytest.raises(GuardError, match="1332 partial outcomes"):
-        count_permitted_gbs(arch, range(8), 2, arch.depth, guard=1331)
+        count_permitted_gbs(arch, range(8), 2, arch.depth)
+
+
+def test_heavy_dedupe_gbs_count_refused_at_its_peak(monkeypatch):
+    # all 136 pairs of a 16-mode nlhs circuit, 4 pairs: 7.4 million candidates
+    # for 490,314 outcomes, the count whose peak is the largest multiple of
+    # the rows it keeps.  A byte budget of exactly that peak refuses it.
+    arch = build_nlhs(4, 1)
+    tracemalloc.start()
+    try:
+        report = count_permitted_gbs(arch, range(16), 4, arch.depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.exact_count == report.total_outcomes == 490314
+    monkeypatch.setattr(fock, "_GUARD_BYTES", peak)
+    with pytest.raises(GuardError, match="byte budget"):
+        count_permitted_gbs(arch, range(16), 4, arch.depth)
 
 
 def test_large_gbs_count_refused_quickly():

@@ -8,10 +8,14 @@ from shallowbs.linalg import (
     RngStream,
     as_generator,
     ginibre,
-    haar_u2,
     haar_unitary,
     _haar_u2_batch,
 )
+
+
+def haar_u2(rng):
+    """One Haar-random 2x2 unitary."""
+    return _haar_u2_batch(as_generator(rng).random((4, 1)))[0]
 
 
 def test_rng_stream_is_reproducible():

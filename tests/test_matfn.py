@@ -1,4 +1,5 @@
 import math
+from operator import index
 
 import numpy as np
 import pytest
@@ -13,8 +14,21 @@ from shallowbs.matfn import (
     hafnian_oracle,
     permanent,
     permanent_oracle,
-    select_submatrix,
 )
+
+
+def select_submatrix(u, rows, cols):
+    """Submatrix with the given row and column indices; repeats duplicate lines."""
+    u = np.asarray(u)
+    if u.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {u.shape}")
+    rows = np.asarray(list(map(index, rows)), dtype=int)
+    cols = np.asarray(list(map(index, cols)), dtype=int)
+    if rows.size and (rows.min() < 0 or rows.max() >= u.shape[0]):
+        raise IndexError(f"row selection out of range for shape {u.shape}")
+    if cols.size and (cols.min() < 0 or cols.max() >= u.shape[1]):
+        raise IndexError(f"column selection out of range for shape {u.shape}")
+    return u[np.ix_(rows, cols)]
 
 
 def random_complex(gen, n):
