@@ -266,13 +266,17 @@ def is_permitted_gbs(
     Photons must split into pairs such that each pair shares a squeezed source
     lying in both photons' backward lightcones.  With ``S[i][j] = 1`` when
     photons i and j share a source and 0 otherwise, ``Haf(S)`` counts exactly
-    those pairings, so the outcome is permitted when it is nonzero.  The
-    hafnian's dimension guard caps the outcome at ``HAFNIAN_MAX_DIM`` photons.
+    those pairings, so the outcome is permitted when that count is at least
+    one.  The hafnian's dimension guard caps the outcome at
+    ``HAFNIAN_MAX_DIM`` photons.
     """
     t, s = _even_outcome(arch.mode_count, input_modes, output_modes)
     _, sources = _source_masks(arch, t, depth)
     shared = np.array([[bool(sources[a] & sources[b]) for b in s] for a in s], dtype=float)
-    return hafnian(shared.reshape(len(s), len(s))) != 0
+    # The float hafnian of a 0/1 matrix is not an exact integer: over the 0/1
+    # sweep of the tests up to 24 photons it missed the count by at most 0.018
+    # (cliques of 1 and 23, a zero count), so membership rounds at 0.5.
+    return abs(hafnian(shared.reshape(len(s), len(s)))) > 0.5
 
 
 def _check_pairs(pairs: int, sources: int) -> None:
@@ -290,9 +294,10 @@ def count_permitted_gbs(
 
     A permitted outcome is a sum of ``pairs`` allowed mode pairs (a, b), those
     whose backward lightcones share a squeezed input, so the permitted set is
-    the Minkowski sum of ``pairs`` copies of the allowed-pair list E.
-    ``_check_build`` runs while E is listed, so a count it refuses for its
-    visits or its bytes stops early with ``GuardError``.
+    the Minkowski sum of ``pairs`` copies of the allowed-pair list E.  E holds
+    the distinct pairs inside the forward lightcone of some squeezed input; its
+    size comes from one partner bitmask per fed mode, and ``_check_build``
+    refuses a count for its visits or its bytes before E is listed.
 
     The bound is binom(M + pairs - 1, pairs) * R^pairs, where R is the largest
     round-trip cone: the most modes whose backward lightcones meet that of one
@@ -306,19 +311,25 @@ def count_permitted_gbs(
     _check_pairs(pairs, len(t))
     n = pairs
     back, sources = _source_masks(arch, t, depth)
-    fed = sum(1 for mask in sources if mask)
-    allowed: list[Pattern] = []
-    for a in range(m):
-        allowed += [(a, b) for b in range(a, m) if sources[a] & sources[b]]
-        e = len(allowed)
-        # k pairs sum to at most binom(e + k - 1, k) outcomes, and to at most
-        # the outcomes of 2k photons over the modes some input reaches
-        caps = (min(math.comb(e + k - 1, k), math.comb(fed + 2 * k - 1, 2 * k)) for k in range(1, n + 1))
-        _check_build(((e, cap) for cap in caps), m, width=2)
+    forward = _cone_masks(arch, depth, forward=True)
+    # a fed mode pairs with every mode, itself included, in the forward cone of
+    # an input it holds; partner masks keep the partners from the mode upwards
+    reach: dict[int, int] = {}
+    partners = []
+    for a, held in enumerate(sources):
+        if held:
+            if held not in reach:
+                reach[held] = reduce(or_, (forward[i] for i in _mask_modes(held)))
+            partners.append((a, reach[held] >> a << a))
+    e, fed = sum(mask.bit_count() for _, mask in partners), len(partners)
+    # k pairs sum to at most binom(e + k - 1, k) outcomes, and to at most the
+    # outcomes of 2k photons over the fed modes
+    caps = (min(math.comb(e + k - 1, k), math.comb(fed + 2 * k - 1, 2 * k)) for k in range(1, n + 1))
+    _check_build(((e, cap) for cap in caps), m, width=2)
+    allowed = [(a, b) for a, mask in partners for b in _mask_modes(mask)]
 
     # the round-trip cone of a mode, the modes whose backward lightcones meet
     # its own, joins the forward lightcones of the modes in its backward cone
-    forward = _cone_masks(arch, depth, forward=True)
     r = max(reduce(or_, (forward[i] for i in _mask_modes(y))).bit_count() for y in set(back))
     bound = _closed_form("upper bound on the permitted count",
                          lambda: float(math.comb(m + n - 1, n) * r**n))

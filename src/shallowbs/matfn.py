@@ -1,14 +1,22 @@
 """Permanents and hafnians of small dense matrices.
 
 Both functions are exponential-cost by nature, so each carries a hard size
-guard and a slow but obviously-correct oracle for cross-checking.  The fast
-permanent sums Glynn's formula over sign vectors, 2^10 of them per numpy
-operation; the fast hafnian expands perfect matchings recursively with
-memoization on the bitmask of unmatched vertices.
+guard and a slow but obviously-correct oracle for cross-checking.  Both fast
+kernels are Ryser-style sums over sign vectors, built in blocks by numpy
+doubling steps with a Python loop over the remaining signs.  The permanent
+sums Glynn's formula, 2^10 sign vectors per block.  The hafnian sums Kan's
+identity
+
+    haf(A) = 2 / (n! 4^n) * sum over h in {+1, -1}^(2n) with h_0 = +1 of
+             (prod_i h_i) * (sum over i < j of A_ij h_i h_j)^n,
+
+with blocks of up to 2^12 sign vectors chosen by bytes, and a Gray-code
+loop that moves the quadratic form by one vector add per step.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import permutations, product
 from math import inf, prod
 
@@ -33,12 +41,30 @@ HAFNIAN_ORACLE_MAX_DIM = 12
 
 _HAFNIAN_SYMMETRY_TOL = 1e-10
 
+# Bytes a hafnian may hold: its block of q and the cross-term rows, a work
+# vector, one term per Gray-code step, and the three iterator buffers of
+# np.getbufsize() complex entries that numpy allocates for a subtract over
+# several rows of the block.
+_HAFNIAN_BYTES = 1 << 20
+_HAFNIAN_BLOCK_BYTES = _HAFNIAN_BYTES - 3 * np.getbufsize() * np.dtype(complex).itemsize
+
 # Entry j is the sign product of the sign vector numbered j: bit i of j set
-# means row i + 1 takes the sign -1.
+# means row i + 1 takes the sign -1.  It is complex, as the sums it weights
+# are.  2^12 entries cover the permanent's blocks of 2^10 and every hafnian
+# block the byte budget admits.
 _BLOCK_BITS = 10
-_PARITY = (
-    1.0 - 2.0 * (np.arange(1 << _BLOCK_BITS)[:, None] >> np.arange(_BLOCK_BITS) & 1)
-).prod(axis=1)
+_PARITY_BITS = 12
+
+
+def _parity_table(bits: int) -> np.ndarray:
+    """Sign products of the 2^bits sign vectors, each doubling flipping one more sign."""
+    parity = np.ones(1, dtype=complex)
+    for _ in range(bits):
+        parity = np.concatenate((parity, -parity))
+    return parity
+
+
+_PARITY = _parity_table(_PARITY_BITS)
 
 
 class GuardError(ValueError):
@@ -104,49 +130,98 @@ def permanent_oracle(a: np.ndarray) -> complex:
     return complex(sum(terms))
 
 
+def _hafnian_bits(n2: int) -> int:
+    """Sign bits k < n2 of the largest hafnian block that fits the byte budget.
+
+    The block holds n2 + 1 rows of 2^k complex entries, and one term is kept
+    for each of the 2^(n2 - 1 - k) Gray-code steps.
+    """
+    k = n2 - 1
+    while (((n2 + 1) << k) + (1 << (n2 - 1 - k))) * np.dtype(complex).itemsize > _HAFNIAN_BLOCK_BYTES:
+        k -= 1
+    return k
+
+
+def _power(t: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """``t ** n`` by repeated squaring into ``out``, leaving ``t`` as it was.
+
+    Multiplies, not ``**``: on 2,048 complex entries ``t ** n`` took 22-37 us
+    against 8-9 us for these multiplies, at n = 6, 10 and 12 on a 2-core Xeon.
+    """
+    result = t
+    for bit in bin(n)[3:]:
+        np.multiply(result, result, out=out)
+        result = out
+        if bit == "1":
+            out *= t
+    return result
+
+
 def hafnian(a: np.ndarray) -> complex:
     """Hafnian of an even-dimensional symmetric matrix; diagonal entries are ignored.
 
-    Recursively matches the lowest unpaired vertex with every partner and
-    memoizes on the bitmask of vertices still unmatched, which collapses the
-    naive (2n-1)!! matching tree to at most O(2^(2n)) distinct states.
+    haf(A) = 2 / (n! 4^n) * sum over h in {+1, -1}^(2n) with h_0 = +1 of
+    (prod_i h_i) * q(h)^n, where q(h) = sum over i < j of A_ij h_i h_j
+    (Kan 2008), taken with the diagonal zeroed.  Sign vector v of a block of
+    2^k sets h_i = -1 where bit i - 1 of v is set.  Doubling steps build q for
+    the whole block and each vector's cross terms to the coordinates above k;
+    a Gray-code loop over the signs of those coordinates then moves q by one
+    vector add per step.  q^n comes from repeated squaring, and the terms
+    are summed pairwise.  ``_hafnian_bits`` picks the largest k that fits
+    ``_HAFNIAN_BLOCK_BYTES``.  Cost is O(2^(2n) log n) arithmetic.
     """
     a = np.asarray(a)
     n2 = _require_square(a, "hafnian", HAFNIAN_MAX_DIM, even=True)
     if n2 == 0:
         return complex(1.0)
-    a = a.astype(complex, copy=False)
-    asym = float(np.max(np.abs(a - a.T)))
+    a = a.astype(complex)
+    asym = float(abs(a - a.T).max())
     if asym > _HAFNIAN_SYMMETRY_TOL:
         raise ValueError(
             f"hafnian requires a symmetric matrix; max |a - a^T| = {asym:.3e}"
         )
-    rows = a.tolist()
-
-    memo: dict[int, complex] = {}
-
-    def match(mask: int) -> complex:
-        if mask == 0:
-            return 1.0 + 0.0j
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        row_i = rows[i]
-        acc = 0.0 + 0.0j
-        mm = rest
-        while mm:
-            bit = mm & -mm
-            mm ^= bit
-            w = row_i[bit.bit_length() - 1]
-            if w != 0:
-                acc += w * match(rest ^ bit)
-        memo[mask] = acc
-        return acc
-
-    return match((1 << n2) - 1)
+    a.ravel()[:: n2 + 1] = 0.0
+    n, k = n2 // 2, _hafnian_bits(n2)
+    # Row 0 holds q and row j twice the cross term sum_i A_ij h_i, starting
+    # from all signs +1.  Flipping coordinate i in the upper half of the
+    # filled block lowers q by row i and row j by 4 A_ij; row i is then spent.
+    sums = a.sum(axis=1)
+    block = np.empty((n2, 1 << k), dtype=complex)
+    np.multiply(sums, 2.0, out=block[:, 0])
+    block[0, 0] = sums.sum() / 2.0
+    a *= 4.0
+    for i in range(1, k + 1):
+        h = 1 << (i - 1)
+        np.subtract(block[0, :h], block[i, :h], out=block[0, h : 2 * h])
+        if i + 1 < n2:
+            np.subtract(block[i + 1 :, :h], a[i, i + 1 :, None], out=block[i + 1 :, h : 2 * h])
+    q, cross, high = block[0], block[k + 1 :], a[k + 1 :, k + 1 :]
+    # Flipping high coordinate j from sign s moves q by -s (cross_j + shift_j),
+    # where the scalar shift_j is the change of twice its cross term within
+    # the high coordinates.
+    shift = np.zeros(len(cross), dtype=complex)
+    signs = [1.0] * len(cross)
+    p = np.empty_like(q)
+    parity = _PARITY[: 1 << k]
+    terms = np.empty(1 << len(cross), dtype=complex)
+    for step in range(1 << len(cross)):
+        if step:
+            j = (step & -step).bit_length() - 1
+            if signs[j] > 0:
+                q -= cross[j]
+                q -= shift[j]
+                shift -= high[j]
+            else:
+                q += cross[j]
+                q += shift[j]
+                shift += high[j]
+            signs[j] = -signs[j]
+        # Terms are summed pairwise, within the block and over the loop: a dot
+        # product per block and a running total missed the 24-clique's 23!!
+        # by 0.11 to 0.32.
+        term = np.multiply(parity, _power(q, n, p), out=p).sum()
+        terms[step] = -term if step & 1 else term
+    return complex(terms.sum()) * 2.0 / (math.factorial(n) * 4.0**n)
 
 
 def _pairings(items: tuple[int, ...]):

@@ -388,13 +388,52 @@ def test_count_permitted_gbs_nlhs_fallback_bound():
     assert report.exact_count <= report.upper_bound == 2304.0
 
 
-@pytest.mark.parametrize(
+SWEEP_ARCHS = pytest.mark.parametrize(
     "arch",
     [build_local_parallel(1, [m], 6) for m in (4, 6, 8, 10, 12)]
     + [build_local_parallel(2, sides, 6) for sides in ([2, 2], [2, 3], [3, 3], [3, 4])]
     + [build_nlhs(2, 2), build_nlhs(3, 2)],
     ids=lambda arch: f"{arch.family}-{'x'.join(map(str, arch.side_lengths or [arch.mode_count]))}",
 )
+
+
+def reference_count_gbs(arch, inputs, pairs, depth):
+    """Count and bound with every mode pair tested for a shared source, and R
+    as the most modes whose backward lightcones meet that of one mode."""
+    m = arch.mode_count
+    sources = source_sets(arch, inputs, depth)
+    allowed = [(a, b) for a in range(m) for b in range(a, m) if sources[a] & sources[b]]
+    backs = [backward_lightcone(arch, mode, depth) for mode in range(m)]
+    r = max(sum(1 for other in backs if other & back) for back in backs)
+    bound = float(math.comb(m + pairs - 1, pairs) * r**pairs)
+    return fock._count_sums(m, 2 * pairs, [np.array(allowed, dtype=int).reshape(-1, 2)] * pairs, bound)
+
+
+@SWEEP_ARCHS
+def test_count_permitted_gbs_matches_all_pairs_reference(arch):
+    # pairs listed from the forward cones of the squeezed inputs give the
+    # counts and bounds of testing every mode pair, with all modes squeezed
+    # and with a seeded half of them
+    gen = np.random.default_rng(arch.mode_count)
+    m = arch.mode_count
+    for depth in range(arch.depth + 1):
+        half = sorted(gen.choice(m, size=max(1, m // 2), replace=False).tolist())
+        for inputs in (range(m), half):
+            for pairs in range(1, min(4, len(inputs)) + 1):
+                report = count_permitted_gbs(arch, inputs, pairs, depth)
+                assert report == reference_count_gbs(arch, inputs, pairs, depth), (depth, pairs)
+
+
+def test_count_permitted_gbs_few_inputs_on_many_modes_quickly():
+    # two fed inputs on a 4000-mode chain: only their forward cones are paired
+    arch = build_local_parallel(1, [4000], 1)
+    start = time.perf_counter()
+    report = count_permitted_gbs(arch, (0, 2000), 2, 1)
+    assert time.perf_counter() - start < 0.1
+    assert report.exact_count == 19
+
+
+@SWEEP_ARCHS
 def test_count_permitted_gbs_bound_holds(arch):
     # every mode squeezed, every depth from 0 and 1 to 4 pairs; the pairing
     # bound that divided by 2^pairs fell below the exact count at depth 0 and

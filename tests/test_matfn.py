@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from operator import index
 
 import numpy as np
 import pytest
 
+from shallowbs import matfn
 from shallowbs.matfn import (
     GuardError,
     HAFNIAN_MAX_DIM,
@@ -31,8 +33,59 @@ def select_submatrix(u, rows, cols):
     return u[np.ix_(rows, cols)]
 
 
+def hafnian_memo(a):
+    """Hafnian by matching the lowest unmatched vertex with every partner, memoized
+    on the bitmask of unmatched vertices; exact on 0/1 matrices up to 2n = 24."""
+    rows = np.asarray(a).tolist()
+    memo = {0: 1}
+
+    def match(mask):
+        if mask not in memo:
+            low = mask & -mask
+            i, rest = low.bit_length() - 1, mask ^ low
+            total, others = 0, rest
+            while others:
+                bit = others & -others
+                others ^= bit
+                w = rows[i][bit.bit_length() - 1]
+                if w != 0:
+                    total += w * match(rest ^ bit)
+            memo[mask] = total
+        return memo[mask]
+
+    return match((1 << len(rows)) - 1)
+
+
 def random_complex(gen, n):
     return gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+
+
+def random_symmetric(gen, n):
+    a = random_complex(gen, n)
+    return a + a.T
+
+
+def disjoint(*blocks):
+    """Adjacency matrix of the disjoint union of the given graphs."""
+    a = np.zeros((sum(map(len, blocks)),) * 2)
+    start = 0
+    for block in blocks:
+        a[start : start + len(block), start : start + len(block)] = block
+        start += len(block)
+    return a
+
+
+def cliques(*sizes):
+    """Disjoint cliques, loops included on the ignored diagonal."""
+    return disjoint(*(np.ones((size, size)) for size in sizes))
+
+
+def cycle(n, closed=True):
+    """The cycle on n vertices, or the path when not ``closed``."""
+    a = np.zeros((n, n))
+    for i in range(n - 1 + closed):
+        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
+    return a
 
 
 def test_permanent_known_values():
@@ -93,8 +146,8 @@ def test_hafnian_known_values():
 
 def test_hafnian_matches_oracle():
     gen = np.random.default_rng(202)
-    for n2 in (2, 4, 6, 8):
-        for _ in range(20):
+    for n2 in (2, 4, 6, 8, 10, 12):
+        for _ in range(20 if n2 <= 8 else 4):
             a = random_complex(gen, n2)
             a = a + a.T
             np.testing.assert_allclose(hafnian(a), hafnian_oracle(a), rtol=1e-10)
@@ -102,11 +155,12 @@ def test_hafnian_matches_oracle():
 
 def test_hafnian_ignores_diagonal():
     gen = np.random.default_rng(33)
-    a = random_complex(gen, 6)
-    a = a + a.T
-    b = a.copy()
-    np.fill_diagonal(b, gen.normal(size=6))
-    np.testing.assert_allclose(hafnian(a), hafnian(b), rtol=1e-12)
+    for n2 in (6, 20):
+        a = random_complex(gen, n2)
+        a = a + a.T
+        b = a.copy()
+        np.fill_diagonal(b, gen.normal(size=n2))
+        np.testing.assert_allclose(hafnian(a), hafnian(b), rtol=1e-12)
 
 
 def test_hafnian_block_diagonal_factorizes():
@@ -121,10 +175,85 @@ def test_hafnian_block_diagonal_factorizes():
     np.testing.assert_allclose(hafnian(joint), hafnian(b) * hafnian(c), rtol=1e-10)
 
 
+def test_hafnian_block_diagonal_factorizes_above_oracle():
+    """A 10 + 14 split under one symmetric shuffle: Haf is Haf(B) Haf(C)."""
+    gen = np.random.default_rng(45)
+    b, c = random_symmetric(gen, 10), random_symmetric(gen, 14)
+    joint = np.zeros((24, 24), dtype=complex)
+    joint[:10, :10] = b
+    joint[10:, 10:] = c
+    order = gen.permutation(24)
+    joint = joint[np.ix_(order, order)]
+    np.testing.assert_allclose(hafnian(joint), hafnian_oracle(b) * hafnian_memo(c), rtol=1e-10)
+
+
+def test_hafnian_all_ones_double_factorial():
+    for n2 in range(2, HAFNIAN_MAX_DIM + 1, 2):
+        np.testing.assert_allclose(
+            hafnian(np.ones((n2, n2))), float(math.prod(range(n2 - 1, 0, -2))), rtol=1e-12
+        )
+
+
+def test_hafnian_zero_one_sweep():
+    """0/1 matrices up to 24 photons against the exact matching count.
+
+    Membership rounds the float hafnian at 0.5, so its worst error over the
+    sweep must stay well inside that: below 0.25.
+    """
+    gen = np.random.default_rng(91)
+    cases = [cliques(*sizes) for sizes in (
+        (1, 23), (3, 21), (11, 13), (5, 7, 12), (24,), (23, 1), (2, 22), (12, 12),
+        (1, 1), (3, 5), (7, 9), (1, 3, 5, 7), (9, 11), (20,), (16,),
+    )]
+    cases += [cycle(n2, closed) for n2 in (2, 4, 10, 16, 22, 24) for closed in (False, True)]
+    # odd cycles and paths side by side have no perfect matching
+    cases += [disjoint(cycle(11), cycle(13)), disjoint(cycle(1), cycle(23, False)),
+              disjoint(cycle(5), cycle(7, False), cycle(12))]
+    for n2 in (8, 14, 20, 24):
+        for density in (0.15, 0.5):
+            upper = np.triu(gen.random((n2, n2)) < density, 1).astype(float)
+            cases.append(upper + upper.T)
+    worst = 0.0
+    for a in cases:
+        exact = hafnian_memo(a)
+        value = hafnian(a)
+        worst = max(worst, abs(value - exact))
+        assert (abs(value) > 0.5) == (exact != 0)
+    assert worst < 0.25, worst
+
+
+def test_hafnian_block_fits_its_budget():
+    """Every size's block fits the parity table and the byte budget, and
+    tracemalloc sees the kernel, numpy's buffers included, stay under its
+    budget plus small arrays."""
+    for n2 in range(2, HAFNIAN_MAX_DIM + 1, 2):
+        k = matfn._hafnian_bits(n2)
+        assert 1 <= k < n2 and k <= matfn._PARITY_BITS
+        assert (((n2 + 1) << k) + (1 << (n2 - 1 - k))) * 16 <= matfn._HAFNIAN_BLOCK_BYTES
+    gen = np.random.default_rng(12)
+    for n2 in (20, 24):
+        a = random_symmetric(gen, n2)
+        tracemalloc.start()
+        try:
+            hafnian(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= matfn._HAFNIAN_BYTES + 64 * 2**10, (n2, peak)
+
+
+def test_hafnian_above_oracle_matches_memo():
+    gen = np.random.default_rng(57)
+    for n2 in (14, 16):
+        a = random_symmetric(gen, n2)
+        np.testing.assert_allclose(hafnian(a), hafnian_memo(a), rtol=1e-10)
+
+
 def test_hafnian_of_permanent_embedding():
-    """Haf([[0, A], [A^T, 0]]) equals Per(A), tying the two routines together."""
+    """Haf([[0, A], [A^T, 0]]) equals Per(A), tying the two routines together
+    up to 2n = 24, where Per comes from the independent Glynn kernel."""
     gen = np.random.default_rng(55)
-    for n in (2, 3, 4, 5):
+    for n in range(2, 13):
         a = random_complex(gen, n)
         block = np.zeros((2 * n, 2 * n), dtype=complex)
         block[:n, n:] = a
