@@ -312,15 +312,13 @@ def count_permitted_gbs(
     n = pairs
     back, sources = _source_masks(arch, t, depth)
     forward = _cone_masks(arch, depth, forward=True)
+
+    def cone_union(mask: int) -> int:
+        return reduce(or_, (forward[i] for i in _mask_modes(mask)))
+
     # a fed mode pairs with every mode, itself included, in the forward cone of
     # an input it holds; partner masks keep the partners from the mode upwards
-    reach: dict[int, int] = {}
-    partners = []
-    for a, held in enumerate(sources):
-        if held:
-            if held not in reach:
-                reach[held] = reduce(or_, (forward[i] for i in _mask_modes(held)))
-            partners.append((a, reach[held] >> a << a))
+    partners = [(a, cone_union(held) >> a << a) for a, held in enumerate(sources) if held]
     e, fed = sum(mask.bit_count() for _, mask in partners), len(partners)
     # k pairs sum to at most binom(e + k - 1, k) outcomes, and to at most the
     # outcomes of 2k photons over the fed modes
@@ -330,7 +328,7 @@ def count_permitted_gbs(
 
     # the round-trip cone of a mode, the modes whose backward lightcones meet
     # its own, joins the forward lightcones of the modes in its backward cone
-    r = max(reduce(or_, (forward[i] for i in _mask_modes(y))).bit_count() for y in set(back))
+    r = max(cone_union(y).bit_count() for y in set(back))
     bound = _closed_form("upper bound on the permitted count",
                          lambda: float(math.comb(m + n - 1, n) * r**n))
     return _count_sums(m, 2 * n, [np.array(allowed, dtype=int).reshape(-1, 2)] * n, bound)

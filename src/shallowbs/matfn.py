@@ -174,13 +174,13 @@ def hafnian(a: np.ndarray) -> complex:
     n2 = _require_square(a, "hafnian", HAFNIAN_MAX_DIM, even=True)
     if n2 == 0:
         return complex(1.0)
-    a = a.astype(complex)
+    a = a.astype(complex, order="C")
     asym = float(abs(a - a.T).max())
     if asym > _HAFNIAN_SYMMETRY_TOL:
         raise ValueError(
             f"hafnian requires a symmetric matrix; max |a - a^T| = {asym:.3e}"
         )
-    a.ravel()[:: n2 + 1] = 0.0
+    np.fill_diagonal(a, 0.0)
     n, k = n2 // 2, _hafnian_bits(n2)
     # Row 0 holds q and row j twice the cross term sum_i A_ij h_i, starting
     # from all signs +1.  Flipping coordinate i in the upper half of the
