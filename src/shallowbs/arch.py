@@ -254,46 +254,64 @@ def realize(
     return u[0] if single else u
 
 
-# Bytes of the largest stack of unitaries a sampler realizes at once, B*M^2*16.
+# Bytes of the largest stack a Monte-Carlo driver draws at once: unitaries
+# here, B*M^2*16, and Ginibre draws and bootstrap indices in ``stats``.
 # 64 KiB holds 16 trials at M = 16.  Larger stacks ran no faster and their
 # temporaries raised peak memory; see README "Performance" for the sweep.
 _REALIZE_CHUNK_BYTES = 1 << 16
 
 
-def _unitary_sampler(ensemble: Union[CircuitArchitecture, int]) -> tuple[
-    int, Callable[[Iterable[np.random.Generator]], Iterator[tuple[np.random.Generator, np.ndarray]]]
-]:
-    """Mode count M of an ensemble, and a map from trial generators to ``(gen, u)`` pairs.
+def _chunk_trials(trial_bytes: int) -> int:
+    """Trials per chunk when each trial's draw holds ``trial_bytes``: at least one."""
+    return max(1, _REALIZE_CHUNK_BYTES // trial_bytes)
 
-    The map takes each trial's generator, lazily and in order, and yields it
-    with the unitary drawn from it, leaving the generator free for the trial's
-    further draws.  A circuit realizes its trials in chunks of at most
-    ``_REALIZE_CHUNK_BYTES`` with one stacked ``realize`` per chunk, which gives
-    the same unitaries as one call per trial.  An integer M means Haar on U(M),
-    one ``haar_unitary`` per trial.  Both are looked up when a chunk or trial is
-    drawn, so wrappers installed on this module see every draw.  Anything else
-    is refused here, before any draw.
+
+def _unitary_sampler(ensemble: Union[CircuitArchitecture, int]) -> tuple[
+    int,
+    Callable[
+        [Iterable[np.random.Generator]],
+        Iterator[tuple[list[np.random.Generator], np.ndarray]],
+    ],
+]:
+    """Mode count M of an ensemble, and a map from trial generators to chunks.
+
+    The map takes each trial's generator, lazily and in order, and yields
+    chunks ``(gens, u)``: a list of B generators and the (B, M, M) stack of
+    the unitaries drawn from them, leaving each generator free for its
+    trial's further draws.  A chunk holds at most ``_REALIZE_CHUNK_BYTES``.
+    A circuit realizes each chunk with one stacked ``realize``, which gives
+    the same unitaries as one call per trial.  An integer M means Haar on
+    U(M), one ``haar_unitary`` per trial.  Both are looked up when a chunk or
+    trial is drawn, so wrappers installed on this module see every draw.
+    Anything else is refused here, before any draw.
     """
     if isinstance(ensemble, CircuitArchitecture):
         m = ensemble.mode_count
-        chunk = max(1, _REALIZE_CHUNK_BYTES // (16 * m * m))
 
-        def realized(
-            gens: Iterable[np.random.Generator],
-        ) -> Iterator[tuple[np.random.Generator, np.ndarray]]:
-            trials = iter(gens)
-            while batch := list(islice(trials, chunk)):
-                yield from zip(batch, realize(ensemble, batch))
+        def draw(batch: list[np.random.Generator]) -> np.ndarray:
+            return realize(ensemble, batch)
+    else:
+        try:
+            m = index(ensemble)
+        except TypeError:
+            raise TypeError(
+                f"ensemble must be a CircuitArchitecture or an integer mode count, got {ensemble!r}"
+            ) from None
+        _check_positive(m, "mode count")
 
-        return m, realized
-    try:
-        m = index(ensemble)
-    except TypeError:
-        raise TypeError(
-            f"ensemble must be a CircuitArchitecture or an integer mode count, got {ensemble!r}"
-        ) from None
-    _check_positive(m, "mode count")
-    return m, lambda gens: ((gen, haar_unitary(m, gen)) for gen in gens)
+        def draw(batch: list[np.random.Generator]) -> np.ndarray:
+            return np.array([haar_unitary(m, gen) for gen in batch])
+
+    chunk = _chunk_trials(16 * m * m)
+
+    def chunks(
+        gens: Iterable[np.random.Generator],
+    ) -> Iterator[tuple[list[np.random.Generator], np.ndarray]]:
+        trials = iter(gens)
+        while batch := list(islice(trials, chunk)):
+            yield batch, draw(batch)
+
+    return m, chunks
 
 
 def _check_depth(arch: CircuitArchitecture, depth: int) -> None:

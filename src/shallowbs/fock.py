@@ -38,7 +38,8 @@ from .arch import (
     _mask_modes,
     effective_lightcone_radius,
 )
-from .matfn import _GUARD_BYTES, GuardError, permanent
+from . import matfn
+from .matfn import _GUARD_BYTES, GuardError
 
 __all__ = [
     "Pattern",
@@ -103,6 +104,18 @@ def pattern_factorial(pat: Sequence[int]) -> int:
     return total
 
 
+def _pattern_factorials(rows: np.ndarray) -> np.ndarray:
+    """``pattern_factorial`` of each row of a (B, n) array of sorted patterns, as floats."""
+    return np.array([pattern_factorial(row) for row in rows.tolist()], dtype=float)
+
+
+def _pattern_rows(m: int, photons: int, gens: Sequence[np.random.Generator]) -> np.ndarray:
+    """One uniformly random sorted pattern of distinct modes from each generator,
+    as a (B, photons) array; the caller has checked that they fit in ``m`` modes."""
+    picks = [gen.choice(m, size=photons, replace=False) for gen in gens]
+    return np.sort(np.reshape(picks, (len(gens), photons)), axis=1)
+
+
 def fbs_probability(
     u: np.ndarray, input_modes: Iterable[int], output_modes: Iterable[int]
 ) -> float:
@@ -110,11 +123,24 @@ def fbs_probability(
 
     ``u`` follows the ``u[out, in]`` convention, so the relevant submatrix
     takes rows from the output pattern and columns from the input pattern.
+    This is the B = 1 case of ``_fbs_probabilities``.
     """
     u = np.asarray(u)
     t, s = _photon_patterns(u.shape[0], input_modes, output_modes)
-    sub = u[np.ix_(s, t)]
-    return float(abs(permanent(sub)) ** 2 / pattern_factorial(s))
+    rows = np.array([t, s], dtype=int).reshape(2, 1, len(t))
+    return float(_fbs_probabilities(u[None], *rows)[0])
+
+
+def _fbs_probabilities(u: np.ndarray, inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+    """``fbs_probability`` for each trial of a stack of circuits.
+
+    ``u`` is a (B, M, M) stack and ``inputs`` and ``outputs`` hold each trial's
+    checked patterns as (B, n) rows.  One gather builds every U[s, t] and one
+    stacked kernel call takes their permanents.
+    """
+    trial = np.arange(len(u))[:, None, None]
+    sub = u[trial, outputs[:, :, None], inputs[:, None, :]]
+    return abs(matfn._permanents(sub)) ** 2 / _pattern_factorials(outputs)
 
 
 def _check_outcome_space(m: int, photons: int) -> None:

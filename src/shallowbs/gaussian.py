@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from functools import reduce
-from itertools import islice
 from operator import index, or_
 from typing import Iterable, Union
 
@@ -41,8 +40,10 @@ from .fock import (
     _count_sums,
     _depth_thresholds,
     _input_pattern,
-    pattern_factorial,
+    _pattern_factorials,
+    _pattern_rows,
 )
+from . import matfn
 from .linalg import RngStream, _check_dense
 from .matfn import _require_square, hafnian
 
@@ -116,12 +117,18 @@ def smsv_covariance(modes: int, input_modes: Iterable[int], squeeze_r: float) ->
 def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
     """Orthogonal symplectic action of a passive circuit on (x, p) quadratures."""
     u = np.asarray(u)
-    m = _require_square(u, "symplectic_from_unitary")
+    _require_square(u, "symplectic_from_unitary")
+    return _symplectic(u)
+
+
+def _symplectic(u: np.ndarray) -> np.ndarray:
+    """``symplectic_from_unitary`` of each matrix of a (..., M, M) stack."""
+    m = u.shape[-1]
     re, im = u.real, u.imag
-    o = np.empty((2 * m, 2 * m), dtype=re.dtype)
-    o[:m, :m] = o[m:, m:] = re
-    o[:m, m:] = -im
-    o[m:, :m] = im
+    o = np.empty(u.shape[:-2] + (2 * m, 2 * m), dtype=re.dtype)
+    o[..., :m, :m] = o[..., m:, m:] = re
+    o[..., :m, m:] = -im
+    o[..., m:, :m] = im
     return o
 
 
@@ -135,10 +142,20 @@ def evolve_covariance(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
             f"covariance shape {sigma.shape} does not match the {(2 * m, 2 * m)} "
             f"of a {m}-mode circuit"
         )
-    if np.max(np.abs(u.conj().T @ u - np.eye(m))) > 1e-8:
+    return _evolved(sigma, u[None])[0]
+
+
+def _evolved(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """O sigma O^T for each circuit of a (B, M, M) stack, as one stacked product.
+
+    Every circuit must be unitary within 1e-8.  Each slice is the 2-D product
+    ``o @ sigma @ o.T`` of its own circuit, bit for bit.
+    """
+    m = u.shape[-1]
+    if np.max(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(m))) > 1e-8:
         raise ValueError("circuit matrix is not unitary within 1e-8")
-    o = symplectic_from_unitary(u)
-    return o @ sigma @ o.T
+    o = _symplectic(u)
+    return o @ sigma @ o.swapaxes(1, 2)
 
 
 def reduced_covariance(sigma: np.ndarray, modes: Iterable[int]) -> np.ndarray:
@@ -158,11 +175,15 @@ def reduced_covariance(sigma: np.ndarray, modes: Iterable[int]) -> np.ndarray:
 
 def renyi2_entropy(sigma: np.ndarray) -> float:
     """Second Renyi entropy of a Gaussian state, (1/2) ln det(sigma)."""
-    sigma = np.asarray(sigma)
+    return float(_renyi2_entropies(np.asarray(sigma)[None])[0])
+
+
+def _renyi2_entropies(sigma: np.ndarray) -> np.ndarray:
+    """``renyi2_entropy`` of each covariance of a (B, 2k, 2k) stack, by one batched ``slogdet``."""
     sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
+    if (sign <= 0).any():
         raise ValueError("covariance has non-positive determinant; not a valid state")
-    return 0.5 * float(logdet)
+    return 0.5 * logdet
 
 
 def is_valid_covariance(sigma: np.ndarray, tol: float = 1e-8) -> bool:
@@ -194,33 +215,54 @@ def page_curve(
     every subsystem size k from 1 to M - 1 and every sample, a fresh circuit
     and a uniformly random k-mode subset are drawn from a per-trial derived
     stream; the rows returned are ``(k, mean entropy, standard error)``.
+
+    Each chunk of trials is evolved as one stack, and the trials of one size
+    within it are reduced and take their determinants as one batch.  Every
+    entropy equals ``renyi2_entropy(reduced_covariance(evolve_covariance(...)))``
+    of its own trial.
     """
-    modes, draws = _unitary_sampler(ensemble)
+    modes, chunks = _unitary_sampler(ensemble)
     _check_bipartition(modes)
     _check_entropy_squeezing(squeeze_r)
     sigma0 = smsv_covariance(modes, range(modes), squeeze_r)
     _check_samples(samples)
     # trial j of size k draws from stream (k - 1) * samples + j
-    trials = draws(rng.derive(i).generator() for i in range((modes - 1) * samples))
-    rows = []
-    for k in range(1, modes):
-        chunk = np.array([
-            renyi2_entropy(reduced_covariance(
-                evolve_covariance(sigma0, u), gen.choice(modes, size=k, replace=False)
-            ))
-            for gen, u in islice(trials, samples)
-        ])
-        rows.append(
-            (k, float(chunk.mean()), float(chunk.std(ddof=1) / math.sqrt(samples)))
-        )
-    return rows
+    entropies = np.empty((modes - 1, samples))
+    flat = entropies.reshape(-1)
+    done = 0
+    for gens, u in chunks(rng.derive(i).generator() for i in range(flat.size)):
+        sigma = _evolved(sigma0, u)
+        lo = 0
+        while lo < len(gens):
+            k = (done + lo) // samples + 1
+            hi = min(len(gens), k * samples - done)
+            subset = _pattern_rows(modes, k, gens[lo:hi])
+            keep = np.concatenate((subset, subset + modes), axis=1)
+            trial = np.arange(lo, hi)[:, None, None]
+            reduced = sigma[trial, keep[:, :, None], keep[:, None, :]]
+            flat[done + lo : done + hi] = _renyi2_entropies(reduced)
+            lo = hi
+        done += len(gens)
+    return [
+        (k, float(row.mean()), float(row.std(ddof=1) / math.sqrt(samples)))
+        for k, row in enumerate(entropies, 1)
+    ]
 
 
-def _hafnian_weight(u: np.ndarray, input_modes: Pattern, output_modes: Pattern) -> float:
-    """|Haf(B_s)|^2 / s! for checked input and even output patterns, B = U I_K U^T."""
-    rows = u[np.ix_(output_modes, input_modes)]
-    b_s = rows @ rows.T
-    return float(abs(hafnian(b_s)) ** 2 / pattern_factorial(output_modes))
+def _hafnian_weights(
+    u: np.ndarray, input_modes: Iterable[int], outputs: np.ndarray
+) -> np.ndarray:
+    """|Haf(B_s)|^2 / s! with B = U I_K U^T, for each trial of a (B, M, K) stack of circuits.
+
+    ``outputs`` holds each trial's checked even pattern as (B, n) rows; the
+    squeezed ``input_modes`` are common to all.  One gather takes the rows of
+    every U[s, t], one stacked product forms each B_s and one stacked kernel
+    call takes their hafnians.
+    """
+    trial = np.arange(len(u))[:, None, None]
+    rows = u[trial, outputs[:, :, None], input_modes]
+    b_s = rows @ rows.swapaxes(1, 2)
+    return abs(matfn._hafnians(b_s)) ** 2 / _pattern_factorials(outputs)
 
 
 def _even_outcome(
@@ -239,11 +281,13 @@ def gbs_unnormalized_probability(
     """Relative weight |Haf(B_s)|^2 / s! of an even outcome within its photon sector.
 
     The overall normalization (squeezing and cosh factors, identical for every
-    outcome with the same photon number) is deliberately omitted.
+    outcome with the same photon number) is deliberately omitted.  This is the
+    B = 1 case of ``_hafnian_weights``.
     """
     u = np.asarray(u)
     m = _require_square(u, "gbs_unnormalized_probability")
-    return _hafnian_weight(u, *_even_outcome(m, input_modes, output_modes))
+    t, s = _even_outcome(m, input_modes, output_modes)
+    return float(_hafnian_weights(u[None], t, np.array(s, dtype=int).reshape(1, -1))[0])
 
 
 def _source_masks(

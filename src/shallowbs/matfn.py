@@ -12,6 +12,13 @@ identity
 
 with blocks of up to 2^12 sign vectors chosen by bytes, and a Gray-code
 loop that moves the quadratic form by one vector add per step.
+
+Each kernel takes a (B, n, n) stack and runs every numpy step across the
+whole stack, so B small matrices cost about as many numpy calls as one.
+Every reduction runs along one matrix's own axis, so slice b of a stacked
+call equals the call on ``a[b]`` alone bit for bit; ``permanent`` and
+``hafnian`` are the B = 1 case.  A stack is split into sub-stacks whose
+blocks fit the same byte budget as one matrix's.
 """
 
 from __future__ import annotations
@@ -41,10 +48,11 @@ HAFNIAN_ORACLE_MAX_DIM = 12
 
 _HAFNIAN_SYMMETRY_TOL = 1e-10
 
-# Bytes a hafnian may hold: its block of q and the cross-term rows, a work
-# vector, one term per Gray-code step, and the three iterator buffers of
-# np.getbufsize() complex entries that numpy allocates for a subtract over
-# several rows of the block.
+# Bytes a kernel may hold for one sub-stack.  For the hafnian: its block of q
+# and the cross-term rows, a work vector, one term per Gray-code step, and the
+# three iterator buffers of np.getbufsize() complex entries that numpy
+# allocates for a subtract over several rows of the block.  For the permanent:
+# its block of row sums, their shifted copy and their products.
 _HAFNIAN_BYTES = 1 << 20
 _HAFNIAN_BLOCK_BYTES = _HAFNIAN_BYTES - 3 * np.getbufsize() * np.dtype(complex).itemsize
 
@@ -76,16 +84,26 @@ class GuardError(ValueError):
 _GUARD_BYTES = 1 << 30
 
 
-def _require_square(a: np.ndarray, name: str, max_dim: float = inf, even: bool = False) -> int:
-    """The dimension of a square (and, if ``even``, even-dimensional) matrix within ``max_dim``."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} requires a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+def _require_square(
+    a: np.ndarray, name: str, max_dim: float = inf, even: bool = False, ndim: int = 2
+) -> int:
+    """The dimension of a square matrix, or with ``ndim=3`` of a stack of them,
+    that is even if ``even`` is set and at most ``max_dim``."""
+    if a.ndim != ndim or a.shape[-2] != a.shape[-1]:
+        what = "a stack of square matrices" if ndim == 3 else "a square matrix"
+        raise ValueError(f"{name} requires {what}, got shape {a.shape}")
+    n = a.shape[-1]
     if even and n % 2 != 0:
         raise ValueError(f"{name} requires even dimension, got {n}")
     if n > max_dim:
         raise GuardError(f"{name} guard: dimension {n} exceeds {max_dim}")
     return n
+
+
+def _sub_stack(entries: int) -> int:
+    """Matrices per sub-stack when each holds ``entries`` complex entries: as
+    many as fit ``_HAFNIAN_BLOCK_BYTES``, and at least one."""
+    return max(1, _HAFNIAN_BLOCK_BYTES // (entries * np.dtype(complex).itemsize))
 
 
 def permanent(a: np.ndarray) -> complex:
@@ -95,30 +113,52 @@ def permanent(a: np.ndarray) -> complex:
     (prod_k delta_k) * prod_j (delta^T A)_j  (Glynn 2010).  The row sums for
     every sign vector over rows 1..min(n-1, 10) are built as one block, each
     row doubling the block; a loop runs over the sign patterns of any higher
-    rows.  Cost is O(2^n * n) arithmetic.
+    rows.  Cost is O(2^n * n) arithmetic.  This is the B = 1 case of the
+    stacked kernel ``_permanents``.
     """
     a = np.asarray(a)
-    n = _require_square(a, "permanent", PERMANENT_MAX_DIM)
+    _require_square(a, "permanent")
+    return complex(_permanents(a[None])[0])
+
+
+def _permanents(a: np.ndarray) -> np.ndarray:
+    """Permanents of a (B, n, n) stack, as B complex values, by ``permanent``'s sum."""
+    a = np.asarray(a)
+    n = _require_square(a, "permanent", PERMANENT_MAX_DIM, ndim=3)
+    out = np.ones(len(a), dtype=complex)
     if n == 0:
-        return complex(1.0)
-    a = a.astype(complex, copy=False)
+        return out
     k = min(n - 1, _BLOCK_BITS)
+    per = _sub_stack((2 * n + 1) << k)
+    for start in range(0, len(a), per):
+        out[start : start + per] = _glynn(a[start : start + per].astype(complex, copy=False), k)
+    return out
+
+
+def _glynn(a: np.ndarray, k: int) -> np.ndarray:
+    """Glynn's sum for each matrix of a complex (B, n, n) stack, with 2^k sign vectors per block."""
+    n = a.shape[-1]
     # numpy adds, not a matmul against a table of sign vectors: from n = 11 on
     # that matmul runs on threaded BLAS, which stalled for milliseconds per
     # call on a shared 2-core host (gone with OPENBLAS_NUM_THREADS=1)
-    block = np.empty((1 << k, n), dtype=complex)
-    block[0] = a[0]
+    block = np.empty((len(a), 1 << k, n), dtype=complex)
+    block[:, 0] = a[:, 0]
     for i in range(k):
         h = 1 << i
-        np.subtract(block[:h], a[i + 1], out=block[h : 2 * h])
-        block[:h] += a[i + 1]
+        np.subtract(block[:, :h], a[:, i + 1, None], out=block[:, h : 2 * h])
+        block[:, :h] += a[:, i + 1, None]
     parity = _PARITY[: 1 << k]
-    high = a[k + 1 :]
-    total = 0j
-    for signs in product((1.0, -1.0), repeat=len(high)):
-        row_sums = block + np.dot(signs, high)
-        total += prod(signs) * (parity @ row_sums.prod(axis=1))
-    return complex(total * 2.0 ** (1 - n))
+    high = a[:, k + 1 :]
+    row_sums = block
+    total = np.zeros(len(a), dtype=complex)
+    for signs in product((1.0, -1.0), repeat=high.shape[1]):
+        if signs:
+            # the signed high rows summed in order, row by row, for every matrix
+            row_sums = block + (np.array(signs)[:, None] * high).sum(axis=1)[:, None]
+        terms = row_sums.prod(axis=2)
+        terms *= parity
+        total += prod(signs) * terms.sum(axis=1)
+    return total * 2.0 ** (1 - n)
 
 
 def permanent_oracle(a: np.ndarray) -> complex:
@@ -168,60 +208,86 @@ def hafnian(a: np.ndarray) -> complex:
     a Gray-code loop over the signs of those coordinates then moves q by one
     vector add per step.  q^n comes from repeated squaring, and the terms
     are summed pairwise.  ``_hafnian_bits`` picks the largest k that fits
-    ``_HAFNIAN_BLOCK_BYTES``.  Cost is O(2^(2n) log n) arithmetic.
+    ``_HAFNIAN_BLOCK_BYTES``.  Cost is O(2^(2n) log n) arithmetic.  This is
+    the B = 1 case of the stacked kernel ``_hafnians``.
     """
     a = np.asarray(a)
-    n2 = _require_square(a, "hafnian", HAFNIAN_MAX_DIM, even=True)
-    if n2 == 0:
-        return complex(1.0)
+    _require_square(a, "hafnian")
+    return complex(_hafnians(a[None])[0])
+
+
+def _hafnians(a: np.ndarray) -> np.ndarray:
+    """Hafnians of a (B, 2n, 2n) stack, as B complex values, by ``hafnian``'s sum.
+
+    Every matrix is checked for symmetry before any is summed, so one
+    asymmetric matrix refuses the whole stack.
+    """
+    a = np.asarray(a)
+    n2 = _require_square(a, "hafnian", HAFNIAN_MAX_DIM, even=True, ndim=3)
+    out = np.ones(len(a), dtype=complex)
+    if n2 == 0 or not len(a):
+        return out
     a = a.astype(complex, order="C")
-    asym = float(abs(a - a.T).max())
+    asym = float(abs(a - a.swapaxes(1, 2)).max())
     if asym > _HAFNIAN_SYMMETRY_TOL:
         raise ValueError(
             f"hafnian requires a symmetric matrix; max |a - a^T| = {asym:.3e}"
         )
-    np.fill_diagonal(a, 0.0)
-    n, k = n2 // 2, _hafnian_bits(n2)
+    a.reshape(len(a), -1)[:, :: n2 + 1] = 0.0  # every diagonal, through a view of the copy
+    k = _hafnian_bits(n2)
+    per = _sub_stack(((n2 + 1) << k) + (1 << (n2 - 1 - k)))
+    for start in range(0, len(a), per):
+        out[start : start + per] = _kan(a[start : start + per], k)
+    return out
+
+
+def _kan(a: np.ndarray, k: int) -> np.ndarray:
+    """Kan's sum for each matrix of a C-ordered complex (B, 2n, 2n) stack with
+    zero diagonals, with 2^k sign vectors per block; ``a`` is overwritten."""
+    n2 = a.shape[-1]
+    n = n2 // 2
     # Row 0 holds q and row j twice the cross term sum_i A_ij h_i, starting
     # from all signs +1.  Flipping coordinate i in the upper half of the
     # filled block lowers q by row i and row j by 4 A_ij; row i is then spent.
-    sums = a.sum(axis=1)
-    block = np.empty((n2, 1 << k), dtype=complex)
-    np.multiply(sums, 2.0, out=block[:, 0])
-    block[0, 0] = sums.sum() / 2.0
+    sums = a.sum(axis=2)
+    block = np.empty((len(a), n2, 1 << k), dtype=complex)
+    np.multiply(sums, 2.0, out=block[:, :, 0])
+    block[:, 0, 0] = sums.sum(axis=1) / 2.0
     a *= 4.0
     for i in range(1, k + 1):
         h = 1 << (i - 1)
-        np.subtract(block[0, :h], block[i, :h], out=block[0, h : 2 * h])
+        np.subtract(block[:, 0, :h], block[:, i, :h], out=block[:, 0, h : 2 * h])
         if i + 1 < n2:
-            np.subtract(block[i + 1 :, :h], a[i, i + 1 :, None], out=block[i + 1 :, h : 2 * h])
-    q, cross, high = block[0], block[k + 1 :], a[k + 1 :, k + 1 :]
+            np.subtract(
+                block[:, i + 1 :, :h], a[:, i, i + 1 :, None], out=block[:, i + 1 :, h : 2 * h]
+            )
+    q, cross, high = block[:, 0], block[:, k + 1 :], a[:, k + 1 :, k + 1 :]
     # Flipping high coordinate j from sign s moves q by -s (cross_j + shift_j),
     # where the scalar shift_j is the change of twice its cross term within
     # the high coordinates.
-    shift = np.zeros(len(cross), dtype=complex)
-    signs = [1.0] * len(cross)
+    shift = np.zeros(cross.shape[:2], dtype=complex)
+    signs = [1.0] * cross.shape[1]
     p = np.empty_like(q)
     parity = _PARITY[: 1 << k]
-    terms = np.empty(1 << len(cross), dtype=complex)
-    for step in range(1 << len(cross)):
+    terms = np.empty((len(a), 1 << cross.shape[1]), dtype=complex)
+    for step in range(terms.shape[1]):
         if step:
             j = (step & -step).bit_length() - 1
             if signs[j] > 0:
-                q -= cross[j]
-                q -= shift[j]
-                shift -= high[j]
+                q -= cross[:, j]
+                q -= shift[:, j, None]
+                shift -= high[:, j]
             else:
-                q += cross[j]
-                q += shift[j]
-                shift += high[j]
+                q += cross[:, j]
+                q += shift[:, j, None]
+                shift += high[:, j]
             signs[j] = -signs[j]
         # Terms are summed pairwise, within the block and over the loop: a dot
         # product per block and a running total missed the 24-clique's 23!!
         # by 0.11 to 0.32.
-        term = np.multiply(parity, _power(q, n, p), out=p).sum()
-        terms[step] = -term if step & 1 else term
-    return complex(terms.sum()) * 2.0 / (math.factorial(n) * 4.0**n)
+        term = np.multiply(parity, _power(q, n, p), out=p).sum(axis=1)
+        terms[:, step] = -term if step & 1 else term
+    return terms.sum(axis=1) * 2.0 / (math.factorial(n) * 4.0**n)
 
 
 def _pairings(items: tuple[int, ...]):

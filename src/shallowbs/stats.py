@@ -15,9 +15,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .arch import CircuitArchitecture, _check_positive, _closed_form, _unitary_sampler
-from .fock import _check_outcome_space, _input_pattern, fbs_probability
-from .gaussian import _check_even, _check_samples, _hafnian_weight
+from .arch import (
+    CircuitArchitecture, _check_positive, _chunk_trials, _closed_form, _unitary_sampler
+)
+from .fock import _check_outcome_space, _fbs_probabilities, _input_pattern, _pattern_rows
+from .gaussian import _check_even, _check_samples, _hafnian_weights
 from .linalg import RngStream, as_generator, ginibre
 
 __all__ = [
@@ -67,13 +69,23 @@ def _check_buckets(n_buckets: int, samples: int) -> None:
         )
 
 
+def _finite(samples: Sequence[float]) -> np.ndarray:
+    """The samples as a float array; ValueError naming the first that is not finite."""
+    values = np.asarray(samples, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"samples must be finite; sample {bad[0]} is {values.flat[bad[0]]}")
+    return values
+
+
 def density_function(samples: Sequence[float], n_buckets: int) -> DensityCurve:
     """Empirical density from sorted samples split into equal-count buckets.
 
     Bucket sizes differ by at most one (the remainder goes to the earliest
     buckets); each bucket reports its midpoint and count/(total*width).
+    Every sample must be finite.
     """
-    values = np.sort(np.asarray(samples, dtype=float))
+    values = np.sort(_finite(samples))
     total = values.size
     if total == 0:
         raise ValueError("need at least one sample")
@@ -91,16 +103,23 @@ def density_function(samples: Sequence[float], n_buckets: int) -> DensityCurve:
 def bootstrap_std(
     samples: Sequence[float], resamples: int, rng: RngStream
 ) -> float:
-    """Bootstrap standard deviation of the sample mean."""
-    values = np.asarray(samples, dtype=float)
+    """Bootstrap standard deviation of the sample mean; every sample must be finite.
+
+    Resample r takes the mean of ``gen.integers(0, n, size=n)`` picks.  The
+    picks are drawn as blocks of rows holding at most ``_REALIZE_CHUNK_BYTES``
+    of indices, which gives the same picks and means as one draw per resample.
+    """
+    values = _finite(samples)
     _check_samples(values.size)
     if resamples < 100:
         raise ValueError(f"need at least 100 resamples, got {resamples}")
     gen = rng.generator()
     n = values.size
+    rows = _chunk_trials(8 * n)
     means = np.empty(resamples)
-    for r in range(resamples):
-        means[r] = values[gen.integers(0, n, size=n)].mean()
+    for start in range(0, resamples, rows):
+        picks = gen.integers(0, n, size=(min(rows, resamples - start), n))
+        means[start : start + len(picks)] = values[picks].mean(axis=1)
     return float(means.std())
 
 
@@ -131,13 +150,14 @@ def frame_potential(
     from above as the ensemble approaches a unitary k-design.
     ``bootstrap_std`` is reported on the normalized scale.
     """
-    _, draws = _unitary_sampler(ensemble)
+    _, chunks = _unitary_sampler(ensemble)
     _check_positive(k_moment, "moment order")
     _check_samples(n_sam)
     # trial i pairs the unitaries of streams 2i and 2i + 1
-    pairs = draws(rng.derive(j).generator() for j in range(2 * n_sam))
+    draws = (u for _, stack in chunks(rng.derive(j).generator() for j in range(2 * n_sam))
+             for u in stack)
     values = np.array(
-        [float(abs(np.vdot(u, v)) ** (2 * k_moment)) for (_, u), (_, v) in zip(pairs, pairs)]
+        [float(abs(np.vdot(u, v)) ** (2 * k_moment)) for u, v in zip(draws, draws)]
     )
     raw = float(values.mean())
     k_fact = math.factorial(k_moment)
@@ -162,8 +182,7 @@ def random_collision_free_pattern(
     """Uniformly random sorted pattern of distinct modes."""
     _check_outcome_space(m, photons)
     _check_placeable(m, photons)
-    picks = as_generator(rng).choice(m, size=photons, replace=False)
-    return tuple(int(x) for x in np.sort(picks))
+    return tuple(_pattern_rows(m, photons, [as_generator(rng)])[0].tolist())
 
 
 def fbs_probability_samples(
@@ -175,17 +194,22 @@ def fbs_probability_samples(
     """|perm|^2 samples of random circuits at random collision-free in/out patterns.
 
     The ensemble is a circuit, drawn with ``realize``, or an integer M for Haar
-    on U(M); the patterns range over all of its M modes.
+    on U(M); the patterns range over all of its M modes.  Each chunk of trials
+    draws its circuits as one stack, then each trial's input and output
+    pattern, and takes all its probabilities with one stacked rule call.
     """
-    m, draws = _unitary_sampler(ensemble)
+    m, chunks = _unitary_sampler(ensemble)
     _check_positive(photons, "photon number")
     _check_placeable(m, photons)
-    values = []
-    for gen, u in draws(rng.derive(i).generator() for i in range(n_sam)):
-        t = random_collision_free_pattern(m, photons, gen)
-        s = random_collision_free_pattern(m, photons, gen)
-        values.append(fbs_probability(u, t, s))
-    return np.array(values)
+    values = np.empty(n_sam)
+    done = 0
+    for gens, u in chunks(rng.derive(i).generator() for i in range(n_sam)):
+        # each trial's generator still draws its input pattern before its output
+        t = _pattern_rows(m, photons, gens)
+        s = _pattern_rows(m, photons, gens)
+        values[done : done + len(gens)] = _fbs_probabilities(u, t, s)
+        done += len(gens)
+    return values
 
 
 def gbs_probability_samples(
@@ -198,17 +222,21 @@ def gbs_probability_samples(
 
     The ensemble is a circuit, drawn with ``realize``, or an integer M for Haar
     on U(M).  ``photons`` counts output photons over its M modes and must be
-    even.
+    even.  Each chunk of trials draws its circuits as one stack, then each
+    trial's output pattern, and takes all its weights with one stacked rule
+    call.
     """
-    m, draws = _unitary_sampler(ensemble)
+    m, chunks = _unitary_sampler(ensemble)
     _check_positive(photons, "photon number")
     _check_even(photons)
     _check_placeable(m, photons)
     t = _input_pattern(range(m), m)
-    return np.array([
-        _hafnian_weight(u, t, random_collision_free_pattern(m, photons, gen))
-        for gen, u in draws(rng.derive(i).generator() for i in range(n_sam))
-    ])
+    values = np.empty(n_sam)
+    done = 0
+    for gens, u in chunks(rng.derive(i).generator() for i in range(n_sam)):
+        values[done : done + len(gens)] = _hafnian_weights(u, t, _pattern_rows(m, photons, gens))
+        done += len(gens)
+    return values
 
 
 def _hiding_scale(m: int, photons: int) -> float:
@@ -227,7 +255,9 @@ def hiding_samples(
 
     For ``kind="fbs"`` each draw is |perm(X)|^2 / m^n with X an n x n complex
     Ginibre matrix; for ``kind="gbs"`` it is |Haf(X X^T)|^2 / m^n with X an
-    n x m Ginibre matrix and ``photons`` even.
+    n x m Ginibre matrix and ``photons`` even.  Draw i comes from stream i.
+    The draws are stacked in chunks of at most ``_REALIZE_CHUNK_BYTES``, and
+    each chunk takes its values with one stacked rule call.
     """
     if kind not in ("fbs", "gbs"):
         raise ValueError(f"kind must be 'fbs' or 'gbs', got {kind!r}")
@@ -236,12 +266,18 @@ def hiding_samples(
     if kind == "gbs":
         _check_even(photons)
     scale = _hiding_scale(m, photons)
-    p = tuple(range(photons))
-
-    def one(i: int) -> float:
-        gen = rng.derive(i).generator()
+    cols = photons if kind == "fbs" else m
+    chunk = _chunk_trials(16 * photons * cols)
+    values = np.empty(n_sam)
+    for start in range(0, n_sam, chunk):
+        x = np.array([
+            ginibre(photons, cols, rng.derive(i).generator())
+            for i in range(start, min(start + chunk, n_sam))
+        ])
+        p = np.broadcast_to(np.arange(photons), (len(x), photons))
         if kind == "fbs":
-            return fbs_probability(ginibre(photons, photons, gen), p, p) / scale
-        return _hafnian_weight(ginibre(photons, m, gen), range(m), p) / scale
-
-    return np.array([one(i) for i in range(n_sam)])
+            weights = _fbs_probabilities(x, p, p)
+        else:
+            weights = _hafnian_weights(x, range(m), p)
+        values[start : start + len(x)] = weights / scale
+    return values

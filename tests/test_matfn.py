@@ -60,6 +60,10 @@ def random_complex(gen, n):
     return gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
 
 
+def random_stack(gen, count, n):
+    return gen.normal(size=(count, n, n)) + 1j * gen.normal(size=(count, n, n))
+
+
 def random_symmetric(gen, n):
     a = random_complex(gen, n)
     return a + a.T
@@ -301,3 +305,97 @@ def test_select_submatrix_bounds():
         select_submatrix(u, [0], [-5])
     with pytest.raises(TypeError):
         select_submatrix(u, [0.5, 1.9], [2.7])
+
+
+def assert_slices_match(stacked, single, stack):
+    """Slice b of a stacked kernel call equals the public call on ``stack[b]``, in bytes."""
+    got = stacked(stack)
+    assert got.shape == (len(stack),) and got.dtype == complex
+    assert got.tobytes() == np.array([single(a) for a in stack]).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_stacked_permanents_match_single_calls(n):
+    """From n = 12 on, the kernel loops over the signs of rows above its block."""
+    gen = np.random.default_rng(300 + n)
+    assert_slices_match(matfn._permanents, permanent, random_stack(gen, 5, n))
+
+
+def test_stacked_permanents_split_by_budget():
+    gen = np.random.default_rng(314)
+    stack = random_stack(gen, 40, 8)
+    assert matfn._sub_stack((2 * 8 + 1) << 7) == 18  # three sub-stacks
+    assert_slices_match(matfn._permanents, permanent, stack)
+
+
+@pytest.mark.parametrize("n2", range(2, 21, 2))
+def test_stacked_hafnians_match_single_calls(n2):
+    gen = np.random.default_rng(400 + n2)
+    stack = random_stack(gen, 3, n2)
+    assert_slices_match(matfn._hafnians, hafnian, stack + stack.swapaxes(1, 2))
+
+
+def test_stacked_hafnians_split_by_budget():
+    """Sixteen 10 x 10 hafnians take three sub-stacks, and two at 2n = 20 take two."""
+    gen = np.random.default_rng(420)
+    for count, n2, per in ((16, 10, 7), (2, 20, 1)):
+        k = matfn._hafnian_bits(n2)
+        assert matfn._sub_stack(((n2 + 1) << k) + (1 << (n2 - 1 - k))) == per
+        stack = random_stack(gen, count, n2)
+        assert_slices_match(matfn._hafnians, hafnian, stack + stack.swapaxes(1, 2))
+
+
+def test_empty_stacks():
+    for kernel, n in ((matfn._permanents, 3), (matfn._hafnians, 4), (matfn._hafnians, 0)):
+        got = kernel(np.zeros((0, n, n)))
+        assert got.shape == (0,) and got.dtype == complex
+    np.testing.assert_array_equal(matfn._permanents(np.zeros((2, 0, 0))), [1.0, 1.0])
+
+
+@pytest.fixture
+def sums(monkeypatch):
+    """Names of the sign-vector sums run while the test runs."""
+    calls = []
+    for name in ("_glynn", "_kan"):
+        fn = getattr(matfn, name)
+        monkeypatch.setattr(matfn, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    return calls
+
+
+def test_stacked_kernels_refuse_a_whole_stack_before_summing(sums):
+    gen = np.random.default_rng(77)
+    # two symmetric sub-stacks of seven, then one slice off by 1e-6
+    stack = random_stack(gen, 15, 10)
+    stack = stack + stack.swapaxes(1, 2)
+    stack[-1, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match=r"hafnian requires a symmetric matrix; max \|a - a\^T\| = 1\.000e-06"):
+        matfn._hafnians(stack)
+    with pytest.raises(GuardError, match="hafnian guard: dimension 26 exceeds 24"):
+        matfn._hafnians(np.zeros((2, HAFNIAN_MAX_DIM + 2, HAFNIAN_MAX_DIM + 2)))
+    with pytest.raises(GuardError, match="permanent guard: dimension 31 exceeds 30"):
+        matfn._permanents(np.zeros((2, PERMANENT_MAX_DIM + 1, PERMANENT_MAX_DIM + 1)))
+    with pytest.raises(ValueError, match="hafnian requires even dimension, got 3"):
+        matfn._hafnians(np.zeros((2, 3, 3)))
+    for kernel in (matfn._permanents, matfn._hafnians):
+        with pytest.raises(ValueError, match=r"requires a stack of square matrices, got shape \(2, 4, 2\)"):
+            kernel(np.zeros((2, 4, 2)))
+        with pytest.raises(ValueError, match=r"requires a stack of square matrices, got shape \(4, 4\)"):
+            kernel(np.zeros((4, 4)))
+    assert sums == []
+    matfn._hafnians(stack[:-1])
+    assert sums == ["_kan"] * 2
+
+
+def test_stacked_kernels_hold_one_sub_stack_at_a_time():
+    """200 matrices at n = 8 and at 2n = 10 would take 2 and 16 MiB of blocks in one piece."""
+    gen = np.random.default_rng(13)
+    sym = random_stack(gen, 200, 10)
+    for kernel, stack in ((matfn._permanents, random_stack(gen, 200, 8)),
+                          (matfn._hafnians, sym + sym.swapaxes(1, 2))):
+        tracemalloc.start()
+        try:
+            kernel(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= matfn._HAFNIAN_BYTES + 2 * stack.nbytes + 64 * 2**10, (kernel, peak)

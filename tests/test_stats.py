@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,3 +301,105 @@ def test_drivers_match_per_trial_draws_across_chunks():
             sigma = evolve_covariance(sigma0, u)
             entropies.append(renyi2_entropy(reduced_covariance(sigma, subset)))
         assert mean == float(np.mean(entropies))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: density_function([1.0, 2.0, math.nan, 3.0], 2), "sample 2 is nan"),
+        (lambda: density_function([1.0, math.inf, 2.0], 1), "sample 1 is inf"),
+        (lambda: bootstrap_std([1.0, math.nan], 100, RngStream(0, 0)), "sample 1 is nan"),
+    ],
+    ids=["density-nan", "density-inf", "bootstrap-nan"],
+)
+def test_non_finite_samples_are_refused_before_any_draw(call, message, draws):
+    with pytest.raises(ValueError, match=f"samples must be finite; {message}"):
+        call()
+    assert draws == []
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """Stack sizes of every stacked kernel call made while the test runs, as (name, B)."""
+    calls = []
+    for name in ("_permanents", "_hafnians"):
+        fn = getattr(shallowbs.matfn, name)
+
+        def spy(stack, fn=fn, name=name):
+            calls.append((name, len(stack)))
+            return fn(stack)
+
+        monkeypatch.setattr(shallowbs.matfn, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("ensemble", [build_nlhs(4, 1), 16], ids=["nlhs", "haar"])
+def test_drivers_call_one_stacked_kernel_per_chunk(ensemble, kernels):
+    """On 16 modes a chunk holds 16 trials, so 40 trials take stacks of 16, 16 and 8."""
+    rng = RngStream(33, 0)
+    fbs_probability_samples(ensemble, 3, 40, rng)
+    assert kernels == [("_permanents", 16), ("_permanents", 16), ("_permanents", 8)]
+    kernels.clear()
+    gbs_probability_samples(ensemble, 4, 40, rng)
+    assert kernels == [("_hafnians", 16), ("_hafnians", 16), ("_hafnians", 8)]
+
+
+def test_hiding_calls_one_stacked_kernel_per_chunk(kernels):
+    """A chunk holds 64 KiB of Ginibre draws: 256 of 4 x 4 and 32 of 4 x 32."""
+    rng = RngStream(34, 0)
+    hiding_samples("fbs", 32, 4, 300, rng)
+    assert kernels == [("_permanents", 256), ("_permanents", 44)]
+    kernels.clear()
+    hiding_samples("gbs", 32, 4, 70, rng)
+    assert kernels == [("_hafnians", 32), ("_hafnians", 32), ("_hafnians", 6)]
+
+
+def test_page_curve_evolves_one_stack_per_chunk(monkeypatch):
+    import shallowbs.gaussian
+
+    stacks = []
+    evolved = shallowbs.gaussian._evolved
+    monkeypatch.setattr(
+        shallowbs.gaussian, "_evolved", lambda sigma, u: stacks.append(len(u)) or evolved(sigma, u)
+    )
+    page_curve(build_nlhs(2, 1), 0.4, 7, RngStream(35, 0))
+    assert stacks == [21]  # 3 sizes x 7 samples of 4 x 4 unitaries fit one chunk
+    stacks.clear()
+    page_curve(build_nlhs(4, 1), 0.4, 3, RngStream(35, 0))
+    assert stacks == [16, 16, 13]
+
+
+def bootstrap_loop(samples, resamples, rng):
+    """The per-resample loop that ``bootstrap_std`` draws in blocks."""
+    values = np.asarray(samples, dtype=float)
+    gen = rng.generator()
+    n = values.size
+    means = np.empty(resamples)
+    for r in range(resamples):
+        means[r] = values[gen.integers(0, n, size=n)].mean()
+    return float(means.std())
+
+
+@pytest.mark.parametrize("n", [2, 7, 270])
+@pytest.mark.parametrize("resamples", [100, 1000, 1001])
+def test_bootstrap_blocks_match_the_loop(n, resamples, monkeypatch):
+    samples = np.random.default_rng(n).lognormal(size=n)
+    rng = RngStream(36, n)
+    want = bootstrap_loop(samples, resamples, rng)
+    assert bootstrap_std(samples, resamples, rng) == want
+    # blocks of 7 rows: 1000 and 1001 resamples end inside a block
+    monkeypatch.setattr(shallowbs.arch, "_REALIZE_CHUNK_BYTES", 7 * 8 * n)
+    assert bootstrap_std(samples, resamples, rng) == want
+
+
+def test_bootstrap_memory_stays_bounded():
+    """At n = 10^5 a block is one row; drawing every resample at once would take 80 MB."""
+    n = 10**5
+    samples = np.random.default_rng(5).normal(size=n)
+    tracemalloc.start()
+    try:
+        bootstrap_std(samples, 100, RngStream(37, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n, peak
