@@ -108,5 +108,9 @@ def ginibre(rows: int, cols: int, rng: Union[RngStream, np.random.Generator]) ->
         raise ValueError(f"matrix dimensions must be positive, got {rows} x {cols}")
     _check_dense(rows, cols)
     gen = as_generator(rng)
-    z = gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))
-    return z / np.sqrt(2.0)
+    # one draw of the real parts, then the imaginary parts, filled in place;
+    # the complex division by sqrt(2) keeps the bytes of (a + 1j b) / sqrt(2)
+    z = np.empty((rows, cols), dtype=complex)
+    z.real, z.imag = gen.standard_normal((2, rows, cols))
+    z /= np.sqrt(2.0)
+    return z

@@ -11,7 +11,10 @@ identity
              (prod_i h_i) * (sum over i < j of A_ij h_i h_j)^n,
 
 with blocks of up to 2^12 sign vectors chosen by bytes, and a Gray-code
-loop that moves the quadratic form by one vector add per step.
+loop that moves the quadratic form by one vector add per step.  A hafnian
+block keeps only the rows it still needs: the cross rows of its own
+coordinates at half width, spent one per doubling step and then reused for
+q^n, and full rows only for the coordinates above it.
 
 Each kernel takes a (B, n, n) stack and runs every numpy step across the
 whole stack, so B small matrices cost about as many numpy calls as one.
@@ -48,11 +51,13 @@ HAFNIAN_ORACLE_MAX_DIM = 12
 
 _HAFNIAN_SYMMETRY_TOL = 1e-10
 
-# Bytes a kernel may hold for one sub-stack.  For the hafnian: its block of q
-# and the cross-term rows, a work vector, one term per Gray-code step, and the
-# three iterator buffers of np.getbufsize() complex entries that numpy
-# allocates for a subtract over several rows of the block.  For the permanent:
-# its block of row sums, their shifted copy and their products.
+# Bytes a kernel may hold for one sub-stack.  For the hafnian: q, the
+# cross-term rows that ``_hafnian_entries`` counts (half width while they are
+# built, full width for the coordinates above the block), one term per
+# Gray-code step, and the three iterator buffers of np.getbufsize() complex
+# entries that numpy allocates for a subtract over several rows of the block.
+# For the permanent: its block of row sums, their shifted copy and their
+# products.
 _HAFNIAN_BYTES = 1 << 20
 _HAFNIAN_BLOCK_BYTES = _HAFNIAN_BYTES - 3 * np.getbufsize() * np.dtype(complex).itemsize
 
@@ -170,14 +175,26 @@ def permanent_oracle(a: np.ndarray) -> complex:
     return complex(sum(terms))
 
 
-def _hafnian_bits(n2: int) -> int:
-    """Sign bits k < n2 of the largest hafnian block that fits the byte budget.
+def _hafnian_entries(n2: int, k: int) -> int:
+    """Complex entries one matrix holds in a hafnian block of 2^k sign vectors.
 
-    The block holds n2 + 1 rows of 2^k complex entries, and one term is kept
-    for each of the 2^(n2 - 1 - k) Gray-code steps.
+    q takes 2^k entries.  Each of the c = n2 - 1 - k coordinates above the
+    block keeps a full row of 2^k, and one term is kept for each of the 2^c
+    Gray-code steps.  Every other row the doubling steps build holds
+    2^(k - 1) entries: the cross row of block coordinate i is spent after
+    step i and never holds more, and each high row takes its first half
+    there before the last step writes it in full.  Those rows later hold
+    the 2^k entries of q^n, so there are two at least.
     """
+    c = n2 - 1 - k
+    return (1 << k) + (max(k + c, 2) << (k - 1)) + (c << k) + (1 << c)
+
+
+def _hafnian_bits(n2: int) -> int:
+    """Sign bits k < n2 of the largest hafnian block whose ``_hafnian_entries``
+    fit the byte budget."""
     k = n2 - 1
-    while (((n2 + 1) << k) + (1 << (n2 - 1 - k))) * np.dtype(complex).itemsize > _HAFNIAN_BLOCK_BYTES:
+    while _hafnian_entries(n2, k) * np.dtype(complex).itemsize > _HAFNIAN_BLOCK_BYTES:
         k -= 1
     return k
 
@@ -206,10 +223,11 @@ def hafnian(a: np.ndarray) -> complex:
     2^k sets h_i = -1 where bit i - 1 of v is set.  Doubling steps build q for
     the whole block and each vector's cross terms to the coordinates above k;
     a Gray-code loop over the signs of those coordinates then moves q by one
-    vector add per step.  q^n comes from repeated squaring, and the terms
-    are summed pairwise.  ``_hafnian_bits`` picks the largest k that fits
-    ``_HAFNIAN_BLOCK_BYTES``.  Cost is O(2^(2n) log n) arithmetic.  This is
-    the B = 1 case of the stacked kernel ``_hafnians``.
+    vector add per step.  q^n comes from repeated squaring into the spent
+    rows of the block coordinates, and the terms are summed pairwise.
+    ``_hafnian_bits`` picks the largest k that fits ``_HAFNIAN_BLOCK_BYTES``.
+    Cost is O(2^(2n) log n) arithmetic.  This is the B = 1 case of the
+    stacked kernel ``_hafnians``.
     """
     a = np.asarray(a)
     _require_square(a, "hafnian")
@@ -235,7 +253,7 @@ def _hafnians(a: np.ndarray) -> np.ndarray:
         )
     a.reshape(len(a), -1)[:, :: n2 + 1] = 0.0  # every diagonal, through a view of the copy
     k = _hafnian_bits(n2)
-    per = _sub_stack(((n2 + 1) << k) + (1 << (n2 - 1 - k)))
+    per = _sub_stack(_hafnian_entries(n2, k))
     for start in range(0, len(a), per):
         out[start : start + per] = _kan(a[start : start + per], k)
     return out
@@ -245,31 +263,39 @@ def _kan(a: np.ndarray, k: int) -> np.ndarray:
     """Kan's sum for each matrix of a C-ordered complex (B, 2n, 2n) stack with
     zero diagonals, with 2^k sign vectors per block; ``a`` is overwritten."""
     n2 = a.shape[-1]
-    n = n2 // 2
-    # Row 0 holds q and row j twice the cross term sum_i A_ij h_i, starting
-    # from all signs +1.  Flipping coordinate i in the upper half of the
-    # filled block lowers q by row i and row j by 4 A_ij; row i is then spent.
+    n, c, half = n2 // 2, n2 - 1 - k, 1 << (k - 1)
+    # q, and in row j - 1 of ``rows`` twice the cross term sum_i A_ij h_i of
+    # coordinate j >= 1, starting from all signs +1.  Flipping coordinate i
+    # in the upper half of the filled block lowers q by row i - 1 and the row
+    # of every j > i by 4 A_ij; row i - 1 is then spent.  Rows of half width
+    # hold the first k - 1 steps, so the last step writes the rows of the high
+    # coordinates j > k in full, to ``cross``, and every half row is spent.
     sums = a.sum(axis=2)
-    block = np.empty((len(a), n2, 1 << k), dtype=complex)
-    np.multiply(sums, 2.0, out=block[:, :, 0])
-    block[:, 0, 0] = sums.sum(axis=1) / 2.0
+    q = np.empty((len(a), 1 << k), dtype=complex)
+    flat = np.empty(len(a) * max(k + c, 2) * half, dtype=complex)
+    rows = flat.reshape(len(a), -1, half)
+    q[:, 0] = sums.sum(axis=1) / 2.0
+    np.multiply(sums[:, 1:], 2.0, out=rows[:, : k + c, 0])
     a *= 4.0
-    for i in range(1, k + 1):
+    for i in range(1, k):
         h = 1 << (i - 1)
-        np.subtract(block[:, 0, :h], block[:, i, :h], out=block[:, 0, h : 2 * h])
-        if i + 1 < n2:
-            np.subtract(
-                block[:, i + 1 :, :h], a[:, i, i + 1 :, None], out=block[:, i + 1 :, h : 2 * h]
-            )
-    q, cross, high = block[:, 0], block[:, k + 1 :], a[:, k + 1 :, k + 1 :]
-    # Flipping high coordinate j from sign s moves q by -s (cross_j + shift_j),
-    # where the scalar shift_j is the change of twice its cross term within
-    # the high coordinates.
-    shift = np.zeros(cross.shape[:2], dtype=complex)
-    signs = [1.0] * cross.shape[1]
-    p = np.empty_like(q)
+        np.subtract(q[:, :h], rows[:, i - 1, :h], out=q[:, h : 2 * h])
+        np.subtract(rows[:, i : k + c, :h], a[:, i, i + 1 :, None], out=rows[:, i : k + c, h : 2 * h])
+    np.subtract(q[:, :half], rows[:, k - 1], out=q[:, half:])
+    if c:  # read only by the Gray-code steps after the first; at c = 0 there are none
+        cross = np.empty((len(a), c, 1 << k), dtype=complex)
+        cross[:, :, :half] = rows[:, k : k + c]
+        np.subtract(rows[:, k : k + c], a[:, k, k + 1 :, None], out=cross[:, :, half:])
+        # Flipping high coordinate j from sign s moves q by -s (cross_j + shift_j),
+        # where the scalar shift_j is the change of twice its cross term within
+        # the high coordinates.
+        high = a[:, k + 1 :, k + 1 :]
+        shift = np.zeros((len(a), c), dtype=complex)
+    signs = [1.0] * c
+    # every half row is spent by now; the first 2^k B entries take q^n, as one block
+    p = flat[: len(a) << k].reshape(len(a), 1 << k)
     parity = _PARITY[: 1 << k]
-    terms = np.empty((len(a), 1 << cross.shape[1]), dtype=complex)
+    terms = np.empty((len(a), 1 << c), dtype=complex)
     for step in range(terms.shape[1]):
         if step:
             j = (step & -step).bit_length() - 1

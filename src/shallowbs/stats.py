@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from operator import index
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import matfn
 from .arch import (
     CircuitArchitecture, _check_positive, _chunk_trials, _closed_form, _unitary_sampler
 )
@@ -171,6 +173,16 @@ def frame_potential(
     )
 
 
+def _sample_count(n_sam: int) -> int:
+    """``n_sam`` as a positive integer, refused before any draw otherwise."""
+    try:
+        n_sam = index(n_sam)
+    except TypeError:
+        raise TypeError(f"sample count must be an integer, got {n_sam!r}") from None
+    _check_positive(n_sam, "sample count")
+    return n_sam
+
+
 def _check_placeable(m: int, photons: int) -> None:
     if photons > m:
         raise ValueError(f"cannot place {photons} collision-free photons in {m} modes")
@@ -201,6 +213,7 @@ def fbs_probability_samples(
     m, chunks = _unitary_sampler(ensemble)
     _check_positive(photons, "photon number")
     _check_placeable(m, photons)
+    n_sam = _sample_count(n_sam)
     values = np.empty(n_sam)
     done = 0
     for gens, u in chunks(rng.derive(i).generator() for i in range(n_sam)):
@@ -230,6 +243,7 @@ def gbs_probability_samples(
     _check_positive(photons, "photon number")
     _check_even(photons)
     _check_placeable(m, photons)
+    n_sam = _sample_count(n_sam)
     t = _input_pattern(range(m), m)
     values = np.empty(n_sam)
     done = 0
@@ -256,8 +270,10 @@ def hiding_samples(
     For ``kind="fbs"`` each draw is |perm(X)|^2 / m^n with X an n x n complex
     Ginibre matrix; for ``kind="gbs"`` it is |Haf(X X^T)|^2 / m^n with X an
     n x m Ginibre matrix and ``photons`` even.  Draw i comes from stream i.
-    The draws are stacked in chunks of at most ``_REALIZE_CHUNK_BYTES``, and
-    each chunk takes its values with one stacked rule call.
+    Each GBS draw is reduced to its n x n product X X^T as it is drawn, so
+    both kinds stack n x n matrices, in chunks of at most
+    ``_REALIZE_CHUNK_BYTES``, and each chunk takes its values with one
+    stacked kernel call.
     """
     if kind not in ("fbs", "gbs"):
         raise ValueError(f"kind must be 'fbs' or 'gbs', got {kind!r}")
@@ -266,18 +282,19 @@ def hiding_samples(
     if kind == "gbs":
         _check_even(photons)
     scale = _hiding_scale(m, photons)
+    n_sam = _sample_count(n_sam)
     cols = photons if kind == "fbs" else m
-    chunk = _chunk_trials(16 * photons * cols)
+    chunk = _chunk_trials(16 * photons * photons)
     values = np.empty(n_sam)
     for start in range(0, n_sam, chunk):
-        x = np.array([
-            ginibre(photons, cols, rng.derive(i).generator())
-            for i in range(start, min(start + chunk, n_sam))
-        ])
-        p = np.broadcast_to(np.arange(photons), (len(x), photons))
+        draws = (ginibre(photons, cols, rng.derive(i).generator())
+                 for i in range(start, min(start + chunk, n_sam)))
         if kind == "fbs":
+            x = np.array(list(draws))
+            p = np.broadcast_to(np.arange(photons), (len(x), photons))
             weights = _fbs_probabilities(x, p, p)
         else:
-            weights = _hafnian_weights(x, range(m), p)
+            x = np.array([d @ d.T for d in draws])
+            weights = abs(matfn._hafnians(x)) ** 2
         values[start : start + len(x)] = weights / scale
     return values

@@ -120,3 +120,16 @@ def test_ginibre_moments():
     assert x.dtype == np.complex128
     assert abs(x.mean()) < 5e-3
     assert abs((np.abs(x) ** 2).mean() - 1.0) < 5e-3
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (3, 5), (12, 144), (20, 400)])
+def test_ginibre_keeps_the_bytes_of_two_draws(rows, cols):
+    """One draw of both parts, filled in place, gives the bytes of two draws
+    joined as ``(a + 1j b) / sqrt(2)``, and leaves the generator where they did."""
+    for seed in range(20):
+        gen = np.random.default_rng(seed)
+        want = (gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))) / np.sqrt(2.0)
+        other = np.random.default_rng(seed)
+        got = ginibre(rows, cols, other)
+        assert got.shape == (rows, cols) and got.tobytes() == want.tobytes()
+        assert other.random() == gen.random()

@@ -56,6 +56,46 @@ def hafnian_memo(a):
     return match((1 << len(rows)) - 1)
 
 
+def kan_full_block(a, k):
+    """Kan's sum with every cross row held at the full 2^k entries of the block,
+    and q^n in a separate vector: the reference for ``matfn._kan``'s bytes."""
+    n2 = a.shape[-1]
+    n = n2 // 2
+    sums = a.sum(axis=2)
+    block = np.empty((len(a), n2, 1 << k), dtype=complex)
+    np.multiply(sums, 2.0, out=block[:, :, 0])
+    block[:, 0, 0] = sums.sum(axis=1) / 2.0
+    a *= 4.0
+    for i in range(1, k + 1):
+        h = 1 << (i - 1)
+        np.subtract(block[:, 0, :h], block[:, i, :h], out=block[:, 0, h : 2 * h])
+        if i + 1 < n2:
+            np.subtract(
+                block[:, i + 1 :, :h], a[:, i, i + 1 :, None], out=block[:, i + 1 :, h : 2 * h]
+            )
+    q, cross, high = block[:, 0], block[:, k + 1 :], a[:, k + 1 :, k + 1 :]
+    shift = np.zeros(cross.shape[:2], dtype=complex)
+    signs = [1.0] * cross.shape[1]
+    p = np.empty_like(q)
+    parity = matfn._PARITY[: 1 << k]
+    terms = np.empty((len(a), 1 << cross.shape[1]), dtype=complex)
+    for step in range(terms.shape[1]):
+        if step:
+            j = (step & -step).bit_length() - 1
+            if signs[j] > 0:
+                q -= cross[:, j]
+                q -= shift[:, j, None]
+                shift -= high[:, j]
+            else:
+                q += cross[:, j]
+                q += shift[:, j, None]
+                shift += high[:, j]
+            signs[j] = -signs[j]
+        term = np.multiply(parity, matfn._power(q, n, p), out=p).sum(axis=1)
+        terms[:, step] = -term if step & 1 else term
+    return terms.sum(axis=1) * 2.0 / (math.factorial(n) * 4.0**n)
+
+
 def random_complex(gen, n):
     return gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
 
@@ -237,7 +277,7 @@ def test_hafnian_block_fits_its_budget():
     for n2 in range(2, HAFNIAN_MAX_DIM + 1, 2):
         k = matfn._hafnian_bits(n2)
         assert 1 <= k < n2 and k <= matfn._PARITY_BITS
-        assert (((n2 + 1) << k) + (1 << (n2 - 1 - k))) * 16 <= matfn._HAFNIAN_BLOCK_BYTES
+        assert matfn._hafnian_entries(n2, k) * 16 <= matfn._HAFNIAN_BLOCK_BYTES
     gen = np.random.default_rng(12)
     for n2 in (20, 24):
         a = random_symmetric(gen, n2)
@@ -336,13 +376,36 @@ def test_stacked_hafnians_match_single_calls(n2):
 
 
 def test_stacked_hafnians_split_by_budget():
-    """Sixteen 10 x 10 hafnians take three sub-stacks, and two at 2n = 20 take two."""
+    """Thirty 10 x 10 hafnians take three sub-stacks, and two at 2n = 20 take two."""
     gen = np.random.default_rng(420)
-    for count, n2, per in ((16, 10, 7), (2, 20, 1)):
+    for count, n2, per in ((30, 10, 14), (2, 20, 1)):
         k = matfn._hafnian_bits(n2)
-        assert matfn._sub_stack(((n2 + 1) << k) + (1 << (n2 - 1 - k))) == per
+        assert matfn._sub_stack(matfn._hafnian_entries(n2, k)) == per
         stack = random_stack(gen, count, n2)
         assert_slices_match(matfn._hafnians, hafnian, stack + stack.swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("n2", range(2, 21, 2))
+def test_kan_matches_the_full_block_sum(n2):
+    """At every k with at most 2^11 Gray-code steps, single matrices and stacks
+    of three give the bytes of the sum that holds every row in full."""
+    gen = np.random.default_rng(450 + n2)
+    for count in (1, 3):
+        a = random_stack(gen, count, n2)
+        a = a + a.swapaxes(1, 2)
+        a.reshape(count, -1)[:, :: n2 + 1] = 0.0
+        for k in range(max(1, n2 - 12), min(n2 - 1, matfn._PARITY_BITS) + 1):
+            got = matfn._kan(a.copy(), k)
+            assert got.tobytes() == kan_full_block(a.copy(), k).tobytes(), (count, k)
+
+
+def test_hafnian_bits_keep_small_sizes_and_grow_at_twenty():
+    """Up to 2n = 12 one block takes every sign vector, as it did with full rows;
+    at 2n = 20 the block grows to 2^11 sign vectors, from 2^10 with full rows."""
+    for n2 in range(2, 13, 2):
+        assert matfn._hafnian_bits(n2) == n2 - 1
+    assert matfn._hafnian_bits(20) >= 11
+    assert matfn._sub_stack(matfn._hafnian_entries(12, 11)) == 3
 
 
 def test_empty_stacks():
@@ -364,8 +427,8 @@ def sums(monkeypatch):
 
 def test_stacked_kernels_refuse_a_whole_stack_before_summing(sums):
     gen = np.random.default_rng(77)
-    # two symmetric sub-stacks of seven, then one slice off by 1e-6
-    stack = random_stack(gen, 15, 10)
+    # two symmetric sub-stacks of fourteen, then one slice off by 1e-6
+    stack = random_stack(gen, 29, 10)
     stack = stack + stack.swapaxes(1, 2)
     stack[-1, 0, 1] += 1e-6
     with pytest.raises(ValueError, match=r"hafnian requires a symmetric matrix; max \|a - a\^T\| = 1\.000e-06"):

@@ -16,7 +16,8 @@ from shallowbs.gaussian import (
     renyi2_entropy,
     smsv_covariance,
 )
-from shallowbs.linalg import RngStream, haar_unitary
+from shallowbs.linalg import RngStream, ginibre, haar_unitary
+from shallowbs.matfn import hafnian
 from shallowbs.stats import (
     bootstrap_std,
     density_function,
@@ -345,13 +346,52 @@ def test_drivers_call_one_stacked_kernel_per_chunk(ensemble, kernels):
 
 
 def test_hiding_calls_one_stacked_kernel_per_chunk(kernels):
-    """A chunk holds 64 KiB of Ginibre draws: 256 of 4 x 4 and 32 of 4 x 32."""
+    """A chunk holds 64 KiB of n x n matrices, Ginibre draws for FBS and the
+    products X X^T of 4 x 32 draws for GBS: 256 of 4 x 4 either way."""
     rng = RngStream(34, 0)
     hiding_samples("fbs", 32, 4, 300, rng)
     assert kernels == [("_permanents", 256), ("_permanents", 44)]
     kernels.clear()
-    hiding_samples("gbs", 32, 4, 70, rng)
-    assert kernels == [("_hafnians", 32), ("_hafnians", 32), ("_hafnians", 6)]
+    hiding_samples("gbs", 32, 4, 300, rng)
+    assert kernels == [("_hafnians", 256), ("_hafnians", 44)]
+
+
+def test_hiding_gbs_draws_match_their_own_products():
+    """A chunk holds 28 products of 12 x 12; 30 draws span two chunks, and each
+    equals |Haf(X X^T)|^2 / m^n of its own Ginibre draw, in bytes.  The modulus
+    is numpy's, which can differ from Python's ``abs`` of a complex in the last bit."""
+    m, photons, n_sam, rng = 20, 12, 30, RngStream(38, 0)
+    assert shallowbs.arch._chunk_trials(16 * photons**2) == 28
+    want = []
+    for i in range(n_sam):
+        x = ginibre(photons, m, rng.derive(i).generator())
+        want.append(np.abs(hafnian(x @ x.T)) ** 2 / float(m) ** photons)
+    assert hiding_samples("gbs", m, photons, n_sam, rng).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [
+        functools.partial(fbs_probability_samples, 6, 2),
+        functools.partial(gbs_probability_samples, 6, 2),
+        functools.partial(hiding_samples, "fbs", 6, 2),
+        functools.partial(hiding_samples, "gbs", 6, 2),
+    ],
+    ids=["fbs", "gbs", "hiding-fbs", "hiding-gbs"],
+)
+@pytest.mark.parametrize(
+    "n_sam, error, message",
+    [
+        (-3, ValueError, "sample count must be positive, got -3"),
+        (0, ValueError, "sample count must be positive, got 0"),
+        (2.5, TypeError, "sample count must be an integer, got 2.5"),
+    ],
+    ids=["negative", "zero", "float"],
+)
+def test_sample_counts_are_refused_before_any_draw(driver, n_sam, error, message, draws):
+    with pytest.raises(error, match=message):
+        driver(n_sam, RngStream(0, 0))
+    assert draws == []
 
 
 def test_page_curve_evolves_one_stack_per_chunk(monkeypatch):
