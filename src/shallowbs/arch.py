@@ -53,6 +53,21 @@ def _check_positive(value: float, what: str) -> None:
         raise ValueError(f"{what} must be positive, got {value}")
 
 
+def _sample_count(samples: int, minimum: int) -> int:
+    """``samples`` as an integer of at least ``minimum``, 1 or the 2 a standard error needs.
+
+    Every driver and the CLI refuse a sample count here, before any draw.
+    """
+    try:
+        samples = index(samples)
+    except TypeError:
+        raise TypeError(f"sample count must be an integer, got {samples!r}") from None
+    if minimum == 2 and samples < 2:
+        raise ValueError(f"need at least two samples, got {samples}")
+    _check_positive(samples, "sample count")
+    return samples
+
+
 class GateSlot(NamedTuple):
     """One two-mode gate position; ``a < b`` by construction."""
 

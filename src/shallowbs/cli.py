@@ -38,6 +38,7 @@ from ._version import __version__
 from .arch import (
     CircuitArchitecture,
     _check_depth,
+    _sample_count,
     arch_to_dict,
     build_local_parallel,
     build_nlhs,
@@ -55,7 +56,6 @@ from .gaussian import (
     _check_entropy_squeezing,
     _check_even,
     _check_pairs,
-    _check_samples,
     count_permitted_gbs,
     gbs_depth_thresholds,
     page_curve,
@@ -370,7 +370,7 @@ def _validate(cfg: dict) -> tuple[list[str], Optional[CircuitArchitecture]]:
         if experiment == "page-curve":
             _check_settings(cfg, diags, _check_bipartition, "modes")
             _check_settings(cfg, diags, _check_entropy_squeezing, "squeeze")
-        _check_settings(cfg, diags, _check_samples, "samples")
+        _check_settings(cfg, diags, functools.partial(_sample_count, minimum=2), "samples")
     elif experiment == "hiding":
         for key in ("kind", "modes", "photons"):
             _need(cfg, key, diags)

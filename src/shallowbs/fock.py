@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, asdict
 from itertools import accumulate, combinations_with_replacement
 from operator import index, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .arch import (
     _check_positive,
     _closed_form,
     _cone_masks,
-    _effective_cone,
     _far_mask,
     _mask_modes,
     effective_lightcone_radius,
@@ -321,10 +320,12 @@ def _input_cones(
     return t, [forward[mode] for mode in t]
 
 
-def _admit_cones(
-    arch: CircuitArchitecture, cones: Sequence[int], upper_bound: Callable[[], float]
-) -> float:
-    """The product bound of a count of ``cones``, evaluated only once ``_check_build`` admits it."""
+def _admit_cones(arch: CircuitArchitecture, cones: Sequence[int]) -> float:
+    """The product bound of a count of ``cones``, evaluated only once ``_check_build`` admits it.
+
+    Each permitted outcome takes one mode from each cone, so the product of
+    the cone sizes bounds the count.
+    """
     # after k cones the sums are k-photon outcomes over the modes reached
     reached = accumulate(cones, or_)
     _check_build(
@@ -335,7 +336,8 @@ def _admit_cones(
         arch.mode_count,
         width=1,
     )
-    return _closed_form("upper bound on the permitted count", upper_bound)
+    return _closed_form("upper bound on the permitted count",
+                        lambda: float(math.prod(c.bit_count() for c in cones)))
 
 
 def _count_cones(m: int, cones: Sequence[int], bound: float) -> PermittedCountReport:
@@ -356,8 +358,7 @@ def count_permitted_fbs(
     or hold too many bytes.
     """
     _, cones = _input_cones(arch, input_modes, depth)
-    bound = _admit_cones(arch, cones, lambda: float(math.prod(c.bit_count() for c in cones)))
-    return _count_cones(arch.mode_count, cones, bound)
+    return _count_cones(arch.mode_count, cones, _admit_cones(arch, cones))
 
 
 def _check_lattice(arch: CircuitArchitecture) -> int:
@@ -377,8 +378,7 @@ def _effective_cones(
     radius = effective_lightcone_radius(photons, depth, lam, beta, d)
     far = _far_mask(arch.side_lengths, radius, t)
     cones = [cone & sum(1 << int(i) for i in np.flatnonzero(~row)) for cone, row in zip(cones, far)]
-    cone = _effective_cone(photons, depth, lam, beta, d)
-    return cones, _admit_cones(arch, cones, lambda: (cone ** (d / 2.0)) ** photons)
+    return cones, _admit_cones(arch, cones)
 
 
 def count_permitted_fbs_effective(
@@ -394,10 +394,7 @@ def count_permitted_fbs_effective(
     ``effective_lightcone_radius`` around its input mode, dimension by
     dimension, and the permitted set is the Minkowski sum of the clipped
     cones, refused as in ``count_permitted_fbs``.  ``upper_bound`` is the
-    closed-form effective-cone size raised to the photon number; unlike the
-    plain count, near-boundary configurations can exceed it because the
-    clipped box is wider than the size the formula assumes, so only
-    ``exact_count`` is authoritative here.
+    product of the clipped cone sizes, as for the plain count.
     """
     cones, bound = _effective_cones(arch, input_modes, depth, lam, beta)
     return _count_cones(arch.mode_count, cones, bound)

@@ -28,7 +28,13 @@ from typing import Iterable, Union
 import numpy as np
 
 from .arch import (
-    CircuitArchitecture, _check_positive, _closed_form, _cone_masks, _mask_modes, _unitary_sampler
+    CircuitArchitecture,
+    _check_positive,
+    _closed_form,
+    _cone_masks,
+    _mask_modes,
+    _sample_count,
+    _unitary_sampler,
 )
 from .fock import (
     DepthThresholds,
@@ -44,7 +50,7 @@ from .fock import (
     _pattern_rows,
 )
 from . import matfn
-from .linalg import RngStream, _check_dense
+from .linalg import RngStream, _check_dense, _trial_generators
 from .matfn import _require_square, hafnian
 
 __all__ = [
@@ -95,12 +101,6 @@ def _check_even(photons: int) -> None:
 def _check_bipartition(modes: int) -> None:
     if modes < 2:
         raise ValueError(f"need at least two modes for a bipartition, got {modes}")
-
-
-def _check_samples(samples: int) -> None:
-    """At least the two samples a standard error needs."""
-    if samples < 2:
-        raise ValueError(f"need at least two samples, got {samples}")
 
 
 def smsv_covariance(modes: int, input_modes: Iterable[int], squeeze_r: float) -> np.ndarray:
@@ -225,12 +225,12 @@ def page_curve(
     _check_bipartition(modes)
     _check_entropy_squeezing(squeeze_r)
     sigma0 = smsv_covariance(modes, range(modes), squeeze_r)
-    _check_samples(samples)
+    samples = _sample_count(samples, 2)
     # trial j of size k draws from stream (k - 1) * samples + j
     entropies = np.empty((modes - 1, samples))
     flat = entropies.reshape(-1)
     done = 0
-    for gens, u in chunks(rng.derive(i).generator() for i in range(flat.size)):
+    for gens, u in chunks(_trial_generators(rng, flat.size)):
         sigma = _evolved(sigma0, u)
         lo = 0
         while lo < len(gens):

@@ -6,12 +6,20 @@ a light handle around numpy's seeded generators.  Two streams with the same
 child streams are disjoint from their siblings, so each Monte-Carlo trial
 draws from its own stream keyed by the trial index and a rerun with the same
 seed reproduces every trial.
+
+The drivers seed their trials through ``_trial_generators``, which yields the
+generators of ``rng.derive(i)`` for a run of indices.  It hashes the
+SeedSequence pools of up to ``_SEED_BLOCK`` streams at once, which ties it to
+numpy's documented SeedSequence algorithm; ``tests/test_linalg.py`` checks
+that its generators have the bit-generator state of ``RngStream.generator``,
+which stays the reference.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -38,7 +46,9 @@ class RngStream:
     pairs give identical sequences and distinct pairs are statistically
     independent.  ``derive`` packs child indices into fresh stream ids; the
     packing supports two levels of derivation (master -> per-trial -> inner),
-    which covers every driver in this package.
+    which covers every driver in this package.  The drivers seed each trial
+    ``rng.derive(i)`` through ``_trial_generators``, which gives the generator
+    of this method bit for bit.
     """
 
     seed: int
@@ -53,6 +63,116 @@ class RngStream:
         if not 0 <= index < _MAX_CHILD:
             raise ValueError(f"child index must lie in [0, 2^32), got {index}")
         return RngStream(self.seed, (self.stream << 32) + index + 1)
+
+
+# SeedSequence's hash (numpy.random.bit_generator), for its 4-word pool.
+_MASK32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The XOR and multiplier words of ``steps`` successive hashmix steps from ``init``."""
+    h = [init]
+    for _ in range(steps):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array(h[:-1], dtype=np.uint32), np.array(h[1:], dtype=np.uint32)
+
+
+# the pool takes 4 entropy steps and 4 x 3 mixing steps, the state 8 output steps
+_POOL_HASH = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * _POOL_WORDS)
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
+
+# Streams whose seeds are hashed together.  The hash costs about 65 us
+# whatever the block, so a block of 615 streams made a generator in 1.6-1.8 us
+# against 11 us through its own SeedSequence, one of 16 in 5.5 us, and one of
+# 8 broke even (README, "Performance").  A block of fewer than _MIN_BATCH
+# streams therefore takes RngStream.generator.
+_SEED_BLOCK = 1024
+_MIN_BATCH = 8
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mult
+    return values ^ (values >> np.uint32(16))
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each row e of a (B, 4) uint32 array.
+
+    Each row holds the entropy words, padded with zeros, which the pool hash
+    takes in the place of missing words.
+    """
+    xor, mult = _POOL_HASH
+    pool = _hashmix(entropy, xor[:_POOL_WORDS], mult[:_POOL_WORDS])
+    step = _POOL_WORDS
+    for src in range(_POOL_WORDS):
+        dst = [d for d in range(_POOL_WORDS) if d != src]
+        hashed = _hashmix(pool[:, src, None], xor[step : step + 3], mult[step : step + 3])
+        mixed = pool[:, dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
+        pool[:, dst] = mixed ^ (mixed >> np.uint32(16))
+        step += 3
+    words = _hashmix(np.tile(pool, 2), *_STATE_HASH).astype(np.uint64)
+    return words[:, 0::2] | words[:, 1::2] << np.uint64(32)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's little-endian 32-bit words of a non-negative integer; [0] for 0."""
+    words = [value & _MASK32]
+    while (value := value >> 32) > 0:
+        words.append(value & _MASK32)
+    return words
+
+
+@functools.cache
+def _preseeded() -> Callable[[np.ndarray], np.random.Generator]:
+    """A map from four PCG64 seed words to a generator, built on first use.
+
+    It imports ``numpy.random`` only here, so that importing this package
+    does not.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetState(ISeedSequence):
+        """A seed sequence whose state words were generated in advance."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return lambda words: Generator(PCG64(PresetState(words)))
+
+
+def _trial_generators(rng: RngStream, count: int) -> Iterator[np.random.Generator]:
+    """Lazily, the generators ``rng.derive(i).generator()`` for ``i`` in ``range(count)``.
+
+    Each is equal in state to its reference, but its ``seed_seq`` cannot spawn.
+    Streams whose entropy, the words of the seed then of the stream id, fits
+    SeedSequence's 4-word pool have their seeds hashed ``_SEED_BLOCK`` at a
+    time.  Any other stream, a block of fewer than ``_MIN_BATCH`` streams, the
+    child index 2^32 - 1, whose stream id carries into the parent's word, and
+    a negative seed or stream, which ``RngStream.generator`` refuses, take
+    ``RngStream.generator``.
+    """
+    prefix = _uint32_words(rng.seed)
+    upper = _uint32_words(rng.stream) if rng.stream else []
+    words = len(prefix) + 1 + len(upper)
+    hashed = words <= _POOL_WORDS and min(rng.seed, rng.stream) >= 0
+    for start in range(0, count, _SEED_BLOCK):
+        stop = min(start + _SEED_BLOCK, count)
+        if not hashed or stop - start < _MIN_BATCH or stop >= _MAX_CHILD:
+            yield from (rng.derive(i).generator() for i in range(start, stop))
+            continue
+        entropy = np.zeros((stop - start, _POOL_WORDS), dtype=np.uint32)
+        entropy[:, : len(prefix)] = prefix
+        entropy[:, len(prefix)] = np.arange(start + 1, stop + 1)
+        entropy[:, len(prefix) + 1 : words] = upper
+        yield from map(_preseeded(), _pcg64_seeds(entropy))
 
 
 def as_generator(rng: Union[RngStream, np.random.Generator]) -> np.random.Generator:

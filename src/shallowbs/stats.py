@@ -11,18 +11,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from operator import index
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import matfn
 from .arch import (
-    CircuitArchitecture, _check_positive, _chunk_trials, _closed_form, _unitary_sampler
+    CircuitArchitecture,
+    _check_positive,
+    _chunk_trials,
+    _closed_form,
+    _sample_count,
+    _unitary_sampler,
 )
 from .fock import _check_outcome_space, _fbs_probabilities, _input_pattern, _pattern_rows
-from .gaussian import _check_even, _check_samples, _hafnian_weights
-from .linalg import RngStream, as_generator, ginibre
+from .gaussian import _check_even, _hafnian_weights
+from .linalg import RngStream, _trial_generators, as_generator, ginibre
 
 __all__ = [
     "DensityBucket",
@@ -112,7 +117,7 @@ def bootstrap_std(
     of indices, which gives the same picks and means as one draw per resample.
     """
     values = _finite(samples)
-    _check_samples(values.size)
+    _sample_count(values.size, 2)
     if resamples < 100:
         raise ValueError(f"need at least 100 resamples, got {resamples}")
     gen = rng.generator()
@@ -154,10 +159,9 @@ def frame_potential(
     """
     _, chunks = _unitary_sampler(ensemble)
     _check_positive(k_moment, "moment order")
-    _check_samples(n_sam)
+    n_sam = _sample_count(n_sam, 2)
     # trial i pairs the unitaries of streams 2i and 2i + 1
-    draws = (u for _, stack in chunks(rng.derive(j).generator() for j in range(2 * n_sam))
-             for u in stack)
+    draws = (u for _, stack in chunks(_trial_generators(rng, 2 * n_sam)) for u in stack)
     values = np.array(
         [float(abs(np.vdot(u, v)) ** (2 * k_moment)) for u, v in zip(draws, draws)]
     )
@@ -171,16 +175,6 @@ def frame_potential(
         bootstrap_std=boot,
         n_sam=n_sam,
     )
-
-
-def _sample_count(n_sam: int) -> int:
-    """``n_sam`` as a positive integer, refused before any draw otherwise."""
-    try:
-        n_sam = index(n_sam)
-    except TypeError:
-        raise TypeError(f"sample count must be an integer, got {n_sam!r}") from None
-    _check_positive(n_sam, "sample count")
-    return n_sam
 
 
 def _check_placeable(m: int, photons: int) -> None:
@@ -213,10 +207,10 @@ def fbs_probability_samples(
     m, chunks = _unitary_sampler(ensemble)
     _check_positive(photons, "photon number")
     _check_placeable(m, photons)
-    n_sam = _sample_count(n_sam)
+    n_sam = _sample_count(n_sam, 1)
     values = np.empty(n_sam)
     done = 0
-    for gens, u in chunks(rng.derive(i).generator() for i in range(n_sam)):
+    for gens, u in chunks(_trial_generators(rng, n_sam)):
         # each trial's generator still draws its input pattern before its output
         t = _pattern_rows(m, photons, gens)
         s = _pattern_rows(m, photons, gens)
@@ -243,11 +237,11 @@ def gbs_probability_samples(
     _check_positive(photons, "photon number")
     _check_even(photons)
     _check_placeable(m, photons)
-    n_sam = _sample_count(n_sam)
+    n_sam = _sample_count(n_sam, 1)
     t = _input_pattern(range(m), m)
     values = np.empty(n_sam)
     done = 0
-    for gens, u in chunks(rng.derive(i).generator() for i in range(n_sam)):
+    for gens, u in chunks(_trial_generators(rng, n_sam)):
         values[done : done + len(gens)] = _hafnian_weights(u, t, _pattern_rows(m, photons, gens))
         done += len(gens)
     return values
@@ -282,13 +276,13 @@ def hiding_samples(
     if kind == "gbs":
         _check_even(photons)
     scale = _hiding_scale(m, photons)
-    n_sam = _sample_count(n_sam)
+    n_sam = _sample_count(n_sam, 1)
     cols = photons if kind == "fbs" else m
     chunk = _chunk_trials(16 * photons * photons)
     values = np.empty(n_sam)
+    gens = _trial_generators(rng, n_sam)
     for start in range(0, n_sam, chunk):
-        draws = (ginibre(photons, cols, rng.derive(i).generator())
-                 for i in range(start, min(start + chunk, n_sam)))
+        draws = (ginibre(photons, cols, gen) for gen in islice(gens, chunk))
         if kind == "fbs":
             x = np.array(list(draws))
             p = np.broadcast_to(np.arange(photons), (len(x), photons))

@@ -394,11 +394,8 @@ _PAGE = ["page-curve", "--seed", "1", "--ensemble", "haar", "--modes", "4", "--s
         (None, ["page-curve", "--seed", "1", "--ensemble", "nlhs", "--modes", "4", "--rounds",
                 "1", "--samples", "2", "--squeeze", "400"],
          "squeezed variance exp(2r) at r=400.0 overflows a float"),
-        # a count its guard admits whose closed-form product bound overflows
-        (None, ["permitted-count", "--seed", "1", "--ensemble", "local-parallel", "--modes", "8",
-                "--dim", "2", "--sides", "2,4", "--depth", "2", "--photons", "2", "--effective",
-                "--lambda", "1000", "--beta", "0.5"],
-         "upper bound on the permitted count overflows a float"),
+        # a page curve needs two samples for its standard errors
+        (None, _PAGE[:-1] + ["1"], "need at least two samples, got 1"),
         # squeezing whose evolved covariance loses its determinant to float64 rounding
         (None, ["page-curve", "--seed", "1", "--ensemble", "nlhs", "--modes", "4", "--rounds",
                 "1", "--samples", "2", "--squeeze", "10"], "past float64 precision"),

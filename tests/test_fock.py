@@ -362,11 +362,36 @@ def test_count_guard_runs_before_the_product_bound(effective):
         count(arch, range(200), 100, *args)
 
 
-def test_effective_count_refuses_an_overflowing_bound():
-    # the clipped cones are small, but the closed-form cone size 2^1000 squared overflows
+def test_effective_bound_is_the_clipped_cone_product():
+    # the closed-form cone size 2^1000 squared, the bound reported before, overflowed a
+    # float; a radius this large clips nothing, so the bound is the plain count's
     arch = build_local_parallel(2, [2, 4], 2)
-    with pytest.raises(ValueError, match="upper bound on the permitted count overflows a float"):
-        count_permitted_fbs_effective(arch, (0, 1), 2, 1000.0, 0.5)
+    report = count_permitted_fbs_effective(arch, (0, 1), 2, 1000.0, 0.5)
+    assert report.upper_bound == count_permitted_fbs(arch, (0, 1), 2).upper_bound
+    # the closed form read 493.8 here, under the exact 4,886, and 0.0 at depth 0
+    arch = build_local_parallel(1, [24], 5)
+    t = (2, 8, 12, 21)
+    radius = effective_lightcone_radius(len(t), 5, 0.5, 0.9, 1)
+    report = count_permitted_fbs_effective(arch, t, 5, 0.5, 0.9)
+    assert report.exact_count == 4886
+    assert report.upper_bound == math.prod(map(len, clipped_cones(arch, t, 5, radius)))
+    report = count_permitted_fbs_effective(arch, t, 0, 0.5, 0.9)
+    assert report.exact_count == report.upper_bound == 1
+
+
+@pytest.mark.parametrize(
+    "arch",
+    [build_local_parallel(1, [16], 6), build_local_parallel(2, [4, 5], 6)],
+    ids=["chain", "lattice"],
+)
+def test_effective_bound_holds_from_depth_0(arch):
+    gen = np.random.default_rng(71)
+    for depth in range(arch.depth + 1):
+        for n in (1, 2, 3, 4):
+            t = sorted(gen.choice(arch.mode_count, size=n, replace=False).tolist())
+            for lam, beta in ((0.1, 0.9), (0.5, 0.9), (0.5, 0.5), (1.0, 0.5)):
+                report = count_permitted_fbs_effective(arch, t, depth, lam, beta)
+                assert report.exact_count <= report.upper_bound, (depth, t, lam, beta)
 
 
 def test_is_permitted_fbs_many_photons():

@@ -1,15 +1,26 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shallowbs
+import shallowbs.linalg
 from shallowbs.arch import build_nlhs, realize
 from shallowbs.gaussian import smsv_covariance
 from shallowbs.matfn import GuardError
 from shallowbs.linalg import (
+    _MIN_BATCH,
+    _SEED_BLOCK,
     RngStream,
     as_generator,
     ginibre,
     haar_unitary,
     _haar_u2_batch,
+    _trial_generators,
 )
 
 
@@ -47,6 +58,90 @@ def test_derive_index_bounds():
         root.derive(-1)
     with pytest.raises(ValueError):
         root.derive(2**32)
+
+
+def assert_same_generators(gens, rng, indices):
+    """Each generator has the bit-generator state and first draws of ``rng.derive(i)``'s."""
+    gens = list(gens)
+    assert len(gens) == len(indices)
+    for gen, i in zip(gens, indices):
+        ref = rng.derive(i).generator()
+        assert gen.bit_generator.state == ref.bit_generator.state, i
+        np.testing.assert_array_equal(gen.random(3), ref.random(3))
+        np.testing.assert_array_equal(gen.integers(0, 2**63, 3), ref.integers(0, 2**63, 3))
+
+
+@pytest.fixture
+def reference_calls(monkeypatch):
+    """Each stream whose generator ``RngStream.generator`` makes while the test runs."""
+    calls = []
+    generator = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: calls.append(self) or generator(self))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63])
+def test_trial_generators_match_derived_streams(seed, reference_calls):
+    # one derive level (stream ids below 2^32) and two (ids of two words); at
+    # most 4 entropy words, so every stream is hashed in a block
+    root = RngStream(seed)
+    for rng in (root, root.derive(0), root.derive(2**32 - 2)):
+        gens = _trial_generators(rng, 40)
+        assert reference_calls == []
+        assert_same_generators(gens, rng, range(40))
+        reference_calls.clear()
+
+
+@pytest.mark.parametrize("tail", [1, _MIN_BATCH])
+def test_trial_generators_cross_a_block_boundary(tail, reference_calls):
+    # a tail block of fewer than _MIN_BATCH streams takes RngStream.generator
+    rng = RngStream(2**32 + 5).derive(3)
+    gens = list(_trial_generators(rng, _SEED_BLOCK + tail))
+    assert len(reference_calls) == (tail if tail < _MIN_BATCH else 0)
+    picks = sorted({0, 1, _SEED_BLOCK - 1, _SEED_BLOCK, _SEED_BLOCK + tail - 1})
+    assert_same_generators([gens[i] for i in picks], rng, picks)
+
+
+def test_trial_generators_fall_back_past_four_entropy_words(reference_calls):
+    # a 3-word seed and a 2-word stream: 3 + 1 + 2 words do not fit the pool
+    rng = RngStream(2**64 + 7).derive(9)
+    gens = list(_trial_generators(rng, 2 * _MIN_BATCH))
+    assert len(reference_calls) == 2 * _MIN_BATCH
+    assert_same_generators(gens, rng, range(2 * _MIN_BATCH))
+
+
+def test_trial_generators_keep_the_index_bound(monkeypatch, reference_calls):
+    # the block reaching the last child index takes RngStream.generator, whose
+    # derive refuses an index past it; a smaller bound keeps the test short
+    monkeypatch.setattr(shallowbs.linalg, "_MAX_CHILD", _SEED_BLOCK + 20)
+    gens = _trial_generators(RngStream(1), _SEED_BLOCK + 21)
+    assert len([next(gens) for _ in range(_SEED_BLOCK + 20)]) == _SEED_BLOCK + 20
+    assert len(reference_calls) == 20
+    with pytest.raises(ValueError, match="child index must lie in"):
+        next(gens)
+    assert list(_trial_generators(RngStream(1), 0)) == []
+    with pytest.raises(ValueError):
+        next(_trial_generators(RngStream(-1), 1))
+
+
+def test_no_generator_seed_sequence_is_spawned():
+    # the batch helper's generators carry a seed sequence that cannot spawn
+    gen = next(_trial_generators(RngStream(0), _MIN_BATCH))
+    with pytest.raises(TypeError, match="does not implement spawning"):
+        gen.spawn(1)
+    src = Path(shallowbs.__file__).parent
+    callers = [p.name for p in src.glob("*.py") if re.search(r"\.spawn\(", p.read_text())]
+    assert callers == []
+
+
+def test_import_leaves_numpy_random_out():
+    # importing numpy.random raised the peak RSS after `import shallowbs.cli`
+    # from 30.0 to 35.3 MB, and counting runs never need it
+    code = "import sys, shallowbs, shallowbs.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(shallowbs.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_as_generator_accepts_both_kinds():

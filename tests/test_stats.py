@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import shallowbs.arch
+import shallowbs.gaussian
+import shallowbs.stats
 from shallowbs.arch import build_local_parallel, build_nlhs, realize
 from shallowbs.fock import fbs_probability
 from shallowbs.gaussian import (
@@ -16,7 +18,7 @@ from shallowbs.gaussian import (
     renyi2_entropy,
     smsv_covariance,
 )
-from shallowbs.linalg import RngStream, ginibre, haar_unitary
+from shallowbs.linalg import RngStream, _trial_generators, ginibre, haar_unitary
 from shallowbs.matfn import hafnian
 from shallowbs.stats import (
     bootstrap_std,
@@ -157,6 +159,17 @@ def draws(monkeypatch):
     monkeypatch.setattr(shallowbs.arch, "realize", record("realize", shallowbs.arch.realize))
     monkeypatch.setattr(shallowbs.arch, "haar_unitary", record("haar", haar_unitary))
     monkeypatch.setattr(RngStream, "generator", record("generator", RngStream.generator))
+
+    def trials(rng, count):
+        for gen in _trial_generators(rng, count):
+            # a generator the helper took from RngStream.generator is recorded already
+            if not (calls and calls[-1][1] is gen):
+                calls.append(("generator", gen))
+            yield gen
+
+    # the drivers seed their trials in batches, not through RngStream.generator
+    for module in (shallowbs.stats, shallowbs.gaussian):
+        monkeypatch.setattr(module, "_trial_generators", trials)
     return calls
 
 
@@ -193,11 +206,18 @@ def test_drivers_refuse_a_bad_ensemble_before_drawing(driver, ensemble, error, m
 
 
 def test_drivers_draw_through_module_globals(draws):
-    """A wrapper on ``arch.realize`` sees every trial; one on ``arch.haar_unitary``, every draw."""
+    """A wrapper on ``arch.realize`` sees every trial; one on ``arch.haar_unitary``, every
+    draw; and the ``draws`` fixture every generator, trial or bootstrap."""
     fbs_probability_samples(build_nlhs(2, 1), 2, 3, RngStream(0, 0))
     assert sum(len(stack) for name, stack in draws if name == "realize") == 3
+    assert [name for name, _ in draws].count("generator") == 3
     frame_potential(4, 1, 2, RngStream(0, 0))
     assert [name for name, _ in draws].count("haar") == 4
+    assert [name for name, _ in draws].count("generator") == 3 + 4 + 1
+    del draws[:]
+    page_curve(4, 0.4, 4, RngStream(0, 0))  # 12 generators, seeded as one batch
+    hiding_samples("gbs", 4, 2, 3, RngStream(0, 0))  # 3, too few to batch
+    assert [name for name, _ in draws].count("generator") == 3 * 4 + 3
 
 
 def test_hiding_samples_scales_and_validation():
@@ -389,6 +409,27 @@ def test_hiding_gbs_draws_match_their_own_products():
     ids=["negative", "zero", "float"],
 )
 def test_sample_counts_are_refused_before_any_draw(driver, n_sam, error, message, draws):
+    with pytest.raises(error, match=message):
+        driver(n_sam, RngStream(0, 0))
+    assert draws == []
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [functools.partial(frame_potential, 6, 1), functools.partial(page_curve, 6, 0.4)],
+    ids=["frame-potential", "page-curve"],
+)
+@pytest.mark.parametrize(
+    "n_sam, error, message",
+    [
+        (1, ValueError, "need at least two samples, got 1"),
+        (2.5, TypeError, "sample count must be an integer, got 2.5"),
+    ],
+    ids=["one", "float"],
+)
+def test_standard_error_sample_counts_are_refused_before_any_draw(
+    driver, n_sam, error, message, draws
+):
     with pytest.raises(error, match=message):
         driver(n_sam, RngStream(0, 0))
     assert draws == []
