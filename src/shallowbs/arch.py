@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import index
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .linalg import RngStream, _check_dense, _haar_u2_batch, as_generator, haar_unitary
+from .linalg import _trial_generators
 
 __all__ = [
     "GateSlot",
@@ -281,52 +282,52 @@ def _chunk_trials(trial_bytes: int) -> int:
     return max(1, _REALIZE_CHUNK_BYTES // trial_bytes)
 
 
-def _unitary_sampler(ensemble: Union[CircuitArchitecture, int]) -> tuple[
-    int,
-    Callable[
-        [Iterable[np.random.Generator]],
-        Iterator[tuple[list[np.random.Generator], np.ndarray]],
-    ],
-]:
-    """Mode count M of an ensemble, and a map from trial generators to chunks.
+def _ensemble_modes(ensemble: Union[CircuitArchitecture, int]) -> int:
+    """Mode count M of a circuit, or of Haar on U(M) given as an integer M;
+    anything else is refused here, before any draw."""
+    if isinstance(ensemble, CircuitArchitecture):
+        return ensemble.mode_count
+    try:
+        m = index(ensemble)
+    except TypeError:
+        raise TypeError(
+            f"ensemble must be a CircuitArchitecture or an integer mode count, got {ensemble!r}"
+        ) from None
+    _check_positive(m, "mode count")
+    return m
 
-    The map takes each trial's generator, lazily and in order, and yields
-    chunks ``(gens, u)``: a list of B generators and the (B, M, M) stack of
-    the unitaries drawn from them, leaving each generator free for its
-    trial's further draws.  A chunk holds at most ``_REALIZE_CHUNK_BYTES``.
-    A circuit realizes each chunk with one stacked ``realize``, which gives
-    the same unitaries as one call per trial.  An integer M means Haar on
-    U(M), one ``haar_unitary`` per trial.  Both are looked up when a chunk or
-    trial is drawn, so wrappers installed on this module see every draw.
-    Anything else is refused here, before any draw.
+
+def _trial_chunks(
+    rng: RngStream, count: int, trial_bytes: int
+) -> Iterator[tuple[slice, list[np.random.Generator]]]:
+    """Trials ``range(count)`` in order, as chunks ``(rows, gens)`` of at most
+    ``_REALIZE_CHUNK_BYTES`` when each trial draws ``trial_bytes``.
+
+    ``rows`` is a slice of trial indices and ``gens`` their ``rng.derive(i)``
+    generators.  Every Monte-Carlo driver runs its trials here, looking up
+    ``_trial_generators`` per call so that wrappers on this module see every
+    trial.  Anything but an ``RngStream`` is refused before any draw.
+    """
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"trials need an RngStream, got {type(rng).__name__}")
+    size = _chunk_trials(trial_bytes)
+    gens = _trial_generators(rng, count)
+    for start in range(0, count, size):
+        yield slice(start, min(start + size, count)), list(islice(gens, size))
+
+
+def _unitaries(
+    ensemble: Union[CircuitArchitecture, int], gens: list[np.random.Generator]
+) -> np.ndarray:
+    """The (B, M, M) stack of one unitary per trial generator.
+
+    A circuit takes one stacked ``realize``, the same unitaries as one call
+    per trial, and Haar on U(M) one ``haar_unitary`` per trial, both looked up
+    per call so that wrappers on this module see every draw.
     """
     if isinstance(ensemble, CircuitArchitecture):
-        m = ensemble.mode_count
-
-        def draw(batch: list[np.random.Generator]) -> np.ndarray:
-            return realize(ensemble, batch)
-    else:
-        try:
-            m = index(ensemble)
-        except TypeError:
-            raise TypeError(
-                f"ensemble must be a CircuitArchitecture or an integer mode count, got {ensemble!r}"
-            ) from None
-        _check_positive(m, "mode count")
-
-        def draw(batch: list[np.random.Generator]) -> np.ndarray:
-            return np.array([haar_unitary(m, gen) for gen in batch])
-
-    chunk = _chunk_trials(16 * m * m)
-
-    def chunks(
-        gens: Iterable[np.random.Generator],
-    ) -> Iterator[tuple[list[np.random.Generator], np.ndarray]]:
-        trials = iter(gens)
-        while batch := list(islice(trials, chunk)):
-            yield batch, draw(batch)
-
-    return m, chunks
+        return realize(ensemble, gens)
+    return np.array([haar_unitary(index(ensemble), gen) for gen in gens])
 
 
 def _check_depth(arch: CircuitArchitecture, depth: int) -> None:

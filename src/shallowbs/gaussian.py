@@ -32,9 +32,11 @@ from .arch import (
     _check_positive,
     _closed_form,
     _cone_masks,
+    _ensemble_modes,
     _mask_modes,
     _sample_count,
-    _unitary_sampler,
+    _trial_chunks,
+    _unitaries,
 )
 from .fock import (
     DepthThresholds,
@@ -50,7 +52,7 @@ from .fock import (
     _pattern_rows,
 )
 from . import matfn
-from .linalg import RngStream, _check_dense, _trial_generators
+from .linalg import RngStream, _check_dense
 from .matfn import _require_square, hafnian
 
 __all__ = [
@@ -221,7 +223,7 @@ def page_curve(
     entropy equals ``renyi2_entropy(reduced_covariance(evolve_covariance(...)))``
     of its own trial.
     """
-    modes, chunks = _unitary_sampler(ensemble)
+    modes = _ensemble_modes(ensemble)
     _check_bipartition(modes)
     _check_entropy_squeezing(squeeze_r)
     sigma0 = smsv_covariance(modes, range(modes), squeeze_r)
@@ -229,20 +231,18 @@ def page_curve(
     # trial j of size k draws from stream (k - 1) * samples + j
     entropies = np.empty((modes - 1, samples))
     flat = entropies.reshape(-1)
-    done = 0
-    for gens, u in chunks(_trial_generators(rng, flat.size)):
-        sigma = _evolved(sigma0, u)
+    for rows, gens in _trial_chunks(rng, flat.size, 16 * modes * modes):
+        sigma = _evolved(sigma0, _unitaries(ensemble, gens))
         lo = 0
         while lo < len(gens):
-            k = (done + lo) // samples + 1
-            hi = min(len(gens), k * samples - done)
+            k = (rows.start + lo) // samples + 1
+            hi = min(len(gens), k * samples - rows.start)
             subset = _pattern_rows(modes, k, gens[lo:hi])
             keep = np.concatenate((subset, subset + modes), axis=1)
             trial = np.arange(lo, hi)[:, None, None]
             reduced = sigma[trial, keep[:, :, None], keep[:, None, :]]
-            flat[done + lo : done + hi] = _renyi2_entropies(reduced)
+            flat[rows.start + lo : rows.start + hi] = _renyi2_entropies(reduced)
             lo = hi
-        done += len(gens)
     return [
         (k, float(row.mean()), float(row.std(ddof=1) / math.sqrt(samples)))
         for k, row in enumerate(entropies, 1)

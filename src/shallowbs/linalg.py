@@ -7,18 +7,19 @@ child streams are disjoint from their siblings, so each Monte-Carlo trial
 draws from its own stream keyed by the trial index and a rerun with the same
 seed reproduces every trial.
 
-The drivers seed their trials through ``_trial_generators``, which yields the
-generators of ``rng.derive(i)`` for a run of indices.  It hashes the
-SeedSequence pools of up to ``_SEED_BLOCK`` streams at once, which ties it to
-numpy's documented SeedSequence algorithm; ``tests/test_linalg.py`` checks
-that its generators have the bit-generator state of ``RngStream.generator``,
-which stays the reference.
+The Monte-Carlo drivers run their trials through ``arch._trial_chunks``, which
+seeds them with ``_trial_generators``: the generators of ``rng.derive(i)`` for
+a run of indices.  It hashes the SeedSequence pools of up to ``_SEED_BLOCK``
+streams at once, which ties it to numpy's documented SeedSequence algorithm;
+``tests/test_linalg.py`` checks that its generators have the bit-generator
+state of ``RngStream.generator``, which stays the reference.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -48,11 +49,18 @@ class RngStream:
     packing supports two levels of derivation (master -> per-trial -> inner),
     which covers every driver in this package.  The drivers seed each trial
     ``rng.derive(i)`` through ``_trial_generators``, which gives the generator
-    of this method bit for bit.
+    of this method bit for bit.  A negative or non-integer key is refused.
     """
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("seed", "stream"):
+            value = index(getattr(self, name))
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+            object.__setattr__(self, name, value)
 
     def generator(self) -> np.random.Generator:
         """Fresh numpy generator positioned at the start of this stream."""
@@ -87,11 +95,8 @@ _STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
 
 # Streams whose seeds are hashed together.  The hash costs about 65 us
 # whatever the block, so a block of 615 streams made a generator in 1.6-1.8 us
-# against 11 us through its own SeedSequence, one of 16 in 5.5 us, and one of
-# 8 broke even (README, "Performance").  A block of fewer than _MIN_BATCH
-# streams therefore takes RngStream.generator.
+# against 11 us through its own SeedSequence (README, "Performance").
 _SEED_BLOCK = 1024
-_MIN_BATCH = 8
 
 
 def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -154,18 +159,15 @@ def _trial_generators(rng: RngStream, count: int) -> Iterator[np.random.Generato
     Each is equal in state to its reference, but its ``seed_seq`` cannot spawn.
     Streams whose entropy, the words of the seed then of the stream id, fits
     SeedSequence's 4-word pool have their seeds hashed ``_SEED_BLOCK`` at a
-    time.  Any other stream, a block of fewer than ``_MIN_BATCH`` streams, the
-    child index 2^32 - 1, whose stream id carries into the parent's word, and
-    a negative seed or stream, which ``RngStream.generator`` refuses, take
-    ``RngStream.generator``.
+    time.  Any other stream, and the block holding the child index 2^32 - 1,
+    whose stream id carries into the parent's word, take ``RngStream.generator``.
     """
     prefix = _uint32_words(rng.seed)
     upper = _uint32_words(rng.stream) if rng.stream else []
     words = len(prefix) + 1 + len(upper)
-    hashed = words <= _POOL_WORDS and min(rng.seed, rng.stream) >= 0
     for start in range(0, count, _SEED_BLOCK):
         stop = min(start + _SEED_BLOCK, count)
-        if not hashed or stop - start < _MIN_BATCH or stop >= _MAX_CHILD:
+        if words > _POOL_WORDS or stop >= _MAX_CHILD:
             yield from (rng.derive(i).generator() for i in range(start, stop))
             continue
         entropy = np.zeros((stop - start, _POOL_WORDS), dtype=np.uint32)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from itertools import islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -22,12 +21,14 @@ from .arch import (
     _check_positive,
     _chunk_trials,
     _closed_form,
+    _ensemble_modes,
     _sample_count,
-    _unitary_sampler,
+    _trial_chunks,
+    _unitaries,
 )
 from .fock import _check_outcome_space, _fbs_probabilities, _input_pattern, _pattern_rows
 from .gaussian import _check_even, _hafnian_weights
-from .linalg import RngStream, _trial_generators, as_generator, ginibre
+from .linalg import RngStream, as_generator, ginibre
 
 __all__ = [
     "DensityBucket",
@@ -157,11 +158,12 @@ def frame_potential(
     from above as the ensemble approaches a unitary k-design.
     ``bootstrap_std`` is reported on the normalized scale.
     """
-    _, chunks = _unitary_sampler(ensemble)
+    m = _ensemble_modes(ensemble)
     _check_positive(k_moment, "moment order")
     n_sam = _sample_count(n_sam, 2)
-    # trial i pairs the unitaries of streams 2i and 2i + 1
-    draws = (u for _, stack in chunks(_trial_generators(rng, 2 * n_sam)) for u in stack)
+    # trial i pairs the unitaries of streams 2i and 2i + 1, which a chunk may split
+    chunks = _trial_chunks(rng, 2 * n_sam, 16 * m * m)
+    draws = (u for _, gens in chunks for u in _unitaries(ensemble, gens))
     values = np.array(
         [float(abs(np.vdot(u, v)) ** (2 * k_moment)) for u, v in zip(draws, draws)]
     )
@@ -204,18 +206,17 @@ def fbs_probability_samples(
     draws its circuits as one stack, then each trial's input and output
     pattern, and takes all its probabilities with one stacked rule call.
     """
-    m, chunks = _unitary_sampler(ensemble)
+    m = _ensemble_modes(ensemble)
     _check_positive(photons, "photon number")
     _check_placeable(m, photons)
     n_sam = _sample_count(n_sam, 1)
     values = np.empty(n_sam)
-    done = 0
-    for gens, u in chunks(_trial_generators(rng, n_sam)):
+    for rows, gens in _trial_chunks(rng, n_sam, 16 * m * m):
+        u = _unitaries(ensemble, gens)
         # each trial's generator still draws its input pattern before its output
         t = _pattern_rows(m, photons, gens)
         s = _pattern_rows(m, photons, gens)
-        values[done : done + len(gens)] = _fbs_probabilities(u, t, s)
-        done += len(gens)
+        values[rows] = _fbs_probabilities(u, t, s)
     return values
 
 
@@ -233,17 +234,16 @@ def gbs_probability_samples(
     trial's output pattern, and takes all its weights with one stacked rule
     call.
     """
-    m, chunks = _unitary_sampler(ensemble)
+    m = _ensemble_modes(ensemble)
     _check_positive(photons, "photon number")
     _check_even(photons)
     _check_placeable(m, photons)
     n_sam = _sample_count(n_sam, 1)
     t = _input_pattern(range(m), m)
     values = np.empty(n_sam)
-    done = 0
-    for gens, u in chunks(_trial_generators(rng, n_sam)):
-        values[done : done + len(gens)] = _hafnian_weights(u, t, _pattern_rows(m, photons, gens))
-        done += len(gens)
+    for rows, gens in _trial_chunks(rng, n_sam, 16 * m * m):
+        u = _unitaries(ensemble, gens)
+        values[rows] = _hafnian_weights(u, t, _pattern_rows(m, photons, gens))
     return values
 
 
@@ -278,17 +278,12 @@ def hiding_samples(
     scale = _hiding_scale(m, photons)
     n_sam = _sample_count(n_sam, 1)
     cols = photons if kind == "fbs" else m
-    chunk = _chunk_trials(16 * photons * photons)
     values = np.empty(n_sam)
-    gens = _trial_generators(rng, n_sam)
-    for start in range(0, n_sam, chunk):
-        draws = (ginibre(photons, cols, gen) for gen in islice(gens, chunk))
+    for rows, gens in _trial_chunks(rng, n_sam, 16 * photons * photons):
+        draws = (ginibre(photons, cols, gen) for gen in gens)
         if kind == "fbs":
-            x = np.array(list(draws))
-            p = np.broadcast_to(np.arange(photons), (len(x), photons))
-            weights = _fbs_probabilities(x, p, p)
+            weights = abs(matfn._permanents(np.array(list(draws)))) ** 2
         else:
-            x = np.array([d @ d.T for d in draws])
-            weights = abs(matfn._hafnians(x)) ** 2
-        values[start : start + len(x)] = weights / scale
+            weights = abs(matfn._hafnians(np.array([d @ d.T for d in draws]))) ** 2
+        values[rows] = weights / scale
     return values

@@ -1,8 +1,10 @@
 import errno
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,10 @@ from shallowbs.cli import (
     _render,
 )
 from shallowbs.fock import count_permitted_fbs
+
+
+# a child interpreter finds the package where this one imported it
+_CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(shallowbs.cli.__file__).parents[1])}
 
 
 def parse(argv):
@@ -202,6 +208,7 @@ def test_console_script_entry_point(tmp_path, launch):
          "thresholds", "--seed", "1", "--photons", "4", "--pairs", "2",
          "--gamma", "1.0", "--c-const", "1.0", "--lambda", "0.5",
          "--beta", "0.5", "--out", str(out)],
+        env=_CHILD_ENV,
         capture_output=True,
         text=True,
     )
@@ -298,6 +305,7 @@ def test_import_does_not_load_networkx():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, shallowbs, shallowbs.cli; print('networkx' in sys.modules, 'scipy' in sys.modules)"],
+        env=_CHILD_ENV,
         capture_output=True,
         text=True,
     )

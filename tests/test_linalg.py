@@ -13,7 +13,6 @@ from shallowbs.arch import build_nlhs, realize
 from shallowbs.gaussian import smsv_covariance
 from shallowbs.matfn import GuardError
 from shallowbs.linalg import (
-    _MIN_BATCH,
     _SEED_BLOCK,
     RngStream,
     as_generator,
@@ -92,12 +91,12 @@ def test_trial_generators_match_derived_streams(seed, reference_calls):
         reference_calls.clear()
 
 
-@pytest.mark.parametrize("tail", [1, _MIN_BATCH])
+@pytest.mark.parametrize("tail", [1, 8])
 def test_trial_generators_cross_a_block_boundary(tail, reference_calls):
-    # a tail block of fewer than _MIN_BATCH streams takes RngStream.generator
+    # a tail block is hashed as a batch however few streams it holds
     rng = RngStream(2**32 + 5).derive(3)
     gens = list(_trial_generators(rng, _SEED_BLOCK + tail))
-    assert len(reference_calls) == (tail if tail < _MIN_BATCH else 0)
+    assert reference_calls == []
     picks = sorted({0, 1, _SEED_BLOCK - 1, _SEED_BLOCK, _SEED_BLOCK + tail - 1})
     assert_same_generators([gens[i] for i in picks], rng, picks)
 
@@ -105,9 +104,9 @@ def test_trial_generators_cross_a_block_boundary(tail, reference_calls):
 def test_trial_generators_fall_back_past_four_entropy_words(reference_calls):
     # a 3-word seed and a 2-word stream: 3 + 1 + 2 words do not fit the pool
     rng = RngStream(2**64 + 7).derive(9)
-    gens = list(_trial_generators(rng, 2 * _MIN_BATCH))
-    assert len(reference_calls) == 2 * _MIN_BATCH
-    assert_same_generators(gens, rng, range(2 * _MIN_BATCH))
+    gens = list(_trial_generators(rng, 16))
+    assert len(reference_calls) == 16
+    assert_same_generators(gens, rng, range(16))
 
 
 def test_trial_generators_keep_the_index_bound(monkeypatch, reference_calls):
@@ -120,18 +119,45 @@ def test_trial_generators_keep_the_index_bound(monkeypatch, reference_calls):
     with pytest.raises(ValueError, match="child index must lie in"):
         next(gens)
     assert list(_trial_generators(RngStream(1), 0)) == []
-    with pytest.raises(ValueError):
-        next(_trial_generators(RngStream(-1), 1))
+
+
+@pytest.mark.parametrize("field", ["seed", "stream"])
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        (-1, ValueError, "{field} must be non-negative, got -1"),
+        (2.5, TypeError, "'float' object cannot be interpreted as an integer"),
+        ("3", TypeError, "'str' object cannot be interpreted as an integer"),
+    ],
+    ids=["negative", "float", "string"],
+)
+def test_rng_stream_refuses_a_bad_seed_or_stream(field, value, error, message):
+    with pytest.raises(error, match=message.format(field=field)):
+        RngStream(**{"seed": 1, field: value})
+
+
+def test_rng_stream_keeps_integer_fields_as_ints():
+    rng = RngStream(np.uint64(2**63), np.int8(4))
+    assert (type(rng.seed), type(rng.stream)) == (int, int)
+    assert rng == RngStream(2**63, 4)
 
 
 def test_no_generator_seed_sequence_is_spawned():
     # the batch helper's generators carry a seed sequence that cannot spawn
-    gen = next(_trial_generators(RngStream(0), _MIN_BATCH))
+    gen = next(_trial_generators(RngStream(0), 8))
     with pytest.raises(TypeError, match="does not implement spawning"):
         gen.spawn(1)
     src = Path(shallowbs.__file__).parent
     callers = [p.name for p in src.glob("*.py") if re.search(r"\.spawn\(", p.read_text())]
     assert callers == []
+
+
+def test_only_the_trial_loop_seeds_trials():
+    # every Monte-Carlo driver runs its trials through arch._trial_chunks
+    src = Path(shallowbs.__file__).parent
+    calls = {p.name: len(re.findall(r"(?<!def )_trial_generators\(", p.read_text()))
+             for p in src.glob("*.py")}
+    assert {name: n for name, n in calls.items() if n} == {"arch.py": 1}
 
 
 def test_import_leaves_numpy_random_out():

@@ -19,7 +19,7 @@ from shallowbs.gaussian import (
     smsv_covariance,
 )
 from shallowbs.linalg import RngStream, _trial_generators, ginibre, haar_unitary
-from shallowbs.matfn import hafnian
+from shallowbs.matfn import hafnian, permanent
 from shallowbs.stats import (
     bootstrap_std,
     density_function,
@@ -167,9 +167,8 @@ def draws(monkeypatch):
                 calls.append(("generator", gen))
             yield gen
 
-    # the drivers seed their trials in batches, not through RngStream.generator
-    for module in (shallowbs.stats, shallowbs.gaussian):
-        monkeypatch.setattr(module, "_trial_generators", trials)
+    # every driver seeds its trials in batches, through arch._trial_chunks
+    monkeypatch.setattr(shallowbs.arch, "_trial_generators", trials)
     return calls
 
 
@@ -216,8 +215,25 @@ def test_drivers_draw_through_module_globals(draws):
     assert [name for name, _ in draws].count("generator") == 3 + 4 + 1
     del draws[:]
     page_curve(4, 0.4, 4, RngStream(0, 0))  # 12 generators, seeded as one batch
-    hiding_samples("gbs", 4, 2, 3, RngStream(0, 0))  # 3, too few to batch
+    hiding_samples("gbs", 4, 2, 3, RngStream(0, 0))  # 3 generators, one batch too
     assert [name for name, _ in draws].count("generator") == 3 * 4 + 3
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [
+        functools.partial(fbs_probability_samples, 4, 2, 3),
+        functools.partial(gbs_probability_samples, 4, 2, 3),
+        functools.partial(page_curve, 4, 0.4, 2),
+        functools.partial(frame_potential, 4, 1, 2),
+        functools.partial(hiding_samples, "fbs", 4, 2, 3),
+    ],
+    ids=["fbs", "gbs", "page-curve", "frame-potential", "hiding"],
+)
+def test_drivers_refuse_a_generator_before_drawing(driver, draws):
+    with pytest.raises(TypeError, match="trials need an RngStream, got Generator"):
+        driver(np.random.default_rng(0))
+    assert draws == []
 
 
 def test_hiding_samples_scales_and_validation():
@@ -376,17 +392,24 @@ def test_hiding_calls_one_stacked_kernel_per_chunk(kernels):
     assert kernels == [("_hafnians", 256), ("_hafnians", 44)]
 
 
-def test_hiding_gbs_draws_match_their_own_products():
-    """A chunk holds 28 products of 12 x 12; 30 draws span two chunks, and each
-    equals |Haf(X X^T)|^2 / m^n of its own Ginibre draw, in bytes.  The modulus
+@pytest.mark.parametrize("kind", ["fbs", "gbs"])
+def test_hiding_draws_match_their_own_values(kind):
+    """A chunk holds 28 matrices of 12 x 12; 30 draws span two chunks, and each
+    equals |perm(X)|^2 / m^n of its own 12 x 12 Ginibre draw for FBS, or
+    |Haf(X X^T)|^2 / m^n of its own 12 x 20 draw for GBS, in bytes.  The modulus
     is numpy's, which can differ from Python's ``abs`` of a complex in the last bit."""
     m, photons, n_sam, rng = 20, 12, 30, RngStream(38, 0)
     assert shallowbs.arch._chunk_trials(16 * photons**2) == 28
     want = []
     for i in range(n_sam):
-        x = ginibre(photons, m, rng.derive(i).generator())
-        want.append(np.abs(hafnian(x @ x.T)) ** 2 / float(m) ** photons)
-    assert hiding_samples("gbs", m, photons, n_sam, rng).tobytes() == np.array(want).tobytes()
+        gen = rng.derive(i).generator()
+        if kind == "fbs":
+            value = permanent(ginibre(photons, photons, gen))
+        else:
+            x = ginibre(photons, m, gen)
+            value = hafnian(x @ x.T)
+        want.append(np.abs(value) ** 2 / float(m) ** photons)
+    assert hiding_samples(kind, m, photons, n_sam, rng).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize(
