@@ -54,19 +54,20 @@ def _check_positive(value: float, what: str) -> None:
         raise ValueError(f"{what} must be positive, got {value}")
 
 
-def _sample_count(samples: int, minimum: int) -> int:
-    """``samples`` as an integer of at least ``minimum``, 1 or the 2 a standard error needs.
-
-    Every driver and the CLI refuse a sample count here, before any draw.
-    """
+def _count(value: Any, what: str, minimum: int = 1, need: Optional[str] = None) -> int:
+    """``value`` as an integer of at least ``minimum``: the one rule for every count
+    used as a size, index or loop bound, applied at each entry before any draw.
+    A smaller count reads "need at least <need>", or else "<what> must be positive"
+    (non-negative for a minimum of 0)."""
     try:
-        samples = index(samples)
+        value = index(value)
     except TypeError:
-        raise TypeError(f"sample count must be an integer, got {samples!r}") from None
-    if minimum == 2 and samples < 2:
-        raise ValueError(f"need at least two samples, got {samples}")
-    _check_positive(samples, "sample count")
-    return samples
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+    if value < minimum:
+        if need is not None:
+            raise ValueError(f"need at least {need}, got {value}")
+        raise ValueError(f"{what} must be {'positive' if minimum else 'non-negative'}, got {value}")
+    return value
 
 
 class GateSlot(NamedTuple):
@@ -108,7 +109,7 @@ class CircuitArchitecture:
             if any(s < 2 for s in sides):
                 raise ValueError(f"every side length must be at least 2, got {sides}")
             object.__setattr__(self, "side_lengths", sides)
-        _check_positive(self.mode_count, "mode count")
+        object.__setattr__(self, "mode_count", _count(self.mode_count, "mode count"))
         for li, layer in enumerate(self.layers):
             seen: set[int] = set()
             for slot in layer.slots:
@@ -130,15 +131,15 @@ class CircuitArchitecture:
         m = self.mode_count
         if self.family == "nlhs" and (m < 2 or m & (m - 1)):
             raise ValueError(f"nlhs needs a power-of-two mode count of at least 2, got {m}")
-        # per-layer index arrays, precomputed once for the realization hot path
-        a_arrays = tuple(
-            np.array([s.a for s in layer.slots], dtype=np.intp) for layer in self.layers
+
+    @cached_property
+    def _slot_arrays(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each layer's lower and upper slot modes as two index arrays, for ``realize``."""
+        return tuple(
+            (np.array([s.a for s in layer.slots], dtype=np.intp),
+             np.array([s.b for s in layer.slots], dtype=np.intp))
+            for layer in self.layers
         )
-        b_arrays = tuple(
-            np.array([s.b for s in layer.slots], dtype=np.intp) for layer in self.layers
-        )
-        object.__setattr__(self, "_a_arrays", a_arrays)
-        object.__setattr__(self, "_b_arrays", b_arrays)
 
     @cached_property
     def _gate_uniforms(self) -> np.ndarray:
@@ -182,14 +183,13 @@ def build_local_parallel(
     odd-offset step.  ``depth`` may stop anywhere inside the cycle.  Boundaries
     are open; a coordinate with no +1 neighbour simply idles.
     """
-    _check_positive(dimension, "lattice dimension")
+    dimension = _count(dimension, "lattice dimension")
     if len(side_lengths) != dimension:
         raise ValueError(
             f"expected {dimension} side lengths, got {len(side_lengths)}"
         )
     sides = tuple(index(s) for s in side_lengths)
-    if depth < 0:
-        raise ValueError(f"depth must be non-negative, got {depth}")
+    depth = _count(depth, "depth", 0)
     m = math.prod(sides)
     strides = np.array([math.prod(sides[k + 1 :]) for k in range(dimension)], dtype=int)
 
@@ -199,9 +199,7 @@ def build_local_parallel(
         axis, offset = divmod(step % (2 * dimension), 2)
         on_axis = coords[:, axis]
         lo = np.flatnonzero((on_axis % 2 == offset) & (on_axis + 1 < sides[axis]))
-        slots = tuple(
-            GateSlot(int(i), int(i + strides[axis])) for i in np.sort(lo)
-        )
+        slots = tuple(GateSlot(int(i), int(i + strides[axis])) for i in lo)
         layers.append(Layer(slots))
     return CircuitArchitecture(
         mode_count=m,
@@ -219,9 +217,8 @@ def build_nlhs(log2_modes: int, rounds: int) -> CircuitArchitecture:
     so each layer couples every mode exactly once and one sweep of p layers
     connects every input to every output through a single path.
     """
-    _check_positive(log2_modes, "log2 of the mode count")
-    if rounds < 0:
-        raise ValueError(f"round count must be non-negative, got {rounds}")
+    log2_modes = _count(log2_modes, "log2 of the mode count")
+    rounds = _count(rounds, "round count", 0)
     m = 1 << log2_modes
     # layer D pairs each mode whose bit D-1 is clear with the mode that sets it
     sweep = tuple(
@@ -258,7 +255,7 @@ def realize(
     u = np.zeros((len(gens), m, m), dtype=complex)
     u[:, range(m), range(m)] = 1.0
     start = 0
-    for a_idx, b_idx in zip(arch._a_arrays, arch._b_arrays):  # type: ignore[attr-defined]
+    for a_idx, b_idx in arch._slot_arrays:
         g = gates[:, start : start + len(a_idx), :, :, None]
         start += len(a_idx)
         rows_a = u[:, a_idx]
@@ -288,13 +285,11 @@ def _ensemble_modes(ensemble: Union[CircuitArchitecture, int]) -> int:
     if isinstance(ensemble, CircuitArchitecture):
         return ensemble.mode_count
     try:
-        m = index(ensemble)
+        return _count(ensemble, "mode count")
     except TypeError:
         raise TypeError(
             f"ensemble must be a CircuitArchitecture or an integer mode count, got {ensemble!r}"
         ) from None
-    _check_positive(m, "mode count")
-    return m
 
 
 def _trial_chunks(

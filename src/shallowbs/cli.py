@@ -38,7 +38,7 @@ from ._version import __version__
 from .arch import (
     CircuitArchitecture,
     _check_depth,
-    _sample_count,
+    _count,
     arch_to_dict,
     build_local_parallel,
     build_nlhs,
@@ -370,7 +370,8 @@ def _validate(cfg: dict) -> tuple[list[str], Optional[CircuitArchitecture]]:
         if experiment == "page-curve":
             _check_settings(cfg, diags, _check_bipartition, "modes")
             _check_settings(cfg, diags, _check_entropy_squeezing, "squeeze")
-        _check_settings(cfg, diags, functools.partial(_sample_count, minimum=2), "samples")
+        standard_error = functools.partial(_count, what="sample count", minimum=2, need="two samples")
+        _check_settings(cfg, diags, standard_error, "samples")
     elif experiment == "hiding":
         for key in ("kind", "modes", "photons"):
             _need(cfg, key, diags)
@@ -500,21 +501,24 @@ def _write_files(files: list[tuple[str, str]]) -> None:
         raise
 
 
+def _fail(code: int, **report: Any) -> int:
+    """Write ``report`` to standard error as indented JSON and a newline; return ``code``."""
+    json.dump(report, sys.stderr, indent=2)
+    sys.stderr.write("\n")
+    return code
+
+
 def run(cfg: dict) -> int:
     """Validate and execute one resolved configuration.  Returns an exit code."""
     diags, arch = _validate(cfg)
     if diags:
-        json.dump({"error": "invalid-config", "diagnostics": diags}, sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return 2
+        return _fail(2, error="invalid-config", diagnostics=diags)
     master = RngStream(cfg["seed"], 0)
     started = time.monotonic()
     try:
         result = _RUNNERS[cfg["experiment"]](cfg, arch, master)
     except GuardError as exc:
-        json.dump({"error": "resource-guard", "detail": str(exc)}, sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return 3
+        return _fail(3, error="resource-guard", detail=str(exc))
     wall = time.monotonic() - started
     manifest = {
         "experiment": cfg["experiment"],
@@ -539,9 +543,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     cfg, diags = resolve_config(namespace.experiment, namespace)
     if diags:
-        json.dump({"error": "invalid-config", "diagnostics": diags}, sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return 2
+        return _fail(2, error="invalid-config", diagnostics=diags)
     return run(cfg)
 
 

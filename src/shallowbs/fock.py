@@ -32,6 +32,7 @@ from .arch import (
     _check_cone_params,
     _check_positive,
     _closed_form,
+    _count,
     _cone_masks,
     _far_mask,
     _mask_modes,
@@ -103,14 +104,10 @@ def pattern_factorial(pat: Sequence[int]) -> int:
     return total
 
 
-def _pattern_factorials(rows: np.ndarray) -> np.ndarray:
-    """``pattern_factorial`` of each row of a (B, n) array of sorted patterns, as floats."""
-    return np.array([pattern_factorial(row) for row in rows.tolist()], dtype=float)
-
-
 def _pattern_rows(m: int, photons: int, gens: Sequence[np.random.Generator]) -> np.ndarray:
     """One uniformly random sorted pattern of distinct modes from each generator,
-    as a (B, photons) array; the caller has checked that they fit in ``m`` modes."""
+    as a (B, photons) array whose rows strictly increase, so each pattern's
+    factorial is 1; the caller has checked that they fit in ``m`` modes."""
     picks = [gen.choice(m, size=photons, replace=False) for gen in gens]
     return np.sort(np.reshape(picks, (len(gens), photons)), axis=1)
 
@@ -122,16 +119,17 @@ def fbs_probability(
 
     ``u`` follows the ``u[out, in]`` convention, so the relevant submatrix
     takes rows from the output pattern and columns from the input pattern.
-    This is the B = 1 case of ``_fbs_probabilities``.
+    This is the B = 1 case of ``_fbs_probabilities``, divided by ``s!``.
     """
     u = np.asarray(u)
     t, s = _photon_patterns(u.shape[0], input_modes, output_modes)
     rows = np.array([t, s], dtype=int).reshape(2, 1, len(t))
-    return float(_fbs_probabilities(u[None], *rows)[0])
+    return float(_fbs_probabilities(u[None], *rows)[0]) / pattern_factorial(s)
 
 
 def _fbs_probabilities(u: np.ndarray, inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    """``fbs_probability`` for each trial of a stack of circuits.
+    """|perm(U[s, t])|^2 for each trial of a stack of circuits: ``fbs_probability``
+    of a collision-free outcome, whose ``s!`` is 1.
 
     ``u`` is a (B, M, M) stack and ``inputs`` and ``outputs`` hold each trial's
     checked patterns as (B, n) rows.  One gather builds every U[s, t] and one
@@ -139,24 +137,23 @@ def _fbs_probabilities(u: np.ndarray, inputs: np.ndarray, outputs: np.ndarray) -
     """
     trial = np.arange(len(u))[:, None, None]
     sub = u[trial, outputs[:, :, None], inputs[:, None, :]]
-    return abs(matfn._permanents(sub)) ** 2 / _pattern_factorials(outputs)
+    return abs(matfn._permanents(sub)) ** 2
 
 
-def _check_outcome_space(m: int, photons: int) -> None:
-    _check_positive(m, "mode count")
-    if photons < 0:
-        raise ValueError(f"photon number must be non-negative, got {photons}")
+def _check_outcome_space(m: int, photons: int) -> tuple[int, int]:
+    """A positive mode count and a non-negative photon number."""
+    return _count(m, "mode count"), _count(photons, "photon number", 0)
 
 
 def outcome_count(m: int, photons: int) -> int:
     """Number of photon-number outcomes of ``photons`` photons over ``m`` modes."""
-    _check_outcome_space(m, photons)
+    m, photons = _check_outcome_space(m, photons)
     return math.comb(m + photons - 1, photons)
 
 
 def enumerate_outcomes(m: int, photons: int) -> Iterator[Pattern]:
     """Lazily yield all sorted outcomes of ``photons`` photons over ``m`` modes."""
-    _check_outcome_space(m, photons)
+    m, photons = _check_outcome_space(m, photons)
     return combinations_with_replacement(range(m), photons)
 
 

@@ -32,9 +32,9 @@ from .arch import (
     _check_positive,
     _closed_form,
     _cone_masks,
+    _count,
     _ensemble_modes,
     _mask_modes,
-    _sample_count,
     _trial_chunks,
     _unitaries,
 )
@@ -48,8 +48,8 @@ from .fock import (
     _count_sums,
     _depth_thresholds,
     _input_pattern,
-    _pattern_factorials,
     _pattern_rows,
+    pattern_factorial,
 )
 from . import matfn
 from .linalg import RngStream, _check_dense
@@ -135,7 +135,7 @@ def _symplectic(u: np.ndarray) -> np.ndarray:
 
 
 def evolve_covariance(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Push a covariance through a passive circuit, sigma -> O sigma O^T."""
+    """Push a covariance through a passive circuit, unitary within 1e-8: sigma -> O sigma O^T."""
     sigma = np.asarray(sigma, dtype=float)
     u = np.asarray(u)
     m = u.shape[0]
@@ -144,18 +144,19 @@ def evolve_covariance(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
             f"covariance shape {sigma.shape} does not match the {(2 * m, 2 * m)} "
             f"of a {m}-mode circuit"
         )
+    if np.max(np.abs(u.conj().T @ u - np.eye(m))) > 1e-8:
+        raise ValueError("circuit matrix is not unitary within 1e-8")
     return _evolved(sigma, u[None])[0]
 
 
 def _evolved(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """O sigma O^T for each circuit of a (B, M, M) stack, as one stacked product.
+    """O sigma O^T for each circuit of a (B, M, M) stack of unitaries, as one
+    stacked product.
 
-    Every circuit must be unitary within 1e-8.  Each slice is the 2-D product
-    ``o @ sigma @ o.T`` of its own circuit, bit for bit.
+    The stack is trusted: ``page_curve`` draws it unitary, and
+    ``evolve_covariance`` checks a caller's circuit.  Each slice is the 2-D
+    product ``o @ sigma @ o.T`` of its own circuit, bit for bit.
     """
-    m = u.shape[-1]
-    if np.max(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(m))) > 1e-8:
-        raise ValueError("circuit matrix is not unitary within 1e-8")
     o = _symplectic(u)
     return o @ sigma @ o.swapaxes(1, 2)
 
@@ -227,7 +228,7 @@ def page_curve(
     _check_bipartition(modes)
     _check_entropy_squeezing(squeeze_r)
     sigma0 = smsv_covariance(modes, range(modes), squeeze_r)
-    samples = _sample_count(samples, 2)
+    samples = _count(samples, "sample count", 2, "two samples")
     # trial j of size k draws from stream (k - 1) * samples + j
     entropies = np.empty((modes - 1, samples))
     flat = entropies.reshape(-1)
@@ -252,7 +253,8 @@ def page_curve(
 def _hafnian_weights(
     u: np.ndarray, input_modes: Iterable[int], outputs: np.ndarray
 ) -> np.ndarray:
-    """|Haf(B_s)|^2 / s! with B = U I_K U^T, for each trial of a (B, M, K) stack of circuits.
+    """|Haf(B_s)|^2 with B = U I_K U^T, for each trial of a (B, M, K) stack of circuits:
+    ``gbs_unnormalized_probability`` of a collision-free outcome, whose ``s!`` is 1.
 
     ``outputs`` holds each trial's checked even pattern as (B, n) rows; the
     squeezed ``input_modes`` are common to all.  One gather takes the rows of
@@ -262,7 +264,7 @@ def _hafnian_weights(
     trial = np.arange(len(u))[:, None, None]
     rows = u[trial, outputs[:, :, None], input_modes]
     b_s = rows @ rows.swapaxes(1, 2)
-    return abs(matfn._hafnians(b_s)) ** 2 / _pattern_factorials(outputs)
+    return abs(matfn._hafnians(b_s)) ** 2
 
 
 def _even_outcome(
@@ -282,12 +284,13 @@ def gbs_unnormalized_probability(
 
     The overall normalization (squeezing and cosh factors, identical for every
     outcome with the same photon number) is deliberately omitted.  This is the
-    B = 1 case of ``_hafnian_weights``.
+    B = 1 case of ``_hafnian_weights``, divided by ``s!``.
     """
     u = np.asarray(u)
     m = _require_square(u, "gbs_unnormalized_probability")
     t, s = _even_outcome(m, input_modes, output_modes)
-    return float(_hafnian_weights(u[None], t, np.array(s, dtype=int).reshape(1, -1))[0])
+    weight = _hafnian_weights(u[None], t, np.array(s, dtype=int).reshape(1, -1))[0]
+    return float(weight) / pattern_factorial(s)
 
 
 def _source_masks(
@@ -402,12 +405,9 @@ def photon_pair_marginal(k_inputs: int, squeeze_r: float, pairs: int) -> float:
     source counts use the Gamma-function extension of the binomial weight,
     which goes beyond the closed-form derivation, so they raise a warning.
     """
-    if k_inputs < 1:
-        raise ValueError(f"need at least one squeezed source, got {k_inputs}")
+    k = _count(k_inputs, "source count", 1, "one squeezed source")
     _check_squeezing(squeeze_r)
-    if pairs < 0:
-        raise ValueError(f"pair number must be non-negative, got {pairs}")
-    k, r, n = k_inputs, squeeze_r, pairs
+    r, n = squeeze_r, _count(pairs, "pair number", 0)
     if k % 2 != 0:
         warnings.warn(
             "odd source count: pair marginal uses the Gamma extension of the binomial weight",

@@ -57,7 +57,10 @@ _HAFNIAN_SYMMETRY_TOL = 1e-10
 # Gray-code step, and the three iterator buffers of np.getbufsize() complex
 # entries that numpy allocates for a subtract over several rows of the block.
 # For the permanent: its block of row sums, their shifted copy and their
-# products.
+# products, (2n + 1) 2^k entries a matrix.  Its k = min(n - 1, _BLOCK_BITS)
+# is fixed, not chosen by bytes, so from n = 20 on one matrix's block passes
+# the budget (671,744 B at n = 20, 999,424 B at n = 30) and each sub-stack
+# holds a single matrix.
 _HAFNIAN_BYTES = 1 << 20
 _HAFNIAN_BLOCK_BYTES = _HAFNIAN_BYTES - 3 * np.getbufsize() * np.dtype(complex).itemsize
 

@@ -18,11 +18,10 @@ import numpy as np
 from . import matfn
 from .arch import (
     CircuitArchitecture,
-    _check_positive,
     _chunk_trials,
     _closed_form,
+    _count,
     _ensemble_modes,
-    _sample_count,
     _trial_chunks,
     _unitaries,
 )
@@ -97,6 +96,7 @@ def density_function(samples: Sequence[float], n_buckets: int) -> DensityCurve:
     total = values.size
     if total == 0:
         raise ValueError("need at least one sample")
+    n_buckets = _count(n_buckets, "bucket count")
     _check_buckets(n_buckets, total)
     buckets = []
     for chunk in np.array_split(values, n_buckets):
@@ -118,9 +118,8 @@ def bootstrap_std(
     of indices, which gives the same picks and means as one draw per resample.
     """
     values = _finite(samples)
-    _sample_count(values.size, 2)
-    if resamples < 100:
-        raise ValueError(f"need at least 100 resamples, got {resamples}")
+    _count(values.size, "sample count", 2, "two samples")
+    resamples = _count(resamples, "resample count", 100, "100 resamples")
     gen = rng.generator()
     n = values.size
     rows = _chunk_trials(8 * n)
@@ -159,8 +158,8 @@ def frame_potential(
     ``bootstrap_std`` is reported on the normalized scale.
     """
     m = _ensemble_modes(ensemble)
-    _check_positive(k_moment, "moment order")
-    n_sam = _sample_count(n_sam, 2)
+    k_moment = _count(k_moment, "moment order")
+    n_sam = _count(n_sam, "sample count", 2, "two samples")
     # trial i pairs the unitaries of streams 2i and 2i + 1, which a chunk may split
     chunks = _trial_chunks(rng, 2 * n_sam, 16 * m * m)
     draws = (u for _, gens in chunks for u in _unitaries(ensemble, gens))
@@ -188,7 +187,7 @@ def random_collision_free_pattern(
     m: int, photons: int, rng: RngStream | np.random.Generator
 ) -> tuple[int, ...]:
     """Uniformly random sorted pattern of distinct modes."""
-    _check_outcome_space(m, photons)
+    m, photons = _check_outcome_space(m, photons)
     _check_placeable(m, photons)
     return tuple(_pattern_rows(m, photons, [as_generator(rng)])[0].tolist())
 
@@ -207,9 +206,9 @@ def fbs_probability_samples(
     pattern, and takes all its probabilities with one stacked rule call.
     """
     m = _ensemble_modes(ensemble)
-    _check_positive(photons, "photon number")
+    photons = _count(photons, "photon number")
     _check_placeable(m, photons)
-    n_sam = _sample_count(n_sam, 1)
+    n_sam = _count(n_sam, "sample count")
     values = np.empty(n_sam)
     for rows, gens in _trial_chunks(rng, n_sam, 16 * m * m):
         u = _unitaries(ensemble, gens)
@@ -235,10 +234,10 @@ def gbs_probability_samples(
     call.
     """
     m = _ensemble_modes(ensemble)
-    _check_positive(photons, "photon number")
+    photons = _count(photons, "photon number")
     _check_even(photons)
     _check_placeable(m, photons)
-    n_sam = _sample_count(n_sam, 1)
+    n_sam = _count(n_sam, "sample count")
     t = _input_pattern(range(m), m)
     values = np.empty(n_sam)
     for rows, gens in _trial_chunks(rng, n_sam, 16 * m * m):
@@ -271,12 +270,12 @@ def hiding_samples(
     """
     if kind not in ("fbs", "gbs"):
         raise ValueError(f"kind must be 'fbs' or 'gbs', got {kind!r}")
-    _check_outcome_space(m, photons)
-    _check_positive(photons, "photon number")
+    m = _count(m, "mode count")
+    photons = _count(photons, "photon number")
     if kind == "gbs":
         _check_even(photons)
     scale = _hiding_scale(m, photons)
-    n_sam = _sample_count(n_sam, 1)
+    n_sam = _count(n_sam, "sample count")
     cols = photons if kind == "fbs" else m
     values = np.empty(n_sam)
     for rows, gens in _trial_chunks(rng, n_sam, 16 * photons * photons):

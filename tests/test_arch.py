@@ -112,6 +112,30 @@ def test_brickwork_validation():
         build_local_parallel(1, [8.7], 2)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CircuitArchitecture(4.0, ()), "mode count must be an integer, got 4.0"),
+        (lambda: build_local_parallel(1.0, [4], 2), "lattice dimension must be an integer, got 1.0"),
+        (lambda: build_local_parallel(1, [4], 2.0), "depth must be an integer, got 2.0"),
+        (lambda: build_nlhs(2.0, 1), "log2 of the mode count must be an integer, got 2.0"),
+        (lambda: build_nlhs(2, 1.0), "round count must be an integer, got 1.0"),
+    ],
+    ids=["mode-count", "dimension", "depth", "log2-modes", "rounds"],
+)
+def test_circuit_counts_must_be_integers(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
+
+
+def test_circuit_counts_are_held_as_python_integers():
+    arch = CircuitArchitecture(np.int64(4), (Layer((GateSlot(0, 1),)),))
+    assert type(arch.mode_count) is int
+    assert arch == CircuitArchitecture(4, (Layer((GateSlot(0, 1),)),))
+    assert build_nlhs(np.int8(2), np.uint8(1)) == build_nlhs(2, 1)
+    assert build_local_parallel(np.int64(1), [4], np.int64(2)) == build_local_parallel(1, [4], 2)
+
+
 def test_nlhs_two_qubit_layers():
     arch = build_nlhs(2, 1)
     assert layer_pairs(arch) == [[(0, 1), (2, 3)], [(0, 2), (1, 3)]]

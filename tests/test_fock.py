@@ -1,8 +1,10 @@
 import json
 import math
+import re
 import time
 import tracemalloc
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,34 @@ def test_pattern_factorial():
     assert pattern_factorial((0, 1, 2)) == 1
     assert pattern_factorial((0, 0, 1, 3, 3, 3)) == 12
     assert pattern_factorial((5, 5, 5, 5)) == 24
+
+
+def test_pattern_rows_strictly_increase():
+    """Drawn patterns repeat no mode, so the stacked rules leave out s!, which is 1."""
+    for m in (1, 2, 5, 16):
+        for photons in range(m + 1):
+            gens = [RngStream(40, 100 * m + photons).derive(i).generator() for i in range(50)]
+            rows = fock._pattern_rows(m, photons, gens)
+            assert rows.shape == (50, photons)
+            assert (np.diff(rows, axis=1) > 0).all()
+            assert ((0 <= rows) & (rows < m)).all()
+
+
+def test_only_the_public_rules_divide_by_pattern_factorials():
+    src = Path(fock.__file__).parent
+    calls = {p.name: len(re.findall(r"(?<!def )pattern_factorial\(", p.read_text()))
+             for p in src.glob("*.py")}
+    assert {name: n for name, n in calls.items() if n} == {"fock.py": 1, "gaussian.py": 1}
+
+
+def test_outcome_space_counts_must_be_integers():
+    with pytest.raises(TypeError, match="mode count must be an integer, got 4.0"):
+        outcome_count(4.0, 2)
+    with pytest.raises(TypeError, match="photon number must be an integer, got 2.0"):
+        enumerate_outcomes(4, 2.0)
+    with pytest.raises(ValueError, match="photon number must be non-negative, got -1"):
+        outcome_count(4, -1)
+    assert outcome_count(np.int64(4), np.uint8(2)) == 10
 
 
 def test_fbs_probability_balanced_beamsplitter():

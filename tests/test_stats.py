@@ -14,6 +14,7 @@ from shallowbs.gaussian import (
     evolve_covariance,
     gbs_unnormalized_probability,
     page_curve,
+    photon_pair_marginal,
     reduced_covariance,
     renyi2_entropy,
     smsv_covariance,
@@ -456,6 +457,43 @@ def test_standard_error_sample_counts_are_refused_before_any_draw(
     with pytest.raises(error, match=message):
         driver(n_sam, RngStream(0, 0))
     assert draws == []
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda rng: fbs_probability_samples(8, 2.0, 3, rng), "photon number must be an integer, got 2.0"),
+        (lambda rng: gbs_probability_samples(8, 2.0, 3, rng), "photon number must be an integer, got 2.0"),
+        (lambda rng: hiding_samples("fbs", 8, 2.0, 3, rng), "photon number must be an integer, got 2.0"),
+        (lambda rng: hiding_samples("fbs", 8.5, 2, 3, rng), "mode count must be an integer, got 8.5"),
+        (lambda rng: random_collision_free_pattern(8, 2.0, rng),
+         "photon number must be an integer, got 2.0"),
+        (lambda rng: random_collision_free_pattern(8.0, 2, rng), "mode count must be an integer, got 8.0"),
+        (lambda rng: frame_potential(16, 1.5, 2000, rng), "moment order must be an integer, got 1.5"),
+        (lambda rng: bootstrap_std([1.0, 2.0], 150.5, rng), "resample count must be an integer, got 150.5"),
+        (lambda rng: density_function([1.0, 2.0, 3.0], 2.5), "bucket count must be an integer, got 2.5"),
+        (lambda rng: photon_pair_marginal(4.0, 0.4, 1), "source count must be an integer, got 4.0"),
+        (lambda rng: photon_pair_marginal(4, 0.4, 1.5), "pair number must be an integer, got 1.5"),
+    ],
+    ids=["fbs-photons", "gbs-photons", "hiding-photons", "hiding-modes", "pattern-photons",
+         "pattern-modes", "k-moment", "resamples", "buckets", "k-inputs", "pairs"],
+)
+def test_non_integer_counts_are_refused_before_any_draw(call, message, draws):
+    with pytest.raises(TypeError, match=message):
+        call(RngStream(0, 0))
+    assert draws == []
+
+
+def test_integer_counts_of_any_integer_type_are_accepted():
+    rng = RngStream(39, 0)
+    assert bootstrap_std([1.0, 2.0], np.int64(100), rng) == bootstrap_std([1.0, 2.0], 100, rng)
+    curve = density_function([1.0, 2.0, 3.0], np.uint8(2))
+    assert [b.count for b in curve.buckets] == [2, 1]
+    assert photon_pair_marginal(np.int16(4), 0.4, np.int8(1)) == photon_pair_marginal(4, 0.4, 1)
+    assert frame_potential(4, np.int64(2), 3, rng) == frame_potential(4, 2, 3, rng)
+    assert random_collision_free_pattern(np.int32(6), np.int64(3), rng.generator()) == (
+        random_collision_free_pattern(6, 3, rng.generator())
+    )
 
 
 def test_page_curve_evolves_one_stack_per_chunk(monkeypatch):
