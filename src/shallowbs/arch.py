@@ -20,12 +20,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from operator import index
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .linalg import RngStream, _check_dense, _haar_u2_batch, as_generator, haar_unitary
+from .linalg import RngStream, _check_dense, _count, _haar_u2_batch, as_generator, haar_unitary
 from .linalg import _trial_generators
 
 __all__ = [
@@ -54,20 +53,12 @@ def _check_positive(value: float, what: str) -> None:
         raise ValueError(f"{what} must be positive, got {value}")
 
 
-def _count(value: Any, what: str, minimum: int = 1, need: Optional[str] = None) -> int:
-    """``value`` as an integer of at least ``minimum``: the one rule for every count
-    used as a size, index or loop bound, applied at each entry before any draw.
-    A smaller count reads "need at least <need>", or else "<what> must be positive"
-    (non-negative for a minimum of 0)."""
-    try:
-        value = index(value)
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, got {value!r}") from None
-    if value < minimum:
-        if need is not None:
-            raise ValueError(f"need at least {need}, got {value}")
-        raise ValueError(f"{what} must be {'positive' if minimum else 'non-negative'}, got {value}")
-    return value
+def _mode_index(mode: Any, modes: int) -> int:
+    """``mode`` as an integer index of one of ``modes`` modes; IndexError outside them."""
+    mode = _count(mode, "mode", None)
+    if not 0 <= mode < modes:
+        raise IndexError(f"mode {mode} out of range for {modes} modes")
+    return mode
 
 
 class GateSlot(NamedTuple):
@@ -105,7 +96,7 @@ class CircuitArchitecture:
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
         if self.side_lengths is not None:
-            sides = tuple(index(s) for s in self.side_lengths)
+            sides = tuple(_count(s, "side length", None) for s in self.side_lengths)
             if any(s < 2 for s in sides):
                 raise ValueError(f"every side length must be at least 2, got {sides}")
             object.__setattr__(self, "side_lengths", sides)
@@ -188,7 +179,7 @@ def build_local_parallel(
         raise ValueError(
             f"expected {dimension} side lengths, got {len(side_lengths)}"
         )
-    sides = tuple(index(s) for s in side_lengths)
+    sides = tuple(_count(s, "side length", None) for s in side_lengths)
     depth = _count(depth, "depth", 0)
     m = math.prod(sides)
     strides = np.array([math.prod(sides[k + 1 :]) for k in range(dimension)], dtype=int)
@@ -322,12 +313,14 @@ def _unitaries(
     """
     if isinstance(ensemble, CircuitArchitecture):
         return realize(ensemble, gens)
-    return np.array([haar_unitary(index(ensemble), gen) for gen in gens])
+    return np.array([haar_unitary(ensemble, gen) for gen in gens])
 
 
-def _check_depth(arch: CircuitArchitecture, depth: int) -> None:
+def _check_depth(arch: CircuitArchitecture, depth: int) -> int:
+    depth = _count(depth, "depth", None)
     if not 0 <= depth <= arch.depth:
         raise ValueError(f"depth {depth} outside [0, {arch.depth}] for this architecture")
+    return depth
 
 
 def _cone_masks(arch: CircuitArchitecture, depth: int, forward: bool) -> list[int]:
@@ -337,9 +330,8 @@ def _cone_masks(arch: CircuitArchitecture, depth: int, forward: bool) -> list[in
     either of its modes, which gives backward cones.  A forward cone is the
     backward cone of the mirrored circuit, so ``forward`` walks them in reverse.
     """
-    _check_depth(arch, depth)
     masks = [1 << mode for mode in range(arch.mode_count)]
-    window = arch.layers[:depth]
+    window = arch.layers[: _check_depth(arch, depth)]
     for layer in reversed(window) if forward else window:
         for slot in layer.slots:
             masks[slot.a] = masks[slot.b] = masks[slot.a] | masks[slot.b]
@@ -357,8 +349,7 @@ def _mask_modes(mask: int) -> list[int]:
 
 
 def _lightcone(arch: CircuitArchitecture, mode: int, depth: int, forward: bool) -> frozenset[int]:
-    if not 0 <= mode < arch.mode_count:
-        raise IndexError(f"mode {mode} out of range for {arch.mode_count} modes")
+    mode = _mode_index(mode, arch.mode_count)
     return frozenset(_mask_modes(_cone_masks(arch, depth, forward)[mode]))
 
 
@@ -374,9 +365,7 @@ def backward_lightcone(arch: CircuitArchitecture, output_mode: int, depth: int) 
 
 def path_count(arch: CircuitArchitecture, input_mode: int, output_mode: int) -> int:
     """Number of distinct gate-to-gate paths from input to output, exact integer."""
-    for mode in (input_mode, output_mode):
-        if not 0 <= mode < arch.mode_count:
-            raise IndexError(f"mode {mode} out of range for {arch.mode_count} modes")
+    input_mode, output_mode = (_mode_index(i, arch.mode_count) for i in (input_mode, output_mode))
     counts = [0] * arch.mode_count
     counts[input_mode] = 1
     for layer in arch.layers:
@@ -389,7 +378,7 @@ def path_count(arch: CircuitArchitecture, input_mode: int, output_mode: int) -> 
 
 def mode_coordinates(side_lengths: Sequence[int]) -> np.ndarray:
     """Lattice coordinates of each flattened mode index, shape (M, d)."""
-    sides = tuple(index(s) for s in side_lengths)
+    sides = tuple(_count(s, "side length", None) for s in side_lengths)
     m = math.prod(sides)
     return np.stack(np.unravel_index(np.arange(m), sides), axis=1)
 
@@ -415,9 +404,7 @@ def _closed_form(what: str, formula: Callable[[], Any]) -> Any:
 
 def _effective_cone(photons: int, depth: int, lam: float, beta: float, dimension: int) -> float:
     """The squared effective radius 2 n^lam * depth / (beta d), refused when it overflows."""
-    _check_positive(photons, "photon number")
-    if depth < 0:
-        raise ValueError(f"depth must be non-negative, got {depth}")
+    photons, depth = _count(photons, "photon number"), _count(depth, "depth", 0)
     _check_cone_params(lam, beta, dimension)
     what = f"effective lightcone 2*n^lambda*depth/(beta*d) at n={photons}, lambda={lam}"
     return _closed_form(what, lambda: 2.0 * photons**lam * depth / (beta * dimension))
@@ -444,13 +431,12 @@ def _far_mask(side_lengths: Sequence[int], radius: int, modes: Sequence[int]) ->
 
 
 def _lattice_matrix(u: np.ndarray, side_lengths: Sequence[int], radius: int) -> np.ndarray:
-    """``u`` as an array, checked square over the lattice modes, with a non-negative radius."""
+    """``u`` as an array, checked square over the lattice modes, and an integer radius >= 0."""
     u = np.asarray(u)
     m = math.prod(side_lengths)
     if u.shape != (m, m):
         raise ValueError(f"matrix shape {u.shape} does not match {m} lattice modes")
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
+    _count(radius, "radius", 0)
     return u
 
 
@@ -459,8 +445,7 @@ def leakage_rate(
 ) -> float:
     """Column weight of ``input_mode`` outside the box of the given radius."""
     u = _lattice_matrix(u, side_lengths, radius)
-    if not 0 <= input_mode < len(u):
-        raise IndexError(f"mode {input_mode} out of range for {len(u)} modes")
+    input_mode = _mode_index(input_mode, len(u))
     far = _far_mask(side_lengths, radius, [input_mode])[0]
     return float(np.sum(np.abs(u[far, input_mode]) ** 2))
 

@@ -38,7 +38,6 @@ from ._version import __version__
 from .arch import (
     CircuitArchitecture,
     _check_depth,
-    _count,
     arch_to_dict,
     build_local_parallel,
     build_nlhs,
@@ -52,7 +51,6 @@ from .fock import (
     fbs_depth_thresholds,
 )
 from .gaussian import (
-    _check_bipartition,
     _check_entropy_squeezing,
     _check_even,
     _check_pairs,
@@ -60,10 +58,11 @@ from .gaussian import (
     gbs_depth_thresholds,
     page_curve,
 )
-from .linalg import RngStream
+from .linalg import RngStream, _count
 from .matfn import GuardError
 from .stats import (
     _check_buckets,
+    _check_moment,
     _check_placeable,
     _hiding_scale,
     density_function,
@@ -131,44 +130,6 @@ _KINDS: dict[str, tuple[str, Optional[Callable[[str], Any]], tuple[type, ...]]] 
 _COMMON = ("seed", "out", "format", "threads")
 _ENSEMBLE = ("ensemble", "modes", "dim", "sides", "depth", "rounds")
 _LAW = ("gamma", "c_const", "dim", "lambda", "beta")  # the depth thresholds' scaling-law settings
-
-# experiment -> flags beyond common, defaults
-EXPERIMENTS: dict[str, dict[str, Any]] = {
-    "arch-info": {
-        "flags": _ENSEMBLE,
-        "defaults": {"format": "json"},
-    },
-    "permitted-count": {
-        "flags": _ENSEMBLE
-        + ("scheme", "photons", "pairs", "k-inputs", "input", "effective", "lambda", "beta"),
-        "defaults": {"format": "json", "scheme": "fbs", "effective": False},
-    },
-    "thresholds": {
-        "flags": ("photons", "pairs", "gamma", "c-const", "dim", "lambda", "beta"),
-        "defaults": {"format": "json", "dim": 1},
-    },
-    "density-fbs": {
-        "flags": _ENSEMBLE + ("photons", "samples", "buckets"),
-        "defaults": {"format": "csv", "samples": 10000, "buckets": 20},
-    },
-    "density-gbs": {
-        "flags": _ENSEMBLE + ("photons", "samples", "buckets"),
-        "defaults": {"format": "csv", "samples": 10000, "buckets": 20},
-    },
-    "page-curve": {
-        "flags": _ENSEMBLE + ("squeeze", "samples"),
-        "defaults": {"format": "csv", "squeeze": 0.4, "samples": 10000},
-    },
-    "frame-potential": {
-        "flags": _ENSEMBLE + ("k-moment", "samples"),
-        "defaults": {"format": "csv", "k-moment": 2, "samples": 50000},
-    },
-    "hiding": {
-        "flags": ("kind", "modes", "photons", "samples"),
-        "defaults": {"format": "csv", "samples": 10000},
-    },
-}
-
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -368,8 +329,12 @@ def _validate(cfg: dict) -> tuple[list[str], Optional[CircuitArchitecture]]:
         _check_settings(cfg, diags, _check_buckets, "buckets", "samples")
     elif experiment in ("page-curve", "frame-potential"):
         if experiment == "page-curve":
-            _check_settings(cfg, diags, _check_bipartition, "modes")
+            bipartition = functools.partial(_count, what="mode count", minimum=2,
+                                            need="two modes for a bipartition")
+            _check_settings(cfg, diags, bipartition, "modes")
             _check_settings(cfg, diags, _check_entropy_squeezing, "squeeze")
+        else:
+            _check_settings(cfg, diags, _check_moment, "modes", "k_moment")
         standard_error = functools.partial(_count, what="sample count", minimum=2, need="two samples")
         _check_settings(cfg, diags, standard_error, "samples")
     elif experiment == "hiding":
@@ -382,7 +347,9 @@ def _validate(cfg: dict) -> tuple[list[str], Optional[CircuitArchitecture]]:
 
 
 def validate_config(cfg: dict) -> list[str]:
-    """Diagnostics for a resolved configuration; empty means runnable."""
+    """Diagnostics for a resolved configuration; empty means runnable.  It also resolves
+    derived defaults into ``cfg`` in place, which ``run`` relies on: ``dim``, ``sides``,
+    the nlhs ``depth``, ``input`` and ``pairs``."""
     return _validate(cfg)[0]
 
 
@@ -454,15 +421,49 @@ def _run_hiding(cfg: dict, arch: Optional[CircuitArchitecture], master: RngStrea
     return {"rows": [{"value": float(v), **extra} for v in values]}
 
 
-_RUNNERS = {
-    "arch-info": _run_arch_info,
-    "permitted-count": _run_permitted_count,
-    "thresholds": _run_thresholds,
-    "density-fbs": _run_density,
-    "density-gbs": _run_density,
-    "page-curve": _run_page_curve,
-    "frame-potential": _run_frame_potential,
-    "hiding": _run_hiding,
+# experiment -> flags beyond common, defaults, runner
+EXPERIMENTS: dict[str, dict[str, Any]] = {
+    "arch-info": {
+        "flags": _ENSEMBLE,
+        "defaults": {"format": "json"},
+        "run": _run_arch_info,
+    },
+    "permitted-count": {
+        "flags": _ENSEMBLE
+        + ("scheme", "photons", "pairs", "k-inputs", "input", "effective", "lambda", "beta"),
+        "defaults": {"format": "json", "scheme": "fbs", "effective": False},
+        "run": _run_permitted_count,
+    },
+    "thresholds": {
+        "flags": ("photons", "pairs", "gamma", "c-const", "dim", "lambda", "beta"),
+        "defaults": {"format": "json", "dim": 1},
+        "run": _run_thresholds,
+    },
+    "density-fbs": {
+        "flags": _ENSEMBLE + ("photons", "samples", "buckets"),
+        "defaults": {"format": "csv", "samples": 10000, "buckets": 20},
+        "run": _run_density,
+    },
+    "density-gbs": {
+        "flags": _ENSEMBLE + ("photons", "samples", "buckets"),
+        "defaults": {"format": "csv", "samples": 10000, "buckets": 20},
+        "run": _run_density,
+    },
+    "page-curve": {
+        "flags": _ENSEMBLE + ("squeeze", "samples"),
+        "defaults": {"format": "csv", "squeeze": 0.4, "samples": 10000},
+        "run": _run_page_curve,
+    },
+    "frame-potential": {
+        "flags": _ENSEMBLE + ("k-moment", "samples"),
+        "defaults": {"format": "csv", "k-moment": 2, "samples": 50000},
+        "run": _run_frame_potential,
+    },
+    "hiding": {
+        "flags": ("kind", "modes", "photons", "samples"),
+        "defaults": {"format": "csv", "samples": 10000},
+        "run": _run_hiding,
+    },
 }
 
 
@@ -516,22 +517,14 @@ def run(cfg: dict) -> int:
     master = RngStream(cfg["seed"], 0)
     started = time.monotonic()
     try:
-        result = _RUNNERS[cfg["experiment"]](cfg, arch, master)
+        result = EXPERIMENTS[cfg["experiment"]]["run"](cfg, arch, master)
     except GuardError as exc:
         return _fail(3, error="resource-guard", detail=str(exc))
     wall = time.monotonic() - started
-    manifest = {
-        "experiment": cfg["experiment"],
-        "config": {k: v for k, v in cfg.items()},
-        "version": __version__,
-        "wall_time_s": wall,
-    }
-    _write_files(
-        [
-            (cfg["out"], _render(cfg, result)),
-            (cfg["out"] + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
-        ]
-    )
+    manifest = json.dumps({"experiment": cfg["experiment"], "config": dict(cfg),
+                           "version": __version__, "wall_time_s": wall}, indent=2, sort_keys=True)
+    out = cfg["out"]
+    _write_files([(out, _render(cfg, result)), (out + ".manifest.json", manifest + "\n")])
     return 0
 
 

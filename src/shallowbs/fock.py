@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 from itertools import accumulate, combinations_with_replacement
-from operator import index, or_
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,13 +32,13 @@ from .arch import (
     _check_cone_params,
     _check_positive,
     _closed_form,
-    _count,
     _cone_masks,
     _far_mask,
     _mask_modes,
     effective_lightcone_radius,
 )
 from . import matfn
+from .linalg import _count
 from .matfn import _GUARD_BYTES, GuardError
 
 __all__ = [
@@ -63,7 +63,7 @@ ENUMERATION_GUARD = 10**8
 
 
 def _as_pattern(modes: Iterable[int], m: int, name: str) -> Pattern:
-    pat = tuple(map(index, modes))
+    pat = tuple(_count(k, "mode", None) for k in modes)
     if pat and (min(pat) < 0 or max(pat) >= m):
         raise IndexError(f"{name} pattern {pat} out of range for {m} modes")
     if list(pat) != sorted(pat):

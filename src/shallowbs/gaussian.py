@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from functools import reduce
-from operator import index, or_
+from operator import or_
 from typing import Iterable, Union
 
 import numpy as np
@@ -32,7 +32,6 @@ from .arch import (
     _check_positive,
     _closed_form,
     _cone_masks,
-    _count,
     _ensemble_modes,
     _mask_modes,
     _trial_chunks,
@@ -52,7 +51,7 @@ from .fock import (
     pattern_factorial,
 )
 from . import matfn
-from .linalg import RngStream, _check_dense
+from .linalg import RngStream, _check_dense, _count
 from .matfn import _require_square, hafnian
 
 __all__ = [
@@ -100,13 +99,9 @@ def _check_even(photons: int) -> None:
         raise ValueError(f"outcome must hold an even photon number, got {photons}")
 
 
-def _check_bipartition(modes: int) -> None:
-    if modes < 2:
-        raise ValueError(f"need at least two modes for a bipartition, got {modes}")
-
-
 def smsv_covariance(modes: int, input_modes: Iterable[int], squeeze_r: float) -> np.ndarray:
     """Covariance of identical squeezed vacua on ``input_modes``, vacuum elsewhere."""
+    modes = _count(modes, "mode count")
     idx = np.array(_input_pattern(input_modes, modes, "squeezed mode"), dtype=int)
     _check_squeezing(squeeze_r)
     _check_dense(2 * modes, 2 * modes)
@@ -165,7 +160,7 @@ def reduced_covariance(sigma: np.ndarray, modes: Iterable[int]) -> np.ndarray:
     """Covariance of the state restricted to a proper nonempty mode subset."""
     sigma = np.asarray(sigma)
     m = _require_square(sigma, "covariance", even=True) // 2
-    keep = sorted(set(map(index, modes)))
+    keep = sorted({_count(k, "mode", None) for k in modes})
     if not keep:
         raise ValueError("mode subset must be nonempty")
     if len(keep) >= m:
@@ -224,8 +219,7 @@ def page_curve(
     entropy equals ``renyi2_entropy(reduced_covariance(evolve_covariance(...)))``
     of its own trial.
     """
-    modes = _ensemble_modes(ensemble)
-    _check_bipartition(modes)
+    modes = _count(_ensemble_modes(ensemble), "mode count", 2, "two modes for a bipartition")
     _check_entropy_squeezing(squeeze_r)
     sigma0 = smsv_covariance(modes, range(modes), squeeze_r)
     samples = _count(samples, "sample count", 2, "two samples")
@@ -326,9 +320,11 @@ def is_permitted_gbs(
     return abs(hafnian(shared.reshape(len(s), len(s)))) > 0.5
 
 
-def _check_pairs(pairs: int, sources: int) -> None:
+def _check_pairs(pairs: int, sources: int) -> int:
+    pairs = _count(pairs, "pair number", None)
     if not 0 <= pairs <= sources:
         raise ValueError(f"need 0 <= pairs <= {sources} squeezed inputs, got pairs={pairs}")
+    return pairs
 
 
 def count_permitted_gbs(
@@ -355,8 +351,7 @@ def count_permitted_gbs(
     """
     m = arch.mode_count
     t = _input_pattern(input_modes, m, "squeezed mode")
-    _check_pairs(pairs, len(t))
-    n = pairs
+    n = _check_pairs(pairs, len(t))
     back, sources = _source_masks(arch, t, depth)
     forward = _cone_masks(arch, depth, forward=True)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from operator import index
-from typing import Callable, Iterator, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -37,6 +37,21 @@ _MAX_CHILD = 1 << 32
 
 # Entries of the largest dense matrix drawn or built: 1 GiB of complex128.
 _DENSE_ENTRIES = _GUARD_BYTES // np.dtype(complex).itemsize
+
+
+def _count(value: Any, what: str, minimum: Optional[int] = 1, need: Optional[str] = None) -> int:
+    """``value`` as an integer of at least ``minimum`` (any for None), the one rule for every
+    count used as a size, index or loop bound, at each entry before any draw.  A smaller count
+    reads "need at least <need>", or else "<what> must be positive" (non-negative for 0)."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        if need is not None:
+            raise ValueError(f"need at least {need}, got {value}")
+        raise ValueError(f"{what} must be {'positive' if minimum else 'non-negative'}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -57,10 +72,7 @@ class RngStream:
 
     def __post_init__(self) -> None:
         for name in ("seed", "stream"):
-            value = index(getattr(self, name))
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _count(getattr(self, name), name, 0))
 
     def generator(self) -> np.random.Generator:
         """Fresh numpy generator positioned at the start of this stream."""
@@ -68,6 +80,7 @@ class RngStream:
 
     def derive(self, index: int) -> "RngStream":
         """Child stream number ``index``, distinct from this stream and its other children."""
+        index = _count(index, "child index", None)
         if not 0 <= index < _MAX_CHILD:
             raise ValueError(f"child index must lie in [0, 2^32), got {index}")
         return RngStream(self.seed, (self.stream << 32) + index + 1)
@@ -217,6 +230,7 @@ def haar_unitary(m: int, rng: Union[RngStream, np.random.Generator]) -> np.ndarr
     The QR decomposition alone is not Haar distributed; multiplying each column
     of Q by the phase of the matching diagonal entry of R fixes the measure.
     """
+    m = _count(m, "mode count")
     z = ginibre(m, m, as_generator(rng))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -226,8 +240,7 @@ def haar_unitary(m: int, rng: Union[RngStream, np.random.Generator]) -> np.ndarr
 
 def ginibre(rows: int, cols: int, rng: Union[RngStream, np.random.Generator]) -> np.ndarray:
     """Complex Ginibre matrix: i.i.d. entries with E[|X|^2] = 1."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {rows} x {cols}")
+    rows, cols = _count(rows, "row count"), _count(cols, "column count")
     _check_dense(rows, cols)
     gen = as_generator(rng)
     # one draw of the real parts, then the imaginary parts, filled in place;

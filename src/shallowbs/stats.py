@@ -20,14 +20,13 @@ from .arch import (
     CircuitArchitecture,
     _chunk_trials,
     _closed_form,
-    _count,
     _ensemble_modes,
     _trial_chunks,
     _unitaries,
 )
 from .fock import _check_outcome_space, _fbs_probabilities, _input_pattern, _pattern_rows
 from .gaussian import _check_even, _hafnian_weights
-from .linalg import RngStream, as_generator, ginibre
+from .linalg import RngStream, _count, as_generator, ginibre
 
 __all__ = [
     "DensityBucket",
@@ -93,9 +92,7 @@ def density_function(samples: Sequence[float], n_buckets: int) -> DensityCurve:
     Every sample must be finite.
     """
     values = np.sort(_finite(samples))
-    total = values.size
-    if total == 0:
-        raise ValueError("need at least one sample")
+    total = _count(values.size, "sample count", 1, "one sample")
     n_buckets = _count(n_buckets, "bucket count")
     _check_buckets(n_buckets, total)
     buckets = []
@@ -117,6 +114,8 @@ def bootstrap_std(
     picks are drawn as blocks of rows holding at most ``_REALIZE_CHUNK_BYTES``
     of indices, which gives the same picks and means as one draw per resample.
     """
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"the bootstrap needs an RngStream, got {type(rng).__name__}")
     values = _finite(samples)
     _count(values.size, "sample count", 2, "two samples")
     resamples = _count(resamples, "resample count", 100, "100 resamples")
@@ -144,6 +143,14 @@ class FramePotentialEstimate:
         return asdict(self)
 
 
+def _check_moment(m: int, k_moment: int) -> int:
+    """A moment order k whose k! and M^(2k), which bounds each trial, are finite floats."""
+    k = _count(k_moment, "moment order")
+    _closed_form(f"frame potential at k={k}, M={m}: k! or M^(2k)",
+                 lambda: (math.gamma(k + 1.0), float(m) ** (2 * k)))
+    return k
+
+
 def frame_potential(
     ensemble: Union[CircuitArchitecture, int],
     k_moment: int,
@@ -158,7 +165,7 @@ def frame_potential(
     ``bootstrap_std`` is reported on the normalized scale.
     """
     m = _ensemble_modes(ensemble)
-    k_moment = _count(k_moment, "moment order")
+    k_moment = _check_moment(m, k_moment)
     n_sam = _count(n_sam, "sample count", 2, "two samples")
     # trial i pairs the unitaries of streams 2i and 2i + 1, which a chunk may split
     chunks = _trial_chunks(rng, 2 * n_sam, 16 * m * m)

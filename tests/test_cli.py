@@ -336,6 +336,10 @@ _MISSING = object()
          "bucket count must lie in [1, 5] for 5 samples, got 6"),
         (["page-curve", "--ensemble", "haar", "--modes", "1"], None,
          "need at least two modes for a bipartition, got 1"),
+        (["frame-potential", "--ensemble", "haar", "--modes", "2", "--k-moment", "171",
+          "--samples", "2"], None, "frame potential at k=171, M=2: k! or M^(2k) overflows a float"),
+        (["frame-potential", "--ensemble", "haar", "--modes", "16", "--k-moment", "128",
+          "--samples", "2"], None, "frame potential at k=128, M=16: k! or M^(2k) overflows a float"),
         (["hiding", "--kind", "gbs", "--modes", "8", "--photons", "3"], None,
          "outcome must hold an even photon number, got 3"),
         (["arch-info", "--ensemble", "local-parallel", "--modes", "8", "--dim", "2",
@@ -347,6 +351,7 @@ _MISSING = object()
     ],
     ids=["arch-info-haar", "effective-nlhs", "effective-gbs", "density-gbs-odd",
          "density-fbs-photons-over-modes", "buckets-over-samples", "page-curve-one-mode",
+         "moment-factorial-overflow", "moment-trace-bound-overflow",
          "hiding-gbs-odd", "dim-without-sides", "depth-zero", "config-list", "config-missing"],
 )
 def test_invalid_config_diagnostics_exit_2(tmp_path, capsys, argv, config, message):

@@ -8,9 +8,24 @@ import numpy as np
 import pytest
 
 import shallowbs
+import shallowbs.arch
+import shallowbs.fock
+import shallowbs.gaussian
 import shallowbs.linalg
-from shallowbs.arch import build_nlhs, realize
-from shallowbs.gaussian import smsv_covariance
+from shallowbs.arch import (
+    backward_lightcone,
+    build_local_parallel,
+    build_nlhs,
+    effective_lightcone_radius,
+    forward_lightcone,
+    leakage_rate,
+    mode_coordinates,
+    path_count,
+    realize,
+    truncate_unitary,
+)
+from shallowbs.fock import count_permitted_fbs, is_permitted_fbs
+from shallowbs.gaussian import count_permitted_gbs, reduced_covariance, smsv_covariance
 from shallowbs.matfn import GuardError
 from shallowbs.linalg import (
     _SEED_BLOCK,
@@ -126,14 +141,74 @@ def test_trial_generators_keep_the_index_bound(monkeypatch, reference_calls):
     "value, error, message",
     [
         (-1, ValueError, "{field} must be non-negative, got -1"),
-        (2.5, TypeError, "'float' object cannot be interpreted as an integer"),
-        ("3", TypeError, "'str' object cannot be interpreted as an integer"),
+        (2.5, TypeError, "{field} must be an integer, got 2.5"),
+        ("3", TypeError, "{field} must be an integer, got '3'"),
     ],
     ids=["negative", "float", "string"],
 )
 def test_rng_stream_refuses_a_bad_seed_or_stream(field, value, error, message):
     with pytest.raises(error, match=message.format(field=field)):
         RngStream(**{"seed": 1, field: value})
+
+
+@pytest.fixture
+def masks(monkeypatch):
+    """Every list of lightcone masks built while the test runs."""
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(cone_masks(*args, **kwargs))
+        return built[-1]
+
+    cone_masks = shallowbs.arch._cone_masks
+    for module in (shallowbs.arch, shallowbs.fock, shallowbs.gaussian):
+        monkeypatch.setattr(module, "_cone_masks", spy)
+    return built
+
+
+_NLHS8 = build_nlhs(3, 1)
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda gen: count_permitted_gbs(_NLHS8, [0, 1], 1.0, 2), "pair number"),
+        (lambda gen: count_permitted_gbs(_NLHS8, [0, 1], 1, 2.0), "depth"),
+        (lambda gen: count_permitted_fbs(_NLHS8, [0, 1], 1.0), "depth"),
+        (lambda gen: count_permitted_fbs(_NLHS8, [0.0, 1], 1), "mode"),
+        (lambda gen: is_permitted_fbs(_NLHS8, [0], [1], 1.0), "depth"),
+        (lambda gen: forward_lightcone(_NLHS8, 1.0, 1), "mode"),
+        (lambda gen: backward_lightcone(_NLHS8, 1, 1.0), "depth"),
+        (lambda gen: path_count(_NLHS8, 0.0, 1), "mode"),
+        (lambda gen: path_count(_NLHS8, 0, 1.0), "mode"),
+        (lambda gen: leakage_rate(np.eye(4), [4], 1.0, 1), "mode"),
+        (lambda gen: leakage_rate(np.eye(4), [4], 1, 1.5), "radius"),
+        (lambda gen: truncate_unitary(np.eye(4), [4], 1.5), "radius"),
+        (lambda gen: effective_lightcone_radius(16.0, 8, 0.5, 0.5, 1), "photon number"),
+        (lambda gen: effective_lightcone_radius(16, 8.0, 0.5, 0.5, 1), "depth"),
+        (lambda gen: ginibre(2.0, 2, gen), "row count"),
+        (lambda gen: ginibre(2, 2.0, gen), "column count"),
+        (lambda gen: haar_unitary(4.0, gen), "mode count"),
+        (lambda gen: smsv_covariance(4.0, [0], 0.4), "mode count"),
+        (lambda gen: reduced_covariance(np.eye(8), [0.0]), "mode"),
+        (lambda gen: build_local_parallel(1, [4.0], 1), "side length"),
+        (lambda gen: mode_coordinates([2, 2.0]), "side length"),
+        (lambda gen: RngStream(2.5), "seed"),
+        (lambda gen: RngStream(1).derive(1.5), "child index"),
+    ],
+    ids=["gbs-pairs", "gbs-depth", "fbs-depth", "fbs-input", "is-permitted-depth", "forward-mode",
+         "backward-depth", "path-input", "path-output", "leakage-mode", "leakage-radius",
+         "truncate-radius", "radius-photons", "radius-depth", "ginibre-rows", "ginibre-cols",
+         "haar-modes", "smsv-modes", "reduced-modes", "lattice-sides", "coordinate-sides",
+         "rng-seed", "child-index"],
+)
+def test_float_counts_are_refused_before_any_mask_or_draw(call, what, masks):
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    with pytest.raises(TypeError, match=f"^{what} must be an integer, got "):
+        call(gen)
+    assert masks == []
+    assert gen.bit_generator.state == state
 
 
 def test_rng_stream_keeps_integer_fields_as_ints():

@@ -72,6 +72,11 @@ def test_density_function_validation():
         density_function([1.0, 2.0], 0)
 
 
+def test_bootstrap_std_refuses_anything_but_a_stream():
+    with pytest.raises(TypeError, match="the bootstrap needs an RngStream, got Generator"):
+        bootstrap_std([1.0, 2.0], 100, np.random.default_rng(0))
+
+
 def test_bootstrap_std_basics():
     rng = RngStream(4, 0)
     assert bootstrap_std([3.0] * 50, 200, rng) == 0.0
