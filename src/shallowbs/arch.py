@@ -101,7 +101,10 @@ class CircuitArchitecture:
                 raise ValueError(f"every side length must be at least 2, got {sides}")
             object.__setattr__(self, "side_lengths", sides)
         object.__setattr__(self, "mode_count", _count(self.mode_count, "mode count"))
-        for li, layer in enumerate(self.layers):
+        layers = tuple(Layer(tuple(GateSlot(*(_count(mode, "mode", None) for mode in slot))
+                                   for slot in layer.slots)) for layer in self.layers)
+        object.__setattr__(self, "layers", layers)
+        for li, layer in enumerate(layers):
             seen: set[int] = set()
             for slot in layer.slots:
                 if not (0 <= slot.a < slot.b < self.mode_count):
@@ -388,7 +391,7 @@ def _check_cone_params(lam: float, beta: float, dimension: int) -> None:
     _check_positive(lam, "lightcone exponent")
     if not 0 < beta < 1:
         raise ValueError(f"leakage exponent must lie in (0, 1), got {beta}")
-    _check_positive(dimension, "lattice dimension")
+    _count(dimension, "lattice dimension")
 
 
 def _closed_form(what: str, formula: Callable[[], Any]) -> Any:

@@ -334,7 +334,7 @@ def _validate(cfg: dict) -> tuple[list[str], Optional[CircuitArchitecture]]:
             _check_settings(cfg, diags, bipartition, "modes")
             _check_settings(cfg, diags, _check_entropy_squeezing, "squeeze")
         else:
-            _check_settings(cfg, diags, _check_moment, "modes", "k_moment")
+            _check_settings(cfg, diags, _check_moment, "modes", "k_moment", "samples")
         standard_error = functools.partial(_count, what="sample count", minimum=2, need="two samples")
         _check_settings(cfg, diags, standard_error, "samples")
     elif experiment == "hiding":

@@ -133,11 +133,11 @@ def _fbs_probabilities(u: np.ndarray, inputs: np.ndarray, outputs: np.ndarray) -
 
     ``u`` is a (B, M, M) stack and ``inputs`` and ``outputs`` hold each trial's
     checked patterns as (B, n) rows.  One gather builds every U[s, t] and one
-    stacked kernel call takes their permanents.
+    ``permanent`` call takes the permanents of the stack.
     """
     trial = np.arange(len(u))[:, None, None]
     sub = u[trial, outputs[:, :, None], inputs[:, None, :]]
-    return abs(matfn._permanents(sub)) ** 2
+    return abs(matfn.permanent(sub)) ** 2
 
 
 def _check_outcome_space(m: int, photons: int) -> tuple[int, int]:
@@ -400,7 +400,7 @@ def count_permitted_fbs_effective(
 def _scaling_modes(n: int, noun: str, gamma: float, c: float, d: int) -> float:
     """The mode count ``c * n**gamma`` of a d-dimensional lattice, refused when it overflows."""
     _check_positive(n, f"{noun} number")
-    _check_positive(d, "lattice dimension")
+    _count(d, "lattice dimension")
     _check_positive(c, "mode-scaling constant")
     return _closed_form(f"mode count c*n^gamma at n={n}, gamma={gamma}, c={c}",
                         lambda: c * n**gamma)
@@ -426,7 +426,7 @@ def fbs_permitted_ratio_bound(
     mode counts that are off that curve by more than rounding.
     """
     _check_scaling_curve(m, photons, "photon", gamma, c0, "c0", d)
-    n = photons
+    n, depth = photons, _count(depth, "depth", 0)
     return _closed_form("fbs permitted-ratio bound", lambda: 3.0 * math.sqrt(n) * (
         (2.0**d * depth**d * n ** (1.0 - gamma)) / (math.e * d**d * c0)) ** n)
 

@@ -112,15 +112,10 @@ def smsv_covariance(modes: int, input_modes: Iterable[int], squeeze_r: float) ->
 
 
 def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Orthogonal symplectic action of a passive circuit on (x, p) quadratures."""
+    """Orthogonal symplectic action of a passive circuit on (x, p) quadratures;
+    of a (B, M, M) stack of circuits, the (B, 2M, 2M) stack of their actions."""
     u = np.asarray(u)
-    _require_square(u, "symplectic_from_unitary")
-    return _symplectic(u)
-
-
-def _symplectic(u: np.ndarray) -> np.ndarray:
-    """``symplectic_from_unitary`` of each matrix of a (..., M, M) stack."""
-    m = u.shape[-1]
+    m = _require_square(u, "symplectic_from_unitary", stack=True)
     re, im = u.real, u.imag
     o = np.empty(u.shape[:-2] + (2 * m, 2 * m), dtype=re.dtype)
     o[..., :m, :m] = o[..., m:, m:] = re
@@ -152,7 +147,7 @@ def _evolved(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
     ``evolve_covariance`` checks a caller's circuit.  Each slice is the 2-D
     product ``o @ sigma @ o.T`` of its own circuit, bit for bit.
     """
-    o = _symplectic(u)
+    o = symplectic_from_unitary(u)
     return o @ sigma @ o.swapaxes(1, 2)
 
 
@@ -171,17 +166,14 @@ def reduced_covariance(sigma: np.ndarray, modes: Iterable[int]) -> np.ndarray:
     return sigma[np.ix_(idx, idx)]
 
 
-def renyi2_entropy(sigma: np.ndarray) -> float:
-    """Second Renyi entropy of a Gaussian state, (1/2) ln det(sigma)."""
-    return float(_renyi2_entropies(np.asarray(sigma)[None])[0])
-
-
-def _renyi2_entropies(sigma: np.ndarray) -> np.ndarray:
-    """``renyi2_entropy`` of each covariance of a (B, 2k, 2k) stack, by one batched ``slogdet``."""
-    sign, logdet = np.linalg.slogdet(sigma)
+def renyi2_entropy(sigma: np.ndarray) -> Union[float, np.ndarray]:
+    """Second Renyi entropy of a Gaussian state, (1/2) ln det(sigma); of a
+    (B, 2k, 2k) stack of covariances, the B entropies by one batched ``slogdet``."""
+    sigma = np.asarray(sigma)
+    sign, logdet = np.linalg.slogdet(sigma if sigma.ndim == 3 else sigma[None])
     if (sign <= 0).any():
         raise ValueError("covariance has non-positive determinant; not a valid state")
-    return 0.5 * logdet
+    return 0.5 * logdet if sigma.ndim == 3 else float(0.5 * logdet[0])
 
 
 def is_valid_covariance(sigma: np.ndarray, tol: float = 1e-8) -> bool:
@@ -236,7 +228,7 @@ def page_curve(
             keep = np.concatenate((subset, subset + modes), axis=1)
             trial = np.arange(lo, hi)[:, None, None]
             reduced = sigma[trial, keep[:, :, None], keep[:, None, :]]
-            flat[rows.start + lo : rows.start + hi] = _renyi2_entropies(reduced)
+            flat[rows.start + lo : rows.start + hi] = renyi2_entropy(reduced)
             lo = hi
     return [
         (k, float(row.mean()), float(row.std(ddof=1) / math.sqrt(samples)))
@@ -252,13 +244,13 @@ def _hafnian_weights(
 
     ``outputs`` holds each trial's checked even pattern as (B, n) rows; the
     squeezed ``input_modes`` are common to all.  One gather takes the rows of
-    every U[s, t], one stacked product forms each B_s and one stacked kernel
-    call takes their hafnians.
+    every U[s, t], one stacked product forms each B_s and one ``hafnian`` call
+    takes the hafnians of the stack.
     """
     trial = np.arange(len(u))[:, None, None]
     rows = u[trial, outputs[:, :, None], input_modes]
     b_s = rows @ rows.swapaxes(1, 2)
-    return abs(matfn._hafnians(b_s)) ** 2
+    return abs(matfn.hafnian(b_s)) ** 2
 
 
 def _even_outcome(
@@ -388,7 +380,7 @@ def gbs_permitted_ratio_bound(
 ) -> float:
     """Closed-form bound on the permitted fraction of even outcomes, lattice case."""
     _check_scaling_curve(m, pairs, "pair", gamma, c1, "c1", d)
-    n = pairs
+    n, depth = pairs, _count(depth, "depth", 0)
     return _closed_form("gbs permitted-ratio bound", lambda: 2.0 * (
         (2.0 ** (2 * d + 1) / (math.e * d**d * c1)) * depth**d * n ** (1.0 - gamma)) ** n)
 

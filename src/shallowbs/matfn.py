@@ -16,12 +16,12 @@ block keeps only the rows it still needs: the cross rows of its own
 coordinates at half width, spent one per doubling step and then reused for
 q^n, and full rows only for the coordinates above it.
 
-Each kernel takes a (B, n, n) stack and runs every numpy step across the
-whole stack, so B small matrices cost about as many numpy calls as one.
-Every reduction runs along one matrix's own axis, so slice b of a stacked
-call equals the call on ``a[b]`` alone bit for bit; ``permanent`` and
-``hafnian`` are the B = 1 case.  A stack is split into sub-stacks whose
-blocks fit the same byte budget as one matrix's.
+Each kernel takes one matrix or a (B, n, n) stack and runs every numpy step
+across the whole stack, so B small matrices cost about as many numpy calls
+as one.  Every reduction runs along one matrix's own axis, so slice b of a
+stacked call equals the call on ``a[b]`` alone bit for bit; a single matrix
+is the B = 1 case.  A stack is split into sub-stacks whose blocks fit the
+same byte budget as one matrix's.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from itertools import permutations, product
 from math import inf, prod
+from typing import Union
 
 import numpy as np
 
@@ -93,12 +94,12 @@ _GUARD_BYTES = 1 << 30
 
 
 def _require_square(
-    a: np.ndarray, name: str, max_dim: float = inf, even: bool = False, ndim: int = 2
+    a: np.ndarray, name: str, max_dim: float = inf, even: bool = False, stack: bool = False
 ) -> int:
-    """The dimension of a square matrix, or with ``ndim=3`` of a stack of them,
-    that is even if ``even`` is set and at most ``max_dim``."""
-    if a.ndim != ndim or a.shape[-2] != a.shape[-1]:
-        what = "a stack of square matrices" if ndim == 3 else "a square matrix"
+    """The dimension of a square matrix, or with ``stack`` set of a matrix or a
+    (B, n, n) stack of them, that is even if ``even`` is set and at most ``max_dim``."""
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-2] != a.shape[-1]:
+        what = "a stack of square matrices" if stack and a.ndim == 3 else "a square matrix"
         raise ValueError(f"{name} requires {what}, got shape {a.shape}")
     n = a.shape[-1]
     if even and n % 2 != 0:
@@ -114,33 +115,26 @@ def _sub_stack(entries: int) -> int:
     return max(1, _HAFNIAN_BLOCK_BYTES // (entries * np.dtype(complex).itemsize))
 
 
-def permanent(a: np.ndarray) -> complex:
-    """Permanent by Glynn's formula, summed over blocks of sign vectors.
+def permanent(a: np.ndarray) -> Union[complex, np.ndarray]:
+    """Permanent of a matrix by Glynn's formula, summed over blocks of sign
+    vectors; of a (B, n, n) stack, the B permanents as a complex array.
 
     perm(A) = 2^(1-n) * sum over delta in {+1, -1}^n with delta_0 = +1 of
     (prod_k delta_k) * prod_j (delta^T A)_j  (Glynn 2010).  The row sums for
     every sign vector over rows 1..min(n-1, 10) are built as one block, each
     row doubling the block; a loop runs over the sign patterns of any higher
-    rows.  Cost is O(2^n * n) arithmetic.  This is the B = 1 case of the
-    stacked kernel ``_permanents``.
+    rows.  Cost is O(2^n * n) arithmetic.
     """
     a = np.asarray(a)
-    _require_square(a, "permanent")
-    return complex(_permanents(a[None])[0])
-
-
-def _permanents(a: np.ndarray) -> np.ndarray:
-    """Permanents of a (B, n, n) stack, as B complex values, by ``permanent``'s sum."""
-    a = np.asarray(a)
-    n = _require_square(a, "permanent", PERMANENT_MAX_DIM, ndim=3)
-    out = np.ones(len(a), dtype=complex)
-    if n == 0:
-        return out
-    k = min(n - 1, _BLOCK_BITS)
-    per = _sub_stack((2 * n + 1) << k)
-    for start in range(0, len(a), per):
-        out[start : start + per] = _glynn(a[start : start + per].astype(complex, copy=False), k)
-    return out
+    n = _require_square(a, "permanent", PERMANENT_MAX_DIM, stack=True)
+    stack = a if a.ndim == 3 else a[None]
+    out = np.ones(len(stack), dtype=complex)
+    if n:
+        k = min(n - 1, _BLOCK_BITS)
+        per = _sub_stack((2 * n + 1) << k)
+        for start in range(0, len(stack), per):
+            out[start : start + per] = _glynn(stack[start : start + per].astype(complex, copy=False), k)
+    return out if a.ndim == 3 else complex(out[0])
 
 
 def _glynn(a: np.ndarray, k: int) -> np.ndarray:
@@ -217,8 +211,9 @@ def _power(t: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     return result
 
 
-def hafnian(a: np.ndarray) -> complex:
-    """Hafnian of an even-dimensional symmetric matrix; diagonal entries are ignored.
+def hafnian(a: np.ndarray) -> Union[complex, np.ndarray]:
+    """Hafnian of an even-dimensional symmetric matrix, diagonal entries ignored;
+    of a (B, 2n, 2n) stack, the B hafnians as a complex array.
 
     haf(A) = 2 / (n! 4^n) * sum over h in {+1, -1}^(2n) with h_0 = +1 of
     (prod_i h_i) * q(h)^n, where q(h) = sum over i < j of A_ij h_i h_j
@@ -229,37 +224,27 @@ def hafnian(a: np.ndarray) -> complex:
     vector add per step.  q^n comes from repeated squaring into the spent
     rows of the block coordinates, and the terms are summed pairwise.
     ``_hafnian_bits`` picks the largest k that fits ``_HAFNIAN_BLOCK_BYTES``.
-    Cost is O(2^(2n) log n) arithmetic.  This is the B = 1 case of the
-    stacked kernel ``_hafnians``.
+    Cost is O(2^(2n) log n) arithmetic.  Every matrix of a stack is checked
+    for symmetry before any is summed, so one asymmetric matrix refuses the
+    whole stack.
     """
     a = np.asarray(a)
-    _require_square(a, "hafnian")
-    return complex(_hafnians(a[None])[0])
-
-
-def _hafnians(a: np.ndarray) -> np.ndarray:
-    """Hafnians of a (B, 2n, 2n) stack, as B complex values, by ``hafnian``'s sum.
-
-    Every matrix is checked for symmetry before any is summed, so one
-    asymmetric matrix refuses the whole stack.
-    """
-    a = np.asarray(a)
-    n2 = _require_square(a, "hafnian", HAFNIAN_MAX_DIM, even=True, ndim=3)
-    out = np.ones(len(a), dtype=complex)
-    if n2 == 0 or not len(a):
-        return out
-    a = a.astype(complex, order="C")
-    asym = float(abs(a - a.swapaxes(1, 2)).max())
-    if asym > _HAFNIAN_SYMMETRY_TOL:
-        raise ValueError(
-            f"hafnian requires a symmetric matrix; max |a - a^T| = {asym:.3e}"
-        )
-    a.reshape(len(a), -1)[:, :: n2 + 1] = 0.0  # every diagonal, through a view of the copy
-    k = _hafnian_bits(n2)
-    per = _sub_stack(_hafnian_entries(n2, k))
-    for start in range(0, len(a), per):
-        out[start : start + per] = _kan(a[start : start + per], k)
-    return out
+    n2 = _require_square(a, "hafnian", HAFNIAN_MAX_DIM, even=True, stack=True)
+    stack = a if a.ndim == 3 else a[None]
+    out = np.ones(len(stack), dtype=complex)
+    if n2 and len(stack):
+        stack = stack.astype(complex, order="C")
+        asym = float(abs(stack - stack.swapaxes(1, 2)).max())
+        if asym > _HAFNIAN_SYMMETRY_TOL:
+            raise ValueError(
+                f"hafnian requires a symmetric matrix; max |a - a^T| = {asym:.3e}"
+            )
+        stack.reshape(len(stack), -1)[:, :: n2 + 1] = 0.0  # every diagonal, through a view of the copy
+        k = _hafnian_bits(n2)
+        per = _sub_stack(_hafnian_entries(n2, k))
+        for start in range(0, len(stack), per):
+            out[start : start + per] = _kan(stack[start : start + per], k)
+    return out if a.ndim == 3 else complex(out[0])
 
 
 def _kan(a: np.ndarray, k: int) -> np.ndarray:

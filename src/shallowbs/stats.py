@@ -143,11 +143,16 @@ class FramePotentialEstimate:
         return asdict(self)
 
 
-def _check_moment(m: int, k_moment: int) -> int:
-    """A moment order k whose k! and M^(2k), which bounds each trial, are finite floats."""
+def _check_moment(m: int, k_moment: int, n_sam: int) -> int:
+    """A moment order k whose k! and s M^(4k) are finite floats, s = max(n_sam, resamples).
+
+    Each trial is at most M^(2k), so the sum of the trials, and the sum over the
+    bootstrap's resamples of their squared deviations, stay below s M^(4k).
+    """
     k = _count(k_moment, "moment order")
-    _closed_form(f"frame potential at k={k}, M={m}: k! or M^(2k)",
-                 lambda: (math.gamma(k + 1.0), float(m) ** (2 * k)))
+    s = max(n_sam, _FRAME_POTENTIAL_RESAMPLES)
+    _closed_form(f"frame potential at k={k}, M={m}, {n_sam} samples: k! or {s}*M^(4k)",
+                 lambda: (math.gamma(k + 1.0), s * float(m) ** (4 * k)))
     return k
 
 
@@ -165,8 +170,8 @@ def frame_potential(
     ``bootstrap_std`` is reported on the normalized scale.
     """
     m = _ensemble_modes(ensemble)
-    k_moment = _check_moment(m, k_moment)
     n_sam = _count(n_sam, "sample count", 2, "two samples")
+    k_moment = _check_moment(m, k_moment, n_sam)
     # trial i pairs the unitaries of streams 2i and 2i + 1, which a chunk may split
     chunks = _trial_chunks(rng, 2 * n_sam, 16 * m * m)
     draws = (u for _, gens in chunks for u in _unitaries(ensemble, gens))
@@ -273,7 +278,7 @@ def hiding_samples(
     Each GBS draw is reduced to its n x n product X X^T as it is drawn, so
     both kinds stack n x n matrices, in chunks of at most
     ``_REALIZE_CHUNK_BYTES``, and each chunk takes its values with one
-    stacked kernel call.
+    ``permanent`` or ``hafnian`` call of the stack.
     """
     if kind not in ("fbs", "gbs"):
         raise ValueError(f"kind must be 'fbs' or 'gbs', got {kind!r}")
@@ -288,8 +293,8 @@ def hiding_samples(
     for rows, gens in _trial_chunks(rng, n_sam, 16 * photons * photons):
         draws = (ginibre(photons, cols, gen) for gen in gens)
         if kind == "fbs":
-            weights = abs(matfn._permanents(np.array(list(draws)))) ** 2
+            weights = abs(matfn.permanent(np.array(list(draws)))) ** 2
         else:
-            weights = abs(matfn._hafnians(np.array([d @ d.T for d in draws]))) ** 2
+            weights = abs(matfn.hafnian(np.array([d @ d.T for d in draws]))) ** 2
         values[rows] = weights / scale
     return values

@@ -132,6 +132,8 @@ def test_circuit_counts_are_held_as_python_integers():
     arch = CircuitArchitecture(np.int64(4), (Layer((GateSlot(0, 1),)),))
     assert type(arch.mode_count) is int
     assert arch == CircuitArchitecture(4, (Layer((GateSlot(0, 1),)),))
+    arch = CircuitArchitecture(4, (Layer((GateSlot(np.int64(0), np.uint8(1)),)),))
+    assert [type(mode) for mode in arch.layers[0].slots[0]] == [int, int]
     assert build_nlhs(np.int8(2), np.uint8(1)) == build_nlhs(2, 1)
     assert build_local_parallel(np.int64(1), [4], np.int64(2)) == build_local_parallel(1, [4], 2)
 

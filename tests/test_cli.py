@@ -337,9 +337,11 @@ _MISSING = object()
         (["page-curve", "--ensemble", "haar", "--modes", "1"], None,
          "need at least two modes for a bipartition, got 1"),
         (["frame-potential", "--ensemble", "haar", "--modes", "2", "--k-moment", "171",
-          "--samples", "2"], None, "frame potential at k=171, M=2: k! or M^(2k) overflows a float"),
+          "--samples", "2"], None,
+         "frame potential at k=171, M=2, 2 samples: k! or 1000*M^(4k) overflows a float"),
         (["frame-potential", "--ensemble", "haar", "--modes", "16", "--k-moment", "128",
-          "--samples", "2"], None, "frame potential at k=128, M=16: k! or M^(2k) overflows a float"),
+          "--samples", "2"], None,
+         "frame potential at k=128, M=16, 2 samples: k! or 1000*M^(4k) overflows a float"),
         (["hiding", "--kind", "gbs", "--modes", "8", "--photons", "3"], None,
          "outcome must hold an even photon number, got 3"),
         (["arch-info", "--ensemble", "local-parallel", "--modes", "8", "--dim", "2",

@@ -484,6 +484,8 @@ def test_ratio_bound_formula_and_domain():
         fbs_permitted_ratio_bound(m, n, gamma, c0 * 1.5, d, depth)
     with pytest.raises(ValueError, match="overflows a float"):
         fbs_permitted_ratio_bound(16, 4, 1e300, 1.0, 1, 2)
+    with pytest.raises(ValueError, match="depth must be non-negative, got -1"):
+        fbs_permitted_ratio_bound(16, 3, 1.0, 16 / 3, 1, -1)
 
 
 def test_fbs_depth_thresholds_unit_constants():

@@ -527,6 +527,8 @@ def test_gbs_ratio_bound_formula_and_domain():
     )
     with pytest.raises(ValueError):
         gbs_permitted_ratio_bound(m + 3, n, gamma, c1, d, depth)
+    with pytest.raises(ValueError, match="depth must be non-negative, got -1"):
+        gbs_permitted_ratio_bound(16, 3, 1.0, 16 / 3, 1, -1)
 
 
 def test_photon_pair_marginal_values():

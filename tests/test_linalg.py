@@ -13,6 +13,9 @@ import shallowbs.fock
 import shallowbs.gaussian
 import shallowbs.linalg
 from shallowbs.arch import (
+    CircuitArchitecture,
+    GateSlot,
+    Layer,
     backward_lightcone,
     build_local_parallel,
     build_nlhs,
@@ -24,8 +27,18 @@ from shallowbs.arch import (
     realize,
     truncate_unitary,
 )
-from shallowbs.fock import count_permitted_fbs, is_permitted_fbs
-from shallowbs.gaussian import count_permitted_gbs, reduced_covariance, smsv_covariance
+from shallowbs.fock import (
+    count_permitted_fbs,
+    fbs_depth_thresholds,
+    fbs_permitted_ratio_bound,
+    is_permitted_fbs,
+)
+from shallowbs.gaussian import (
+    count_permitted_gbs,
+    gbs_permitted_ratio_bound,
+    reduced_covariance,
+    smsv_covariance,
+)
 from shallowbs.matfn import GuardError
 from shallowbs.linalg import (
     _SEED_BLOCK,
@@ -186,6 +199,11 @@ _NLHS8 = build_nlhs(3, 1)
         (lambda gen: truncate_unitary(np.eye(4), [4], 1.5), "radius"),
         (lambda gen: effective_lightcone_radius(16.0, 8, 0.5, 0.5, 1), "photon number"),
         (lambda gen: effective_lightcone_radius(16, 8.0, 0.5, 0.5, 1), "depth"),
+        (lambda gen: effective_lightcone_radius(4, 2, 1.0, 0.5, 1.5), "lattice dimension"),
+        (lambda gen: fbs_depth_thresholds(4, 1.0, 4, 1.5, 1.0, 0.5), "lattice dimension"),
+        (lambda gen: fbs_permitted_ratio_bound(16, 3, 1.0, 16 / 3, 1.5, 1), "lattice dimension"),
+        (lambda gen: gbs_permitted_ratio_bound(16, 3, 1.0, 16 / 3, 1.5, 1), "lattice dimension"),
+        (lambda gen: CircuitArchitecture(4, (Layer((GateSlot(0.5, 1),)),)), "mode"),
         (lambda gen: ginibre(2.0, 2, gen), "row count"),
         (lambda gen: ginibre(2, 2.0, gen), "column count"),
         (lambda gen: haar_unitary(4.0, gen), "mode count"),
@@ -198,7 +216,9 @@ _NLHS8 = build_nlhs(3, 1)
     ],
     ids=["gbs-pairs", "gbs-depth", "fbs-depth", "fbs-input", "is-permitted-depth", "forward-mode",
          "backward-depth", "path-input", "path-output", "leakage-mode", "leakage-radius",
-         "truncate-radius", "radius-photons", "radius-depth", "ginibre-rows", "ginibre-cols",
+         "truncate-radius", "radius-photons", "radius-depth", "radius-dimension",
+         "thresholds-dimension", "fbs-ratio-dimension", "gbs-ratio-dimension", "slot-mode",
+         "ginibre-rows", "ginibre-cols",
          "haar-modes", "smsv-modes", "reduced-modes", "lattice-sides", "coordinate-sides",
          "rng-seed", "child-index"],
 )

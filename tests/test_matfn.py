@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shallowbs import matfn
+from shallowbs.gaussian import renyi2_entropy, symplectic_from_unitary
 from shallowbs.matfn import (
     GuardError,
     HAFNIAN_MAX_DIM,
@@ -347,32 +348,33 @@ def test_select_submatrix_bounds():
         select_submatrix(u, [0.5, 1.9], [2.7])
 
 
-def assert_slices_match(stacked, single, stack):
-    """Slice b of a stacked kernel call equals the public call on ``stack[b]``, in bytes."""
-    got = stacked(stack)
-    assert got.shape == (len(stack),) and got.dtype == complex
-    assert got.tobytes() == np.array([single(a) for a in stack]).tobytes()
+def assert_slices_match(kernel, stack):
+    """Slice b of a kernel's call on a stack equals its call on ``stack[b]``, in bytes."""
+    got = kernel(stack)
+    single = np.array([kernel(a) for a in stack])
+    assert got.shape == single.shape and got.dtype == single.dtype
+    assert got.tobytes() == single.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_stacked_permanents_match_single_calls(n):
     """From n = 12 on, the kernel loops over the signs of rows above its block."""
     gen = np.random.default_rng(300 + n)
-    assert_slices_match(matfn._permanents, permanent, random_stack(gen, 5, n))
+    assert_slices_match(permanent, random_stack(gen, 5, n))
 
 
 def test_stacked_permanents_split_by_budget():
     gen = np.random.default_rng(314)
     stack = random_stack(gen, 40, 8)
     assert matfn._sub_stack((2 * 8 + 1) << 7) == 18  # three sub-stacks
-    assert_slices_match(matfn._permanents, permanent, stack)
+    assert_slices_match(permanent, stack)
 
 
 @pytest.mark.parametrize("n2", range(2, 21, 2))
 def test_stacked_hafnians_match_single_calls(n2):
     gen = np.random.default_rng(400 + n2)
     stack = random_stack(gen, 3, n2)
-    assert_slices_match(matfn._hafnians, hafnian, stack + stack.swapaxes(1, 2))
+    assert_slices_match(hafnian, stack + stack.swapaxes(1, 2))
 
 
 def test_stacked_hafnians_split_by_budget():
@@ -382,7 +384,15 @@ def test_stacked_hafnians_split_by_budget():
         k = matfn._hafnian_bits(n2)
         assert matfn._sub_stack(matfn._hafnian_entries(n2, k)) == per
         stack = random_stack(gen, count, n2)
-        assert_slices_match(matfn._hafnians, hafnian, stack + stack.swapaxes(1, 2))
+        assert_slices_match(hafnian, stack + stack.swapaxes(1, 2))
+
+
+def test_gaussian_kernels_of_a_stack_match_single_calls():
+    """The symplectic action and the Renyi-2 entropy take a stack the same way."""
+    gen = np.random.default_rng(430)
+    assert_slices_match(symplectic_from_unitary, random_stack(gen, 4, 5))
+    a = gen.normal(size=(4, 6, 6))
+    assert_slices_match(renyi2_entropy, a @ a.swapaxes(1, 2) + np.eye(6))
 
 
 @pytest.mark.parametrize("n2", range(2, 21, 2))
@@ -409,10 +419,10 @@ def test_hafnian_bits_keep_small_sizes_and_grow_at_twenty():
 
 
 def test_empty_stacks():
-    for kernel, n in ((matfn._permanents, 3), (matfn._hafnians, 4), (matfn._hafnians, 0)):
+    for kernel, n in ((permanent, 3), (hafnian, 4), (hafnian, 0)):
         got = kernel(np.zeros((0, n, n)))
         assert got.shape == (0,) and got.dtype == complex
-    np.testing.assert_array_equal(matfn._permanents(np.zeros((2, 0, 0))), [1.0, 1.0])
+    np.testing.assert_array_equal(permanent(np.zeros((2, 0, 0))), [1.0, 1.0])
 
 
 @pytest.fixture
@@ -432,29 +442,33 @@ def test_stacked_kernels_refuse_a_whole_stack_before_summing(sums):
     stack = stack + stack.swapaxes(1, 2)
     stack[-1, 0, 1] += 1e-6
     with pytest.raises(ValueError, match=r"hafnian requires a symmetric matrix; max \|a - a\^T\| = 1\.000e-06"):
-        matfn._hafnians(stack)
+        hafnian(stack)
     with pytest.raises(GuardError, match="hafnian guard: dimension 26 exceeds 24"):
-        matfn._hafnians(np.zeros((2, HAFNIAN_MAX_DIM + 2, HAFNIAN_MAX_DIM + 2)))
+        hafnian(np.zeros((2, HAFNIAN_MAX_DIM + 2, HAFNIAN_MAX_DIM + 2)))
     with pytest.raises(GuardError, match="permanent guard: dimension 31 exceeds 30"):
-        matfn._permanents(np.zeros((2, PERMANENT_MAX_DIM + 1, PERMANENT_MAX_DIM + 1)))
+        permanent(np.zeros((2, PERMANENT_MAX_DIM + 1, PERMANENT_MAX_DIM + 1)))
     with pytest.raises(ValueError, match="hafnian requires even dimension, got 3"):
-        matfn._hafnians(np.zeros((2, 3, 3)))
-    for kernel in (matfn._permanents, matfn._hafnians):
+        hafnian(np.zeros((2, 3, 3)))
+    for kernel in (permanent, hafnian):
         with pytest.raises(ValueError, match=r"requires a stack of square matrices, got shape \(2, 4, 2\)"):
             kernel(np.zeros((2, 4, 2)))
-        with pytest.raises(ValueError, match=r"requires a stack of square matrices, got shape \(4, 4\)"):
-            kernel(np.zeros((4, 4)))
     assert sums == []
-    matfn._hafnians(stack[:-1])
+    hafnian(stack[:-1])
     assert sums == ["_kan"] * 2
+    # a matrix is the B = 1 case: one sum, and slice 0 of the stack's values
+    for kernel in (permanent, hafnian):
+        got = kernel(stack[0])
+        assert type(got) is complex
+        assert np.array(got).tobytes() == kernel(stack[:1]).tobytes()
+    assert sums == ["_kan"] * 2 + ["_glynn", "_glynn", "_kan", "_kan"]
 
 
 def test_stacked_kernels_hold_one_sub_stack_at_a_time():
     """200 matrices at n = 8 and at 2n = 10 would take 2 and 16 MiB of blocks in one piece."""
     gen = np.random.default_rng(13)
     sym = random_stack(gen, 200, 10)
-    for kernel, stack in ((matfn._permanents, random_stack(gen, 200, 8)),
-                          (matfn._hafnians, sym + sym.swapaxes(1, 2))):
+    for kernel, stack in ((permanent, random_stack(gen, 200, 8)),
+                          (hafnian, sym + sym.swapaxes(1, 2))):
         tracemalloc.start()
         try:
             kernel(stack)

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -363,9 +364,9 @@ def test_non_finite_samples_are_refused_before_any_draw(call, message, draws):
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """Stack sizes of every stacked kernel call made while the test runs, as (name, B)."""
+    """Stack sizes of every kernel call made while the test runs, as (name, B)."""
     calls = []
-    for name in ("_permanents", "_hafnians"):
+    for name in ("permanent", "hafnian"):
         fn = getattr(shallowbs.matfn, name)
 
         def spy(stack, fn=fn, name=name):
@@ -381,10 +382,10 @@ def test_drivers_call_one_stacked_kernel_per_chunk(ensemble, kernels):
     """On 16 modes a chunk holds 16 trials, so 40 trials take stacks of 16, 16 and 8."""
     rng = RngStream(33, 0)
     fbs_probability_samples(ensemble, 3, 40, rng)
-    assert kernels == [("_permanents", 16), ("_permanents", 16), ("_permanents", 8)]
+    assert kernels == [("permanent", 16), ("permanent", 16), ("permanent", 8)]
     kernels.clear()
     gbs_probability_samples(ensemble, 4, 40, rng)
-    assert kernels == [("_hafnians", 16), ("_hafnians", 16), ("_hafnians", 8)]
+    assert kernels == [("hafnian", 16), ("hafnian", 16), ("hafnian", 8)]
 
 
 def test_hiding_calls_one_stacked_kernel_per_chunk(kernels):
@@ -392,10 +393,10 @@ def test_hiding_calls_one_stacked_kernel_per_chunk(kernels):
     products X X^T of 4 x 32 draws for GBS: 256 of 4 x 4 either way."""
     rng = RngStream(34, 0)
     hiding_samples("fbs", 32, 4, 300, rng)
-    assert kernels == [("_permanents", 256), ("_permanents", 44)]
+    assert kernels == [("permanent", 256), ("permanent", 44)]
     kernels.clear()
     hiding_samples("gbs", 32, 4, 300, rng)
-    assert kernels == [("_hafnians", 256), ("_hafnians", 44)]
+    assert kernels == [("hafnian", 256), ("hafnian", 44)]
 
 
 @pytest.mark.parametrize("kind", ["fbs", "gbs"])
@@ -487,6 +488,20 @@ def test_non_integer_counts_are_refused_before_any_draw(call, message, draws):
     with pytest.raises(TypeError, match=message):
         call(RngStream(0, 0))
     assert draws == []
+
+
+def test_moment_rule_bounds_the_sums_of_an_ensemble_at_its_trial_bound(draws):
+    """Every depth-0 draw is the identity, so each trial is exactly M^(2k): at
+    M = 16 the trials' sum and the bootstrap stay finite up to k = 63."""
+    depth0 = build_nlhs(4, 0)
+    message = r"frame potential at k=64, M=16, 200 samples: k! or 1000\*M\^\(4k\) overflows a float"
+    with pytest.raises(ValueError, match=message):
+        frame_potential(depth0, 64, 200, RngStream(0))
+    assert draws == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = frame_potential(depth0, 63, 200, RngStream(0))
+    assert (est.raw_mean, est.bootstrap_std) == (16.0**126, 0.0)
 
 
 def test_integer_counts_of_any_integer_type_are_accepted():
