@@ -310,13 +310,12 @@ def _unitaries(
 ) -> np.ndarray:
     """The (B, M, M) stack of one unitary per trial generator.
 
-    A circuit takes one stacked ``realize``, the same unitaries as one call
-    per trial, and Haar on U(M) one ``haar_unitary`` per trial, both looked up
-    per call so that wrappers on this module see every draw.
+    A circuit takes one stacked ``realize`` and Haar on U(M) one stacked
+    ``haar_unitary``, each the same unitaries as one call per trial, and both
+    looked up per call so that wrappers on this module see every draw.
     """
-    if isinstance(ensemble, CircuitArchitecture):
-        return realize(ensemble, gens)
-    return np.array([haar_unitary(ensemble, gen) for gen in gens])
+    draw = realize if isinstance(ensemble, CircuitArchitecture) else haar_unitary
+    return draw(ensemble, gens)
 
 
 def _check_depth(arch: CircuitArchitecture, depth: int) -> int:

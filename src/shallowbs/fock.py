@@ -399,7 +399,7 @@ def count_permitted_fbs_effective(
 
 def _scaling_modes(n: int, noun: str, gamma: float, c: float, d: int) -> float:
     """The mode count ``c * n**gamma`` of a d-dimensional lattice, refused when it overflows."""
-    _check_positive(n, f"{noun} number")
+    _count(n, f"{noun} number")
     _count(d, "lattice dimension")
     _check_positive(c, "mode-scaling constant")
     return _closed_form(f"mode count c*n^gamma at n={n}, gamma={gamma}, c={c}",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from operator import index
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -224,28 +224,46 @@ def _haar_u2_batch(uniforms: np.ndarray) -> np.ndarray:
     return g
 
 
-def haar_unitary(m: int, rng: Union[RngStream, np.random.Generator]) -> np.ndarray:
-    """Haar-random m x m unitary via complex Ginibre QR with phase correction.
+def haar_unitary(
+    m: int,
+    rng: Union[RngStream, np.random.Generator, Sequence[Union[RngStream, np.random.Generator]]],
+) -> np.ndarray:
+    """Haar-random m x m unitary: the Q of a complex Ginibre QR, phase-fixed.
 
     The QR decomposition alone is not Haar distributed; multiplying each column
-    of Q by the phase of the matching diagonal entry of R fixes the measure.
+    of Q by the phase of the matching diagonal entry of R fixes the measure
+    (Mezzadri 2007).  Each unitary takes one ``ginibre(m, m, ...)`` draw.
+
+    One stream or generator gives one (m, m) unitary.  A sequence of B of them
+    gives a (B, m, m) stack from one ``np.linalg.qr`` of the B Ginibre draws,
+    each from its own generator; slice b equals ``haar_unitary(m, rng[b])`` bit
+    for bit and leaves generator b where that call would.
     """
     m = _count(m, "mode count")
-    z = ginibre(m, m, as_generator(rng))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q
+    single = not isinstance(rng, Sequence)
+    gens = [as_generator(r) for r in ((rng,) if single else rng)]
+    _check_dense(len(gens) * m, m)  # the stack as one (B*m) x m array
+    q, r = np.linalg.qr(np.array([ginibre(m, m, gen) for gen in gens]))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (d / np.abs(d))[:, None, :]
+    return q[0] if single else q
+
+
+# numpy divides a complex number by the real sqrt(2) as Smith's rule does, by
+# multiplying each part by 1 / sqrt(2); x / sqrt(2) would round differently
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 def ginibre(rows: int, cols: int, rng: Union[RngStream, np.random.Generator]) -> np.ndarray:
-    """Complex Ginibre matrix: i.i.d. entries with E[|X|^2] = 1."""
+    """Complex Ginibre matrix: i.i.d. entries with E[|X|^2] = 1.
+
+    It draws ``standard_normal((2, rows, cols))``, the real parts then the
+    imaginary parts, and gives the bytes of ``(a + 1j*b) / sqrt(2)``.
+    """
     rows, cols = _count(rows, "row count"), _count(cols, "column count")
     _check_dense(rows, cols)
-    gen = as_generator(rng)
-    # one draw of the real parts, then the imaginary parts, filled in place;
-    # the complex division by sqrt(2) keeps the bytes of (a + 1j b) / sqrt(2)
+    parts = as_generator(rng).standard_normal((2, rows, cols))
+    parts *= _SQRT_HALF
     z = np.empty((rows, cols), dtype=complex)
-    z.real, z.imag = gen.standard_normal((2, rows, cols))
-    z /= np.sqrt(2.0)
+    z.real, z.imag = parts
     return z

@@ -26,7 +26,7 @@ from .arch import (
 )
 from .fock import _check_outcome_space, _fbs_probabilities, _input_pattern, _pattern_rows
 from .gaussian import _check_even, _hafnian_weights
-from .linalg import RngStream, _count, as_generator, ginibre
+from .linalg import _SQRT_HALF, RngStream, _count, as_generator, ginibre
 
 __all__ = [
     "DensityBucket",
@@ -263,6 +263,36 @@ def _hiding_scale(m: int, photons: int) -> float:
     return _closed_form(f"hiding scale m^n at m={m}, n={photons}", lambda: float(m) ** photons)
 
 
+def _bartlett_products(m: int, n: int, gens: list[np.random.Generator]) -> np.ndarray:
+    """The (B, n, n) stack of Y Y^T, one per generator, each with the law of X X^T
+    for an n x m complex Ginibre matrix X.
+
+    X X^T depends on X = (A + iB) / sqrt(2) only through W = G G^T, where G is
+    the real 2n x m Gaussian [A; B].  W has the law of L L^T for the 2n x w
+    lower-trapezoidal Bartlett factor L, w = min(2n, m): L_ii = sqrt(chi^2_{m-i})
+    and N(0, 1) entries below the diagonal (Bartlett 1933).  So
+    Y = (L[:n] + i L[n:]) / sqrt(2) takes n(2n + 1) variates when m >= 2n, not
+    2nm.  Each generator draws its w chi-squares, then the entries below the
+    diagonal in row-major order.
+    """
+    w = min(2 * n, m)
+    below = np.tril_indices(2 * n, -1, w)
+    dof = float(m) - np.arange(w)  # m may pass int64; each m - i is exact below 2^53
+    chi = np.empty((len(gens), w))
+    normals = np.empty((len(gens), below[0].size))
+    for b, gen in enumerate(gens):
+        chi[b] = gen.chisquare(dof)
+        gen.standard_normal(out=normals[b])
+    factor = np.zeros((len(gens), 2 * n, w))
+    factor[:, range(w), range(w)] = np.sqrt(chi)
+    factor[:, below[0], below[1]] = normals
+    # the bytes of (L[:n] + 1j * L[n:]) / sqrt(2), as in ``ginibre``
+    factor *= _SQRT_HALF
+    y = np.empty((len(gens), n, w), dtype=complex)
+    y.real, y.imag = factor[:, :n], factor[:, n:]
+    return y @ y.transpose(0, 2, 1)
+
+
 def hiding_samples(
     kind: str,
     m: int,
@@ -273,12 +303,12 @@ def hiding_samples(
     """Gaussian-matrix surrogates for the probability samples of a hiding ensemble.
 
     For ``kind="fbs"`` each draw is |perm(X)|^2 / m^n with X an n x n complex
-    Ginibre matrix; for ``kind="gbs"`` it is |Haf(X X^T)|^2 / m^n with X an
-    n x m Ginibre matrix and ``photons`` even.  Draw i comes from stream i.
-    Each GBS draw is reduced to its n x n product X X^T as it is drawn, so
-    both kinds stack n x n matrices, in chunks of at most
-    ``_REALIZE_CHUNK_BYTES``, and each chunk takes its values with one
-    ``permanent`` or ``hafnian`` call of the stack.
+    Ginibre matrix.  For ``kind="gbs"`` it is |Haf(X X^T)|^2 / m^n with X an
+    n x m Ginibre matrix and ``photons`` even; the product X X^T is drawn in
+    law as Y Y^T from its Bartlett factor (``_bartlett_products``), never
+    through X.  Draw i comes from stream i.  Both kinds stack n x n matrices,
+    in chunks of at most ``_REALIZE_CHUNK_BYTES``, and each chunk takes its
+    values with one ``permanent`` or ``hafnian`` call of the stack.
     """
     if kind not in ("fbs", "gbs"):
         raise ValueError(f"kind must be 'fbs' or 'gbs', got {kind!r}")
@@ -288,13 +318,12 @@ def hiding_samples(
         _check_even(photons)
     scale = _hiding_scale(m, photons)
     n_sam = _count(n_sam, "sample count")
-    cols = photons if kind == "fbs" else m
     values = np.empty(n_sam)
     for rows, gens in _trial_chunks(rng, n_sam, 16 * photons * photons):
-        draws = (ginibre(photons, cols, gen) for gen in gens)
         if kind == "fbs":
-            weights = abs(matfn.permanent(np.array(list(draws)))) ** 2
+            stack = np.array([ginibre(photons, photons, gen) for gen in gens])
+            weights = abs(matfn.permanent(stack)) ** 2
         else:
-            weights = abs(matfn.hafnian(np.array([d @ d.T for d in draws]))) ** 2
+            weights = abs(matfn.hafnian(_bartlett_products(m, photons, gens))) ** 2
         values[rows] = weights / scale
     return values

@@ -140,6 +140,18 @@ def test_thread_count_does_not_change_output(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_hiding_gbs_is_byte_identical_across_reruns_and_threads(tmp_path):
+    # 300 samples of 4 x 4 products span two chunks of 256
+    argv = ["hiding", "--seed", "9", "--kind", "gbs", "--modes", "16", "--photons", "4",
+            "--samples", "300"]
+    blobs = []
+    for run, threads in enumerate((1, 1, 2)):
+        out = tmp_path / f"{run}.csv"
+        assert main(argv + ["--threads", str(threads), "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
 def test_render_writes_none_as_empty_field():
     result = {"rows": [{"x": 0.5, "density": None, "count": 3}]}
     text = _render({"format": "csv"}, result)

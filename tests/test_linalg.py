@@ -35,6 +35,7 @@ from shallowbs.fock import (
 )
 from shallowbs.gaussian import (
     count_permitted_gbs,
+    gbs_depth_thresholds,
     gbs_permitted_ratio_bound,
     reduced_covariance,
     smsv_covariance,
@@ -203,6 +204,10 @@ _NLHS8 = build_nlhs(3, 1)
         (lambda gen: fbs_depth_thresholds(4, 1.0, 4, 1.5, 1.0, 0.5), "lattice dimension"),
         (lambda gen: fbs_permitted_ratio_bound(16, 3, 1.0, 16 / 3, 1.5, 1), "lattice dimension"),
         (lambda gen: gbs_permitted_ratio_bound(16, 3, 1.0, 16 / 3, 1.5, 1), "lattice dimension"),
+        (lambda gen: fbs_depth_thresholds(4.5, 1.0, 1.0, 1, 0.5, 0.5), "photon number"),
+        (lambda gen: fbs_permitted_ratio_bound(16, 2.5, 1.0, 6.4, 1, 2), "photon number"),
+        (lambda gen: gbs_depth_thresholds(4.5, 1.0, 1.0, 1, 0.5, 0.5), "pair number"),
+        (lambda gen: gbs_permitted_ratio_bound(16, 2.5, 1.0, 6.4, 1, 2), "pair number"),
         (lambda gen: CircuitArchitecture(4, (Layer((GateSlot(0.5, 1),)),)), "mode"),
         (lambda gen: ginibre(2.0, 2, gen), "row count"),
         (lambda gen: ginibre(2, 2.0, gen), "column count"),
@@ -217,7 +222,9 @@ _NLHS8 = build_nlhs(3, 1)
     ids=["gbs-pairs", "gbs-depth", "fbs-depth", "fbs-input", "is-permitted-depth", "forward-mode",
          "backward-depth", "path-input", "path-output", "leakage-mode", "leakage-radius",
          "truncate-radius", "radius-photons", "radius-depth", "radius-dimension",
-         "thresholds-dimension", "fbs-ratio-dimension", "gbs-ratio-dimension", "slot-mode",
+         "thresholds-dimension", "fbs-ratio-dimension", "gbs-ratio-dimension",
+         "fbs-thresholds-photons", "fbs-ratio-photons", "gbs-thresholds-pairs", "gbs-ratio-pairs",
+         "slot-mode",
          "ginibre-rows", "ginibre-cols",
          "haar-modes", "smsv-modes", "reduced-modes", "lattice-sides", "coordinate-sides",
          "rng-seed", "child-index"],
@@ -310,6 +317,20 @@ def test_haar_unitary_is_unitary_and_reproducible():
         np.testing.assert_array_equal(u, haar_unitary(m, RngStream(23, m)))
 
 
+@pytest.mark.parametrize("m", [1, 2, 16, 32, 64])
+@pytest.mark.parametrize("size", [1, 4, 16])
+def test_stacked_haar_unitaries_equal_single_draws(m, size):
+    """B generators give the phase-fixed Q of one stacked QR; slice b is the single
+    draw from generator b, bit for bit, and leaves that generator where it would."""
+    gens = [RngStream(41, i).generator() for i in range(size)]
+    stack = haar_unitary(m, gens)
+    assert stack.shape == (size, m, m)
+    for b, gen in enumerate(gens):
+        single = RngStream(41, b).generator()
+        assert stack[b].tobytes() == haar_unitary(m, single).tobytes()
+        assert gen.random() == single.random()
+
+
 def test_haar_unitary_entry_variance():
     # E|U_ij|^2 = 1/m for Haar measure
     m, reps = 4, 4000
@@ -349,3 +370,13 @@ def test_ginibre_keeps_the_bytes_of_two_draws(rows, cols):
         got = ginibre(rows, cols, other)
         assert got.shape == (rows, cols) and got.tobytes() == want.tobytes()
         assert other.random() == gen.random()
+
+
+@pytest.mark.parametrize("rows, cols", [(12, 12), (32, 32), (12, 144), (3, 5)])
+def test_ginibre_scales_its_draw_as_complex_division(rows, cols):
+    """Scaling the (2, rows, cols) normals (a, b) by 1/sqrt(2) as reals gives the
+    bytes of ``(a + 1j*b) / sqrt(2)``."""
+    for seed in range(500):
+        a, b = np.random.default_rng(seed).standard_normal((2, rows, cols))
+        want = (a + 1j * b) / np.sqrt(2.0)
+        assert ginibre(rows, cols, np.random.default_rng(seed)).tobytes() == want.tobytes()

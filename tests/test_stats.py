@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 import shallowbs.arch
 import shallowbs.gaussian
@@ -212,13 +213,13 @@ def test_drivers_refuse_a_bad_ensemble_before_drawing(driver, ensemble, error, m
 
 
 def test_drivers_draw_through_module_globals(draws):
-    """A wrapper on ``arch.realize`` sees every trial; one on ``arch.haar_unitary``, every
-    draw; and the ``draws`` fixture every generator, trial or bootstrap."""
+    """A wrapper on ``arch.realize`` or ``arch.haar_unitary`` sees every trial in the
+    stacks it returns, and the ``draws`` fixture every generator, trial or bootstrap."""
     fbs_probability_samples(build_nlhs(2, 1), 2, 3, RngStream(0, 0))
     assert sum(len(stack) for name, stack in draws if name == "realize") == 3
     assert [name for name, _ in draws].count("generator") == 3
     frame_potential(4, 1, 2, RngStream(0, 0))
-    assert [name for name, _ in draws].count("haar") == 4
+    assert sum(len(stack) for name, stack in draws if name == "haar") == 4
     assert [name for name, _ in draws].count("generator") == 3 + 4 + 1
     del draws[:]
     page_curve(4, 0.4, 4, RngStream(0, 0))  # 12 generators, seeded as one batch
@@ -403,8 +404,10 @@ def test_hiding_calls_one_stacked_kernel_per_chunk(kernels):
 def test_hiding_draws_match_their_own_values(kind):
     """A chunk holds 28 matrices of 12 x 12; 30 draws span two chunks, and each
     equals |perm(X)|^2 / m^n of its own 12 x 12 Ginibre draw for FBS, or
-    |Haf(X X^T)|^2 / m^n of its own 12 x 20 draw for GBS, in bytes.  The modulus
-    is numpy's, which can differ from Python's ``abs`` of a complex in the last bit."""
+    |Haf(Y Y^T)|^2 / m^n of its own Bartlett factor for GBS, in bytes: the 24 x 20
+    L draws its 20 chi-squares, then the entries below its diagonal row by row,
+    and Y = (L[:12] + i L[12:]) / sqrt(2).  The modulus is numpy's, which can
+    differ from Python's ``abs`` of a complex in the last bit."""
     m, photons, n_sam, rng = 20, 12, 30, RngStream(38, 0)
     assert shallowbs.arch._chunk_trials(16 * photons**2) == 28
     want = []
@@ -413,10 +416,34 @@ def test_hiding_draws_match_their_own_values(kind):
         if kind == "fbs":
             value = permanent(ginibre(photons, photons, gen))
         else:
-            x = ginibre(photons, m, gen)
-            value = hafnian(x @ x.T)
+            factor = np.zeros((2 * photons, m))
+            factor[range(m), range(m)] = np.sqrt(gen.chisquare(m - np.arange(m)))
+            for row in range(2 * photons):
+                for col in range(min(row, m)):
+                    factor[row, col] = gen.standard_normal()
+            y = (factor[:photons] + 1j * factor[photons:]) / np.sqrt(2.0)
+            value = hafnian(y @ y.T)
         want.append(np.abs(value) ** 2 / float(m) ** photons)
     assert hiding_samples(kind, m, photons, n_sam, rng).tobytes() == np.array(want).tobytes()
+
+
+def test_hiding_gbs_draws_nothing_of_the_mode_count_size():
+    """The Bartlett factor holds 2n x min(2n, m) entries, so a mode count past int64
+    draws a 4 x 4 factor where an n x m Ginibre draw could not be held."""
+    values = hiding_samples("gbs", 10**20, 2, 3, RngStream(63, 0))
+    assert values.shape == (3,) and np.isfinite(values).all() and (values > 0).all()
+
+
+@pytest.mark.parametrize("m, photons", [(16, 2), (12, 4), (8, 4), (5, 4), (3, 4)])
+def test_bartlett_products_have_the_law_of_ginibre_products(m, photons):
+    """|Haf(Y Y^T)|^2 from the 2n x min(2n, m) Bartlett factor agrees in law with
+    |Haf(X X^T)|^2 of an n x m Ginibre X, for m above, at and below 2n: a two-sample
+    KS test on log|Haf|^2 over 20,000 draws a side at fixed seeds."""
+    draws = 20_000
+    bartlett = hiding_samples("gbs", m, photons, draws, RngStream(61, m))
+    x = ginibre(draws * photons, m, RngStream(62, m)).reshape(draws, photons, m)
+    direct = np.abs(hafnian(x @ x.transpose(0, 2, 1))) ** 2 / float(m) ** photons
+    assert ks_2samp(np.log(bartlett), np.log(direct)).pvalue > 0.01
 
 
 @pytest.mark.parametrize(
