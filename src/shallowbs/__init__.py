@@ -10,61 +10,17 @@ frame potentials and probability-density comparisons.
 
 from ._version import __version__
 from . import arch, fock, gaussian, linalg, matfn, stats
-from .arch import (
-    CircuitArchitecture,
-    GateSlot,
-    Layer,
-    backward_lightcone,
-    build_local_parallel,
-    build_nlhs,
-    effective_lightcone_radius,
-    forward_lightcone,
-    leakage_rate,
-    path_count,
-    realize,
-    truncate_unitary,
-)
-from .fock import (
-    DepthThresholds,
-    PermittedCountReport,
-    count_permitted_fbs,
-    count_permitted_fbs_effective,
-    enumerate_outcomes,
-    fbs_depth_thresholds,
-    fbs_permitted_ratio_bound,
-    fbs_probability,
-    is_permitted_fbs,
-    outcome_count,
-)
-from .gaussian import (
-    count_permitted_gbs,
-    evolve_covariance,
-    gbs_depth_thresholds,
-    gbs_permitted_ratio_bound,
-    gbs_unnormalized_probability,
-    is_permitted_gbs,
-    page_curve,
-    photon_pair_marginal,
-    reduced_covariance,
-    renyi2_entropy,
-    smsv_covariance,
-)
-from .linalg import RngStream, ginibre, haar_unitary
-from .matfn import (
-    GuardError,
-    hafnian,
-    hafnian_oracle,
-    permanent,
-    permanent_oracle,
-)
-from .stats import (
-    DensityCurve,
-    FramePotentialEstimate,
-    bootstrap_std,
-    density_function,
-    fbs_probability_samples,
-    frame_potential,
-    gbs_probability_samples,
-    hiding_samples,
-    random_collision_free_pattern,
-)
+from .arch import *
+from .fock import *
+from .gaussian import *
+from .linalg import *
+from .matfn import *
+from .stats import *
+
+__all__ = ["__version__"]
+__all__ += arch.__all__
+__all__ += fock.__all__
+__all__ += gaussian.__all__
+__all__ += linalg.__all__
+__all__ += matfn.__all__
+__all__ += stats.__all__

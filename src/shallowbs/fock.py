@@ -39,7 +39,7 @@ from .arch import (
 )
 from . import matfn
 from .linalg import _count
-from .matfn import _GUARD_BYTES, GuardError
+from .matfn import _GUARD_BYTES, GuardError, _require_square
 
 __all__ = [
     "Pattern",
@@ -122,7 +122,8 @@ def fbs_probability(
     This is the B = 1 case of ``_fbs_probabilities``, divided by ``s!``.
     """
     u = np.asarray(u)
-    t, s = _photon_patterns(u.shape[0], input_modes, output_modes)
+    m = _require_square(u, "fbs_probability")
+    t, s = _photon_patterns(m, input_modes, output_modes)
     rows = np.array([t, s], dtype=int).reshape(2, 1, len(t))
     return float(_fbs_probabilities(u[None], *rows)[0]) / pattern_factorial(s)
 
@@ -411,7 +412,7 @@ def _check_scaling_curve(
 ) -> None:
     """Reject ratio-bound arguments off the lattice scaling curve ``m = c * n**gamma``."""
     expected = _scaling_modes(n, noun, gamma, c, d)
-    if abs(m - expected) > 0.5 + 1e-9 * expected:
+    if not abs(m - expected) <= 0.5 + 1e-9 * expected:
         raise ValueError(
             f"mode count {m} is not {c_name}*n^gamma = {expected:.3f} within rounding"
         )
@@ -468,7 +469,7 @@ def _depth_thresholds(
     ``n`` counts photons for Fock-state and pairs for Gaussian sampling.
     """
     scheme, noun, photons = ("gbs", "pair", 2 * n) if gaussian else ("fbs", "photon", n)
-    if gamma < 1:
+    if not gamma >= 1:
         raise ValueError(f"mode-scaling exponent must be >= 1, got {gamma}")
     _check_cone_params(lam, beta, d)
     m = _scaling_modes(n, noun, gamma, c, d)

@@ -20,7 +20,6 @@ number and the circuit or its mode count.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import reduce
 from operator import or_
 from typing import Iterable, Union
@@ -128,7 +127,7 @@ def evolve_covariance(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Push a covariance through a passive circuit, unitary within 1e-8: sigma -> O sigma O^T."""
     sigma = np.asarray(sigma, dtype=float)
     u = np.asarray(u)
-    m = u.shape[0]
+    m = _require_square(u, "evolve_covariance")
     if sigma.shape != (2 * m, 2 * m):
         raise ValueError(
             f"covariance shape {sigma.shape} does not match the {(2 * m, 2 * m)} "
@@ -170,6 +169,7 @@ def renyi2_entropy(sigma: np.ndarray) -> Union[float, np.ndarray]:
     """Second Renyi entropy of a Gaussian state, (1/2) ln det(sigma); of a
     (B, 2k, 2k) stack of covariances, the B entropies by one batched ``slogdet``."""
     sigma = np.asarray(sigma)
+    _require_square(sigma, "renyi2_entropy", even=True, stack=True)
     sign, logdet = np.linalg.slogdet(sigma if sigma.ndim == 3 else sigma[None])
     if (sign <= 0).any():
         raise ValueError("covariance has non-positive determinant; not a valid state")
@@ -388,18 +388,15 @@ def gbs_permitted_ratio_bound(
 def photon_pair_marginal(k_inputs: int, squeeze_r: float, pairs: int) -> float:
     """Probability that K identical squeezed vacua hold exactly ``pairs`` photon pairs.
 
-    Negative-binomial law ``C(K/2 + n - 1, n) tanh(r)^{2n} / cosh(r)^K``.  Odd
-    source counts use the Gamma-function extension of the binomial weight,
-    which goes beyond the closed-form derivation, so they raise a warning.
+    Negative-binomial law ``C(K/2 + n - 1, n) tanh(r)^{2n} / cosh(r)^K``, with
+    the binomial weight taken through Gamma functions.  It holds for every K,
+    odd K included: the pair count of each squeezed vacuum has generating
+    function (1 - tanh^2(r) z)^(-1/2) / cosh(r), so that of K of them is its
+    K-th power.
     """
     k = _count(k_inputs, "source count", 1, "one squeezed source")
     _check_squeezing(squeeze_r)
     r, n = squeeze_r, _count(pairs, "pair number", 0)
-    if k % 2 != 0:
-        warnings.warn(
-            "odd source count: pair marginal uses the Gamma extension of the binomial weight",
-            stacklevel=2,
-        )
     log_weight = (
         math.lgamma(k / 2.0 + n) - math.lgamma(n + 1.0) - math.lgamma(k / 2.0)
     )

@@ -94,6 +94,13 @@ def test_fbs_probability_validation():
     assert fbs_probability(u, (), ()) == 1.0
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (4,), (1, 4, 4)])
+def test_fbs_probability_requires_a_square_matrix(shape):
+    expect = f"fbs_probability requires a square matrix, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(expect)):
+        fbs_probability(np.ones(shape), [0, 1], [0, 1])
+
+
 def test_fbs_probabilities_normalize():
     for m, t, seed in ((5, (0, 2, 4), 0), (6, (1, 3), 1)):
         u = haar_unitary(m, RngStream(77, seed))
@@ -486,6 +493,8 @@ def test_ratio_bound_formula_and_domain():
         fbs_permitted_ratio_bound(16, 4, 1e300, 1.0, 1, 2)
     with pytest.raises(ValueError, match="depth must be non-negative, got -1"):
         fbs_permitted_ratio_bound(16, 3, 1.0, 16 / 3, 1, -1)
+    with pytest.raises(ValueError, match=r"mode count nan is not c0\*n\^gamma = 16.000"):
+        fbs_permitted_ratio_bound(math.nan, 4, 1.0, 4.0, 1, 2)
 
 
 def test_fbs_depth_thresholds_unit_constants():
@@ -508,3 +517,5 @@ def test_fbs_depth_thresholds_domain():
         fbs_depth_thresholds(4, 1.0, 1.0, 1, 0.5, 1.0)
     with pytest.raises(ValueError):
         fbs_depth_thresholds(0, 1.0, 1.0, 1, 0.5, 0.5)
+    with pytest.raises(ValueError, match="mode-scaling exponent must be >= 1, got nan"):
+        fbs_depth_thresholds(4, math.nan, 1.0, 1, 0.5, 0.5)

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -143,6 +144,29 @@ def test_renyi2_entropy_two_mode_squeezed():
         renyi2_entropy(np.diag([-1.0, 1.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "call, expect",
+    [
+        (lambda: renyi2_entropy(np.ones(4)),
+         "renyi2_entropy requires a square matrix, got shape (4,)"),
+        (lambda: renyi2_entropy(np.eye(4)[None, None]),
+         "renyi2_entropy requires a square matrix, got shape (1, 1, 4, 4)"),
+        (lambda: renyi2_entropy(np.ones((2, 4, 3))),
+         "renyi2_entropy requires a stack of square matrices, got shape (2, 4, 3)"),
+        (lambda: renyi2_entropy(np.eye(3)), "renyi2_entropy requires even dimension, got 3"),
+        (lambda: evolve_covariance(np.eye(6), np.ones((3, 4))),
+         "evolve_covariance requires a square matrix, got shape (3, 4)"),
+        (lambda: evolve_covariance(np.eye(6), np.ones(3)),
+         "evolve_covariance requires a square matrix, got shape (3,)"),
+    ],
+    ids=["entropy-vector", "entropy-4d", "entropy-stack", "entropy-odd", "evolve-3x4",
+         "evolve-vector"],
+)
+def test_covariance_functions_require_square_matrices(call, expect):
+    with pytest.raises(ValueError, match=re.escape(expect)):
+        call()
+
+
 def test_entropy_complement_symmetry_exact():
     # a pure Gaussian state has equal subsystem entropies across any cut
     u = haar_unitary(6, RngStream(8, 4))
@@ -160,6 +184,8 @@ def test_is_valid_covariance_rejects_subvacuum():
     assert is_valid_covariance(np.eye(8))
     assert not is_valid_covariance(0.5 * np.eye(8))
     assert not is_valid_covariance(np.eye(7))
+    assert not is_valid_covariance(np.ones(4))
+    assert not is_valid_covariance(np.ones((3, 4)))
     skew = np.eye(4)
     skew[0, 1] = 0.2
     assert not is_valid_covariance(skew)
@@ -529,6 +555,15 @@ def test_gbs_ratio_bound_formula_and_domain():
         gbs_permitted_ratio_bound(m + 3, n, gamma, c1, d, depth)
     with pytest.raises(ValueError, match="depth must be non-negative, got -1"):
         gbs_permitted_ratio_bound(16, 3, 1.0, 16 / 3, 1, -1)
+    with pytest.raises(ValueError, match=r"mode count nan is not c1\*n\^gamma = 8.000"):
+        gbs_permitted_ratio_bound(math.nan, 2, 1.0, 4.0, 1, 2)
+
+
+def test_gbs_depth_thresholds_domain():
+    with pytest.raises(ValueError, match="mode-scaling exponent must be >= 1, got 0.9"):
+        gbs_depth_thresholds(4, 0.9, 1.0, 1, 0.5, 0.5)
+    with pytest.raises(ValueError, match="mode-scaling exponent must be >= 1, got nan"):
+        gbs_depth_thresholds(4, math.nan, 1.0, 1, 0.5, 0.5)
 
 
 def test_photon_pair_marginal_values():
@@ -553,6 +588,15 @@ def test_photon_pair_marginal_normalizes_and_matches_mean():
         np.testing.assert_allclose(mean, k * math.sinh(r) ** 2, rtol=1e-10)
 
 
-def test_photon_pair_marginal_odd_sources_warns():
-    with pytest.warns(UserWarning):
-        photon_pair_marginal(3, 0.4, 1)
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+def test_photon_pair_marginal_is_the_convolution_of_single_sources(k):
+    """K squeezed vacua, odd K included, hold the K-fold convolution of the
+    one-mode pair law C(2n, n)/4^n * tanh(r)^(2n) / cosh(r), with no warning."""
+    r, size = 0.4, 40
+    one = np.array([math.comb(2 * n, n) / 4**n * math.tanh(r) ** (2 * n) / math.cosh(r)
+                    for n in range(size)])
+    law = np.array([1.0])
+    for _ in range(k):
+        law = np.convolve(law, one)[:size]
+    got = [photon_pair_marginal(k, r, n) for n in range(size)]
+    np.testing.assert_allclose(got, law, rtol=1e-12, atol=0)

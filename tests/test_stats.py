@@ -391,7 +391,8 @@ def test_drivers_call_one_stacked_kernel_per_chunk(ensemble, kernels):
 
 def test_hiding_calls_one_stacked_kernel_per_chunk(kernels):
     """A chunk holds 64 KiB of n x n matrices, Ginibre draws for FBS and the
-    products X X^T of 4 x 32 draws for GBS: 256 of 4 x 4 either way."""
+    Bartlett products Y Y^T that stand for X X^T of 4 x 32 draws for GBS:
+    256 of 4 x 4 either way."""
     rng = RngStream(34, 0)
     hiding_samples("fbs", 32, 4, 300, rng)
     assert kernels == [("permanent", 256), ("permanent", 44)]
