@@ -133,7 +133,9 @@ def evolve_covariance(sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
             f"covariance shape {sigma.shape} does not match the {(2 * m, 2 * m)} "
             f"of a {m}-mode circuit"
         )
-    if np.max(np.abs(u.conj().T @ u - np.eye(m))) > 1e-8:
+    with np.errstate(invalid="ignore"):  # an infinite entry makes NaN, which fails the test
+        error = np.max(np.abs(u.conj().T @ u - np.eye(m)))
+    if not error <= 1e-8:
         raise ValueError("circuit matrix is not unitary within 1e-8")
     return _evolved(sigma, u[None])[0]
 
@@ -170,9 +172,11 @@ def renyi2_entropy(sigma: np.ndarray) -> Union[float, np.ndarray]:
     (B, 2k, 2k) stack of covariances, the B entropies by one batched ``slogdet``."""
     sigma = np.asarray(sigma)
     _require_square(sigma, "renyi2_entropy", even=True, stack=True)
-    sign, logdet = np.linalg.slogdet(sigma if sigma.ndim == 3 else sigma[None])
-    if (sign <= 0).any():
-        raise ValueError("covariance has non-positive determinant; not a valid state")
+    with np.errstate(invalid="ignore"):
+        sign, logdet = np.linalg.slogdet(sigma if sigma.ndim == 3 else sigma[None])
+    # slogdet reads sign 1 for a matrix holding NaN or inf, so its log must be finite too
+    if not ((sign > 0) & np.isfinite(logdet)).all():
+        raise ValueError("covariance has a non-positive or non-finite determinant; not a valid state")
     return 0.5 * logdet if sigma.ndim == 3 else float(0.5 * logdet[0])
 
 
@@ -181,7 +185,9 @@ def is_valid_covariance(sigma: np.ndarray, tol: float = 1e-8) -> bool:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2 != 0:
         return False
-    if np.max(np.abs(sigma - sigma.T)) > tol:
+    with np.errstate(invalid="ignore"):  # inf - inf makes NaN, which fails the test
+        asym = np.max(np.abs(sigma - sigma.T))
+    if not asym <= tol:
         return False
     m = sigma.shape[0] // 2
     eye = np.eye(m)

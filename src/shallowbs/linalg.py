@@ -232,7 +232,8 @@ def haar_unitary(
 
     The QR decomposition alone is not Haar distributed; multiplying each column
     of Q by the phase of the matching diagonal entry of R fixes the measure
-    (Mezzadri 2007).  Each unitary takes one ``ginibre(m, m, ...)`` draw.
+    (Mezzadri 2007).  Each unitary takes one ``ginibre(m, m, ...)`` draw; this
+    is the k = m case of ``_haar_columns``.
 
     One stream or generator gives one (m, m) unitary.  A sequence of B of them
     gives a (B, m, m) stack from one ``np.linalg.qr`` of the B Ginibre draws,
@@ -241,12 +242,24 @@ def haar_unitary(
     """
     m = _count(m, "mode count")
     single = not isinstance(rng, Sequence)
-    gens = [as_generator(r) for r in ((rng,) if single else rng)]
-    _check_dense(len(gens) * m, m)  # the stack as one (B*m) x m array
-    q, r = np.linalg.qr(np.array([ginibre(m, m, gen) for gen in gens]))
+    q = _haar_columns(m, m, [as_generator(r) for r in ((rng,) if single else rng)])
+    return q[0] if single else q
+
+
+def _haar_columns(m: int, k: int, gens: Sequence[np.random.Generator]) -> np.ndarray:
+    """The (B, m, k) phase-fixed thin Q of one stacked ``np.linalg.qr`` over B
+    ``ginibre(m, k, gen)`` draws, one per generator, for 1 <= k <= m.
+
+    Its columns are the first k columns of a Haar unitary on U(m): Gram-Schmidt
+    makes column j of a Ginibre QR from columns 0..j alone, so the phase-fixed
+    Q of the first k columns is the first k columns of the full one (Mezzadri
+    2007).  The stack counts B m k entries against the dense guard.
+    """
+    _check_dense(len(gens) * m, k)  # the stack as one (B*m) x k array
+    q, r = np.linalg.qr(np.array([ginibre(m, k, gen) for gen in gens]))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[:, None, :]
-    return q[0] if single else q
+    return q
 
 
 # numpy divides a complex number by the real sqrt(2) as Smith's rule does, by

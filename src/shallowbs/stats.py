@@ -4,7 +4,10 @@ The workhorses are the equal-count density estimator used to compare output
 probability distributions, the k-th frame potential that measures closeness of
 an ensemble to the full unitary group, and the reference sample generators
 (probability samples of random circuits, and the Gaussian-matrix surrogates
-they should reproduce when the circuit hides its submatrix structure).
+they should reproduce when the circuit hides its submatrix structure).  A Haar
+FBS sample reads only an n x n block, which by permutation invariance has the
+law of the top of the first n columns, so it draws an M x n thin QR and no
+patterns rather than an M x M unitary (Mezzadri 2007).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .arch import (
 )
 from .fock import _check_outcome_space, _fbs_probabilities, _input_pattern, _pattern_rows
 from .gaussian import _check_even, _hafnian_weights
-from .linalg import _SQRT_HALF, RngStream, _count, as_generator, ginibre
+from .linalg import _SQRT_HALF, RngStream, _count, _haar_columns, as_generator, ginibre
 
 __all__ = [
     "DensityBucket",
@@ -213,15 +216,24 @@ def fbs_probability_samples(
     """|perm|^2 samples of random circuits at random collision-free in/out patterns.
 
     The ensemble is a circuit, drawn with ``realize``, or an integer M for Haar
-    on U(M); the patterns range over all of its M modes.  Each chunk of trials
-    draws its circuits as one stack, then each trial's input and output
-    pattern, and takes all its probabilities with one stacked rule call.
+    on U(M); the patterns range over all of its M modes.  For a circuit, each
+    chunk of trials draws its circuits as one stack, then each trial's input
+    and output pattern, and takes all its probabilities with one stacked rule
+    call.  Haar on U(M) is invariant under permuting rows and columns, so
+    U[s, t] has the law of U[:n, :n], the top of U's first n columns: each Haar
+    trial draws one M x n Ginibre matrix and no patterns, and its value is
+    |perm(Q[:n, :n])|^2 of the phase-fixed thin Q (``_haar_columns``).
     """
     m = _ensemble_modes(ensemble)
     photons = _count(photons, "photon number")
     _check_placeable(m, photons)
     n_sam = _count(n_sam, "sample count")
     values = np.empty(n_sam)
+    if not isinstance(ensemble, CircuitArchitecture):
+        for rows, gens in _trial_chunks(rng, n_sam, 16 * m * photons):
+            q = _haar_columns(m, photons, gens)
+            values[rows] = abs(matfn.permanent(q[:, :photons])) ** 2
+        return values
     for rows, gens in _trial_chunks(rng, n_sam, 16 * m * m):
         u = _unitaries(ensemble, gens)
         # each trial's generator still draws its input pattern before its output

@@ -189,14 +189,17 @@ def test_resource_guard_exit_code(tmp_path, capsys):
           "--photons", "200", "--effective", "--lambda", "1", "--beta", "0.5"],
          "enumeration guard"),
         # a 100000 x 100000 Ginibre draw would need about 150 GiB
-        (["density-fbs", "--ensemble", "haar", "--modes", "100000", "--photons", "2",
+        (["density-gbs", "--ensemble", "haar", "--modes", "100000", "--photons", "2",
           "--samples", "2", "--buckets", "1"], "dense guard: a 100000 x 100000 matrix"),
+        # a Haar FBS trial draws M x n, here 8e7 entries, past the 2^26 cap
+        (["density-fbs", "--ensemble", "haar", "--modes", "40000000", "--photons", "2",
+          "--samples", "2", "--buckets", "1"], "dense guard: a 40000000 x 2 matrix"),
         # 25 disjoint 2-mode cones: under the visit cap, but 2^25 rows of 25 bytes
         (["permitted-count", "--ensemble", "local-parallel", "--modes", "50", "--dim", "1",
           "--depth", "1", "--scheme", "fbs", "--photons", "25",
           "--input", ",".join(map(str, range(0, 50, 2)))], "byte budget"),
     ],
-    ids=["fbs-count", "effective-count", "haar-draw", "fbs-count-bytes"],
+    ids=["fbs-count", "effective-count", "haar-draw", "haar-fbs-draw", "fbs-count-bytes"],
 )
 def test_oversized_work_exits_3(tmp_path, capsys, argv, guard):
     out = tmp_path / "x.out"

@@ -167,6 +167,24 @@ def test_covariance_functions_require_square_matrices(call, expect):
         call()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_covariance_checks_refuse_non_finite_entries(bad):
+    """The unitarity, determinant and symmetry tests ask for the good case, so a NaN,
+    which compares False either way, fails them; ``> tol`` or ``sign <= 0`` let it
+    through, and ``is_valid_covariance`` of a NaN matrix raised ``LinAlgError``."""
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = bad
+    for circuit in (u, np.full((2, 2), bad)):
+        with pytest.raises(ValueError, match="circuit matrix is not unitary within 1e-8"):
+            evolve_covariance(np.eye(4), circuit)
+    sigma = np.eye(4)
+    sigma[1, 1] = bad
+    for state in (sigma, np.full((4, 4), bad), np.stack([np.eye(4), sigma])):
+        with pytest.raises(ValueError, match="non-positive or non-finite determinant"):
+            renyi2_entropy(state)
+    assert not is_valid_covariance(sigma) and not is_valid_covariance(np.full((4, 4), bad))
+
+
 def test_entropy_complement_symmetry_exact():
     # a pure Gaussian state has equal subsystem entropies across any cut
     u = haar_unitary(6, RngStream(8, 4))

@@ -331,6 +331,24 @@ def test_stacked_haar_unitaries_equal_single_draws(m, size):
         assert gen.random() == single.random()
 
 
+@pytest.mark.parametrize("m", [1, 2, 16, 32])
+def test_haar_unitary_is_the_square_case_of_haar_columns(m):
+    """``haar_unitary`` is ``_haar_columns(m, m, ...)``, bit for bit, single or stacked."""
+    stack = shallowbs.linalg._haar_columns(m, m, [RngStream(42, i).generator() for i in range(4)])
+    assert stack.tobytes() == haar_unitary(m, [RngStream(42, i) for i in range(4)]).tobytes()
+    assert stack[2].tobytes() == haar_unitary(m, RngStream(42, 2)).tobytes()
+
+
+@pytest.mark.parametrize("m, k", [(6, 2), (16, 3), (32, 8)])
+def test_haar_columns_are_orthonormal_columns_of_a_haar_unitary(m, k):
+    """Each thin Q has orthonormal columns, and |Q_ij|^2 has the Haar mean 1/m."""
+    q = shallowbs.linalg._haar_columns(m, k, [RngStream(43, i).generator() for i in range(2000)])
+    assert q.shape == (2000, m, k)
+    gram = q.conj().transpose(0, 2, 1) @ q
+    assert np.abs(gram - np.eye(k)).max() < 1e-12
+    np.testing.assert_allclose((np.abs(q) ** 2).mean(axis=0), 1 / m, rtol=0.15)
+
+
 def test_haar_unitary_entry_variance():
     # E|U_ij|^2 = 1/m for Haar measure
     m, reps = 4, 4000

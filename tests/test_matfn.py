@@ -435,6 +435,20 @@ def sums(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_hafnian_refuses_non_finite_entries(bad, sums):
+    """|a - a^T| is NaN at a NaN entry, and at an infinite one (inf - inf); the symmetry
+    test asks for max |a - a^T| <= tol, which NaN fails, before any sum."""
+    off = np.ones((4, 4))
+    off[0, 1] = off[1, 0] = bad
+    diagonal = np.ones((4, 4))
+    diagonal[2, 2] = bad
+    for a in (off, diagonal, np.full((4, 4), bad), np.stack([np.ones((4, 4)), off])):
+        with pytest.raises(ValueError, match=r"hafnian requires a symmetric matrix; max \|a - a\^T\| = nan"):
+            hafnian(a)
+    assert sums == []
+
+
 def test_stacked_kernels_refuse_a_whole_stack_before_summing(sums):
     gen = np.random.default_rng(77)
     # two symmetric sub-stacks of fourteen, then one slice off by 1e-6

@@ -380,10 +380,13 @@ def kernels(monkeypatch):
 
 @pytest.mark.parametrize("ensemble", [build_nlhs(4, 1), 16], ids=["nlhs", "haar"])
 def test_drivers_call_one_stacked_kernel_per_chunk(ensemble, kernels):
-    """On 16 modes a chunk holds 16 trials, so 40 trials take stacks of 16, 16 and 8."""
+    """On 16 modes a chunk of 16 x 16 unitaries holds 16 trials, so 40 trials take
+    stacks of 16, 16 and 8; a Haar FBS chunk of 16 x 3 thin Qs holds 85, so one of 40."""
     rng = RngStream(33, 0)
     fbs_probability_samples(ensemble, 3, 40, rng)
-    assert kernels == [("permanent", 16), ("permanent", 16), ("permanent", 8)]
+    haar = not isinstance(ensemble, shallowbs.arch.CircuitArchitecture)
+    assert kernels == ([("permanent", 40)] if haar else
+                       [("permanent", 16), ("permanent", 16), ("permanent", 8)])
     kernels.clear()
     gbs_probability_samples(ensemble, 4, 40, rng)
     assert kernels == [("hafnian", 16), ("hafnian", 16), ("hafnian", 8)]
@@ -445,6 +448,50 @@ def test_bartlett_products_have_the_law_of_ginibre_products(m, photons):
     x = ginibre(draws * photons, m, RngStream(62, m)).reshape(draws, photons, m)
     direct = np.abs(hafnian(x @ x.transpose(0, 2, 1))) ** 2 / float(m) ** photons
     assert ks_2samp(np.log(bartlett), np.log(direct)).pvalue > 0.01
+
+
+def test_haar_fbs_draws_match_their_own_values(draws):
+    """A Haar FBS chunk holds 16 thin Qs of 32 x 8; 20 trials span two chunks, and
+    each equals |perm(Q[:8, :8])|^2 of the phase-fixed QR of its own generator's
+    32 x 8 Ginibre draw, in bytes, and draws nothing else from that generator."""
+    m, photons, n_sam, rng = 32, 8, 20, RngStream(71, 0)
+    assert shallowbs.arch._chunk_trials(16 * m * photons) == 16
+    want, after = [], []
+    for i in range(n_sam):
+        gen = rng.derive(i).generator()
+        q, r = np.linalg.qr(ginibre(m, photons, gen))
+        q *= np.diagonal(r) / np.abs(np.diagonal(r))
+        want.append(np.abs(permanent(q[:photons])) ** 2)
+        after.append(gen.random())
+    del draws[:]
+    assert fbs_probability_samples(m, photons, n_sam, rng).tobytes() == np.array(want).tobytes()
+    assert [gen.random() for name, gen in draws] == after
+
+
+def test_haar_fbs_draws_nothing_of_the_mode_count_squared():
+    """A Haar FBS trial draws M x n, so 10^5 modes take 1.6 MB a trial where an
+    M x M unitary would take 160 GB."""
+    values = fbs_probability_samples(10**5, 2, 3, RngStream(73, 0))
+    assert values.shape == (3,) and np.isfinite(values).all() and (values > 0).all()
+
+
+@pytest.mark.parametrize("m, photons, draws", [(6, 2, 20_000), (16, 3, 20_000), (32, 8, 4_000)])
+def test_haar_fbs_trials_have_the_law_of_full_unitary_blocks(m, photons, draws):
+    """Haar measure is invariant under permuting rows and columns, so |perm(U[s, t])|^2
+    at random collision-free patterns has the law of |perm(U[:n, :n])|^2, the block the
+    thin-QR trials read: a two-sample KS test against full ``haar_unitary`` draws at
+    fixed seeds."""
+    thin = fbs_probability_samples(m, photons, draws, RngStream(76, m))
+    gens = list(_trial_generators(RngStream(77, m), draws))
+    full = []
+    for start in range(0, draws, 64):
+        chunk = gens[start : start + 64]
+        u = haar_unitary(m, chunk)
+        t, s = (np.array([random_collision_free_pattern(m, photons, g) for g in chunk])
+                for _ in range(2))
+        blocks = u[np.arange(len(chunk))[:, None, None], s[:, :, None], t[:, None, :]]
+        full.append(np.abs(permanent(blocks)) ** 2)
+    assert ks_2samp(thin, np.concatenate(full)).pvalue > 0.01
 
 
 @pytest.mark.parametrize(
